@@ -17,8 +17,7 @@ import random
 import sys
 
 from blockcomp.boolcube import from_profile
-from blockcomp.cli import _dense_input
-from blockcomp.protocols import symmetric_and_protocol
+from blockcomp.protocols import dense_input, symmetric_and_protocol
 
 
 def model(ell1: int) -> float:
@@ -44,8 +43,8 @@ def main(argv=None) -> int:
         worst = 0
         mean = 0.0
         for t in range(args.trials):
-            x = _dense_input(rng, args.n, ell1)
-            y = _dense_input(rng, args.n, ell1)
+            x = dense_input(rng, args.n, ell1)
+            y = dense_input(rng, args.n, ell1)
             out, ledger = symmetric_and_protocol(
                 f, x, y, seed=args.seed * 1_000_003 + t)
             assert out == f.value(x & y)

@@ -15,7 +15,7 @@ from .boolcube import (BooleanFunction, disj_le1_inner, ip_inner,
                        weight_subsets)
 from .errors import DegeneratePlan, SizeGuardExceeded
 from .mainlemma import CertificateReport, mainlemma_certify
-from .specdisc import disj_pair, ip_pair, spectral_certificate
+from .specdisc import disj_pair, family_bound, ip_pair, spectral_certificate
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def ip_corollary_driver(f: BooleanFunction, k: int) -> DriverResult:
         "k_ge_2log2n_plus_5": condition,
         "rho_le_1_over_2en": rho_small,
         "condition_implies_rho_small": (not condition) or rho_small,
-        "rho_le_closed_form": report.rho <= 1.0 / math.sqrt((1 << k) - 1) + 1e-12,
+        "rho_le_closed_form": family_bound("ip", k, spectral_certificate(pair))[1],
     }
     return DriverResult(report, checks)
 
@@ -55,7 +55,7 @@ def disj_lemma_driver(f: BooleanFunction, k: int) -> DriverResult:
     n = f.n
     pair = disj_pair(k)
     cert = spectral_certificate(pair)
-    if not cert.rho <= 3.0 / k + 1e-9:
+    if not family_bound("disj", k, cert)[1]:
         raise ValueError(f"disjointness certificate rho={cert.rho} exceeds 3/k")
     report = mainlemma_certify(f, pair, disj_le1_inner(k))
     d = report.degree

@@ -3,7 +3,8 @@
 Every subcommand loads plain JSON inputs, calls one library operation,
 and writes a JSON report (sorted keys, rationals as "p/q" strings) so
 identical invocations produce byte-identical output.  Exit status: 0 on
-success, 1 when a computed invariant fails, 2 on bad input.
+success, 1 when a computed invariant fails, 2 on bad input or a size guard,
+3 on an internal failure (an LP pivot limit, a malformed system).
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import applications, approxdeg, boolcube, mainlemma, protocols, specdisc
 from .errors import SizeGuardExceeded
 
-OK, INVARIANT_FAILURE, INPUT_ERROR = 0, 1, 2
+OK, INVARIANT_FAILURE, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _frac_str(value: Fraction) -> str:
@@ -50,29 +49,14 @@ def load_inner(path: str) -> boolcube.InnerFunction:
         return boolcube.inner_from_dict(json.load(fh))
 
 
-def _parse_epsilon(text: str) -> Fraction:
-    eps = Fraction(text)
-    if not Fraction(0) < eps < Fraction(1, 2):
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {text}")
-    return eps
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one dispatch."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-    def validate(self) -> None:
-        a = self.args
-        if getattr(a, "k", None) is not None and a.k < 1:
-            raise ValueError("k must be >= 1")
-        if getattr(a, "trials", None) is not None and a.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if getattr(a, "inject_error", None) is not None \
-                and not 0.0 <= a.inject_error <= 1.0 / 3.0:
-            raise ValueError("inject-error must lie in [0, 1/3]")
+def _validate_args(a: argparse.Namespace) -> None:
+    if getattr(a, "k", None) is not None and a.k < 1:
+        raise ValueError("k must be >= 1")
+    if getattr(a, "trials", None) is not None and a.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if getattr(a, "inject_error", None) is not None \
+            and not 0.0 <= a.inject_error <= 1.0 / 3.0:
+        raise ValueError("inject-error must lie in [0, 1/3]")
 
 
 def _pair_for(family: str, k: int) -> specdisc.DistributionPair:
@@ -102,19 +86,16 @@ def _cert_payload(family: str, k: int) -> tuple[dict, bool]:
         "sum_scaled": cert.sum_scaled,
         "diff_scaled": cert.diff_scaled,
     }
-    if family == "disj":
-        bound = 3.0 / k
-        payload["bound_3_over_k"] = bound
-    else:
-        bound = 1.0 / math.sqrt((1 << k) - 1)
-        payload["bound_inv_sqrt_K_minus_1"] = bound
-    payload["within_bound"] = bool(cert.rho <= bound + 1e-9)
-    return payload, payload["within_bound"]
+    bound, within = specdisc.family_bound(family, k, cert)
+    bound_key = "bound_3_over_k" if family == "disj" else "bound_inv_sqrt_K_minus_1"
+    payload[bound_key] = bound
+    payload["within_bound"] = within
+    return payload, within
 
 
 def cmd_approxdeg(args) -> int:
     f = load_function(args.f)
-    eps = _parse_epsilon(args.epsilon)
+    eps = approxdeg._check_epsilon(args.epsilon)
     result = approxdeg.approx_degree(f, eps)
     _emit({
         "n": f.n,
@@ -128,7 +109,7 @@ def cmd_approxdeg(args) -> int:
 
 def cmd_witness(args) -> int:
     f = load_function(args.f)
-    eps = _parse_epsilon(args.epsilon)
+    eps = approxdeg._check_epsilon(args.epsilon)
     w = approxdeg.dual_witness(f, eps)
     report = approxdeg.verify_witness(w, f)
     _emit({
@@ -161,7 +142,7 @@ def cmd_knuth(args) -> int:
 
 def cmd_mainlemma(args) -> int:
     f = load_function(args.f)
-    eps = _parse_epsilon(args.epsilon)
+    eps = approxdeg._check_epsilon(args.epsilon)
     eps_prime = Fraction(args.epsilon_prime)
     report = mainlemma.mainlemma_certify(
         f, _pair_for(args.family, args.k), _inner_for(args.family, args.k),
@@ -219,14 +200,6 @@ def cmd_reduce(args) -> int:
     return status
 
 
-def _dense_input(rng: random.Random, n: int, ell1: int) -> int:
-    zeros = rng.randrange(max(ell1, 1))
-    x = (1 << n) - 1
-    for pos in rng.sample(range(n), zeros):
-        x &= ~(1 << pos)
-    return x
-
-
 def cmd_simulate(args) -> int:
     f = load_function(args.f)
     rng = random.Random(args.seed)
@@ -253,8 +226,8 @@ def cmd_simulate(args) -> int:
                                         error_prob=args.inject_error)
         for t in range(args.trials):
             if args.dense:
-                x = _dense_input(rng, f.n, profile.ell1)
-                y = _dense_input(rng, f.n, profile.ell1)
+                x = protocols.dense_input(rng, f.n, profile.ell1)
+                y = protocols.dense_input(rng, f.n, profile.ell1)
             else:
                 x, y = rng.randrange(1 << f.n), rng.randrange(1 << f.n)
             expected = f.value(x & y)
@@ -427,14 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(args.subcommand, args)
     try:
-        config.validate()
+        _validate_args(args)
         return args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError,
             SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

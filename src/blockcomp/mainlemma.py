@@ -7,6 +7,11 @@ with the composed function, entrywise L1 equal to ||q||_1, and operator
 norm decaying like rho^degree.  The ratio of the first and last quantities
 lower-bounds the trace norm of every entrywise approximation of the
 composition, which in turn lower-bounds quantum communication.
+
+||h|| has one route per kind of pair (``h_opnorm``): exact from the pair's
+spectrum for the built-in inner-product and disjointness pairs, a dense SVD
+for other pairs within the materialization guard, and the analytic
+binomial-tail bound beyond it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from functools import reduce
 import numpy as np
 
 from .approxdeg import DualWitness, dual_witness
-from .boolcube import BooleanFunction, InnerFunction, materialize_limit
+from .boolcube import (BooleanFunction, InnerFunction, materialize_limit,
+                       spectrum_of_values)
 from .errors import ArityMismatch, SizeGuardExceeded
 from .specdisc import (DistributionPair, SpectralDiscrepancyCert,
                        operator_norm, spectral_certificate, validate_pair)
@@ -35,11 +41,14 @@ class WitnessMatrix:
     pair: DistributionPair
     terms: tuple[tuple[int, Fraction], ...]
     h_l1: Fraction
-    materialized: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.pair.k_a ** self.n, self.pair.k_b ** self.n)
+
+    @property
+    def fits_guard(self) -> bool:
+        return max(self.shape) <= materialize_limit()
 
     def q_values(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -47,23 +56,14 @@ class WitnessMatrix:
 
 def witness_matrix_from_values(q: dict[int, Fraction], n: int,
                                pair: DistributionPair) -> WitnessMatrix:
-    """Assemble h from raw witness values; materializes when both side
-    counts fit the guard, keeps tensor form otherwise."""
+    """Assemble h in tensor form from raw witness values."""
     if pair.mu0.keys() & pair.mu1.keys():
         raise ValueError("mu0 and mu1 share support; L1 bookkeeping invalid")
     if any(z < 0 or z >= 1 << n for z in q):
         raise ArityMismatch("witness support outside {0,1}^n")
     terms = tuple(sorted((z, v) for z, v in q.items() if v))
     h_l1 = sum((abs(v) for _, v in terms), Fraction(0))
-    limit = materialize_limit()
-    mat = None
-    if pair.k_a ** n <= limit and pair.k_b ** n <= limit:
-        dense = [pair.dense(0), pair.dense(1)]
-        mat = np.zeros((pair.k_a ** n, pair.k_b ** n))
-        for z, coeff in terms:
-            factors = [dense[(z >> (i - 1)) & 1] for i in range(1, n + 1)]
-            mat += float(coeff) * reduce(np.kron, factors)
-    return WitnessMatrix(n, pair, terms, h_l1, mat)
+    return WitnessMatrix(n, pair, terms, h_l1)
 
 
 def build_witness_matrix(q: DualWitness, pair: DistributionPair) -> WitnessMatrix:
@@ -71,32 +71,54 @@ def build_witness_matrix(q: DualWitness, pair: DistributionPair) -> WitnessMatri
 
 
 def require_materialized(h: WitnessMatrix) -> np.ndarray:
-    if h.materialized is None:
+    """Dense h, built on demand within the materialization guard."""
+    if not h.fits_guard:
         raise SizeGuardExceeded(
             f"witness matrix of shape {h.shape} exceeds the materialization guard")
-    return h.materialized
+    dense = [h.pair.dense(0), h.pair.dense(1)]
+    mat = np.zeros(h.shape)
+    for z, coeff in h.terms:
+        factors = [dense[(z >> (i - 1)) & 1] for i in range(1, h.n + 1)]
+        mat += float(coeff) * reduce(np.kron, factors)
+    return mat
 
 
-def fourier_materialize(h: WitnessMatrix) -> np.ndarray:
-    """Independent assembly of h from the witness spectrum: the term for
-    frequency w uses (mu0+mu1) at blocks outside w and (mu0-mu1) at blocks
-    inside w (unhalved), weighted by q_hat_w."""
-    n = h.n
-    size = 1 << n
-    q_hat = {}
-    for w in range(size):
-        acc = Fraction(0)
-        for z, coeff in h.terms:
-            acc += -coeff if (w & z).bit_count() & 1 else coeff
-        if acc:
-            q_hat[w] = acc / size
-    plus = h.pair.dense(0) + h.pair.dense(1)
-    minus = h.pair.dense(0) - h.pair.dense(1)
-    out = np.zeros((h.pair.k_a ** n, h.pair.k_b ** n))
-    for w, coeff in q_hat.items():
-        factors = [minus if (w >> (i - 1)) & 1 else plus for i in range(1, n + 1)]
-        out += float(coeff) * reduce(np.kron, factors)
-    return out
+def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
+    """||h||^2 exactly, from the pair's per-block spectrum.
+
+    On the eigen-tuple (t_1..t_n) of the n-fold product, sum_z c(z)
+    prod_i e[t_i][z_i] is an eigenvalue of h for a commuting pair (c = q),
+    and of h h^T for a Gram pair (c = q_hat^2: the cross terms of h h^T
+    vanish since plus minus^T = 0).  One block axis is contracted at a time.
+    """
+    spec = h.pair.spectrum
+    q = h.q_values()
+    if spec.gram:
+        q_hat = spectrum_of_values(h.n, q).coeffs
+        coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << h.n)]
+    else:
+        coeffs = [q.get(z, Fraction(0)) for z in range(1 << h.n)]
+    values = np.array(coeffs, dtype=object).reshape((2,) * h.n)
+    table = np.array(spec.eigen, dtype=object)
+    for _ in range(h.n):
+        values = np.tensordot(table, values, axes=([1], [values.ndim - 1]))
+    if spec.gram:
+        return max(values.flat)
+    return max(v * v for v in values.flat)
+
+
+def h_opnorm(h: WitnessMatrix,
+             analytic_bound: float | None = None) -> tuple[float, str]:
+    """||h|| (or the analytic bound on it) and its source, with the route
+    read from the pair: "exact_spectrum" for a pair with a known spectrum,
+    "materialized_svd" within the guard, else "analytic_bound".  Without an
+    analytic bound, a pair past the guard raises SizeGuardExceeded.
+    """
+    if h.pair.spectrum is not None:
+        return math.sqrt(exact_opnorm_sq(h)), "exact_spectrum"
+    if analytic_bound is None or h.fits_guard:
+        return operator_norm(require_materialized(h)), "materialized_svd"
+    return analytic_bound, "analytic_bound"
 
 
 def restricted_composition(f: BooleanFunction, g: InnerFunction,
@@ -181,8 +203,8 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
     With an explicit F_tilde the numerator is evaluated directly (entries
     outside the composition's domain are ignored; h vanishes there anyway);
     without one it is replaced by the guaranteed 1 - eps'/eps.  The norm in
-    the denominator is the exact materialized value when available, else
-    the analytic binomial-tail bound.
+    the denominator is exact (``h_opnorm`` without an analytic bound), so a
+    pair with no known spectrum must fit the materialization guard.
     """
     if not epsilon_prime < epsilon:
         raise ValueError("epsilon_prime must be < epsilon")
@@ -197,33 +219,7 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
         numerator = abs(float(np.where(defined, mat * f_tilde, 0.0).sum()))
     else:
         numerator = 1.0 - float(epsilon_prime) / float(epsilon)
-    if h.materialized is not None:
-        denom = operator_norm(h.materialized)
-    else:
-        witness_like = _WitnessShim(h.n, _degree_of(h), epsilon)
-        denom = opnorm_bound(witness_like, spectral_certificate(h.pair)).bound_r
-    return numerator / denom
-
-
-class _WitnessShim:
-    """Just enough of the DualWitness surface for opnorm_bound."""
-
-    def __init__(self, n: int, degree: int, epsilon: Fraction):
-        self.n = n
-        self.degree = degree
-        self.epsilon = epsilon
-
-
-def _degree_of(h: WitnessMatrix) -> int:
-    size = 1 << h.n
-    best = h.n + 1
-    for w in range(size):
-        acc = Fraction(0)
-        for z, coeff in h.terms:
-            acc += -coeff if (w & z).bit_count() & 1 else coeff
-        if acc:
-            best = min(best, w.bit_count())
-    return 0 if best > h.n else best
+    return numerator / h_opnorm(h)[0]
 
 
 @dataclass(frozen=True)
@@ -264,14 +260,8 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
     h = build_witness_matrix(witness, pair)
     inner = inner_product_with_composition(h, f, g)
     bounds = opnorm_bound(witness, cert)
-    if h.materialized is not None:
-        exact = operator_norm(h.materialized)
-        denom = exact
-        source = "materialized_svd"
-    else:
-        exact = None
-        denom = bounds.bound_r
-        source = "analytic_bound"
+    denom, source = h_opnorm(h, bounds.bound_r)
+    exact = None if source == "analytic_bound" else denom
     numerator = 1.0 - float(epsilon_prime) / float(epsilon)
     route_lb = numerator / denom if denom > 0 else math.inf
     closed_lb = None

@@ -204,6 +204,15 @@ def za_header_bits(ell1: int) -> int:
     return math.ceil(math.log2(max(ell1 - 1, 1))) + 1
 
 
+def dense_input(rng: random.Random, n: int, ell1: int) -> int:
+    """An n-bit input with fewer than max(ell1, 1) zeros, at random positions."""
+    zeros = rng.randrange(max(ell1, 1))
+    x = (1 << n) - 1
+    for pos in rng.sample(range(n), zeros):
+        x &= ~(1 << pos)
+    return x
+
+
 def symmetric_and_protocol(f: BooleanFunction, x: int, y: int,
                            cfg: HamOracleConfig = HamOracleConfig(),
                            seed: int | None = None) -> tuple[int, CostLedger]:

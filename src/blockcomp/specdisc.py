@@ -5,6 +5,11 @@ I_A x I_B, with mu_b supported where g = b.  Scaling the operator norms
 of their average and half-difference by sqrt(|I_A|*|I_B|) yields the
 certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
+
+The built-in pairs carry their per-block spectra (``PairSpectrum``): closed
+forms for inner product, Johnson-scheme eigenvalues for disjointness.  Their
+certificates are exact, with rho^2 a rational, and so are the witness-matrix
+norms built on them.  Other pairs go through one dense SVD.
 """
 
 from __future__ import annotations
@@ -18,70 +23,34 @@ import numpy as np
 from .boolcube import InnerFunction, weight_subsets
 from .errors import SizeGuardExceeded
 
-POWER_ITERATION_CAP = 100_000
-RAYLEIGH_DRIFT_TOL = 1e-12
-DENSE_FALLBACK_DIM = 512
-
-
-class NormNotConverged(RuntimeError):
-    def __init__(self, last_estimate: float, residual: float):
-        super().__init__(
-            f"power iteration did not converge; last estimate {last_estimate:.6e}, "
-            f"residual {residual:.3e}")
-        self.last_estimate = last_estimate
-        self.residual = residual
-
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, to absolute accuracy ~1e-10.
-
-    Power iteration on the Gram matrix with an all-ones start.  That start
-    is provably safe only for sign-definite matrices (the top singular
-    vector can then be taken entrywise non-negative, so it overlaps the
-    ones vector); for mixed-sign matrices the ones vector can be exactly
-    orthogonal to, or even annihilated by, the top singular space, so
-    those go straight to a dense symmetric eigensolve.  Non-convergence
-    past the cap falls back to the eigensolve too, when the Gram dimension
-    allows it.
-    """
+    """Largest singular value, by a dense SVD."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.size == 0:
         return 0.0
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    dim = gram.shape[0]
-    scale = np.abs(gram).max()
-    if scale == 0.0:
-        return 0.0
-    sign_definite = bool((m >= 0).all() or (m <= 0).all())
-
-    rayleigh = 0.0
-    residual = math.inf
-    if sign_definite:
-        v = np.ones(dim) / math.sqrt(dim)
-        for _ in range(POWER_ITERATION_CAP):
-            w = gram @ v
-            norm = np.linalg.norm(w)
-            if norm <= scale * 1e-14:
-                break
-            v = w / norm
-            new_rayleigh = float(v @ (gram @ v))
-            if abs(new_rayleigh - rayleigh) <= RAYLEIGH_DRIFT_TOL * max(1.0, new_rayleigh):
-                rayleigh = new_rayleigh
-                break
-            rayleigh = new_rayleigh
-        residual = float(np.linalg.norm(gram @ v - rayleigh * v))
-        if residual <= 1e-13 * max(1.0, scale):
-            return math.sqrt(max(rayleigh, 0.0))
-    if dim <= DENSE_FALLBACK_DIM:
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        return math.sqrt(max(top, 0.0))
-    raise NormNotConverged(math.sqrt(max(rayleigh, 0.0)), residual)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
 # distribution pairs
+
+
+@dataclass(frozen=True)
+class PairSpectrum:
+    """Exact joint spectrum of one block of a structured pair: one entry
+    (a_t, b_t) per nonempty shared eigenspace t.
+
+    Unless ``gram``, mu0 and mu1 are symmetric and commute, and a_t, b_t are
+    their eigenvalues.  With ``gram``, plus = mu0 + mu1 and minus = mu0 - mu1
+    have orthogonal row spaces (plus minus^T = 0), and a_t, b_t are the
+    eigenvalues of plus plus^T and minus minus^T.
+    """
+
+    eigen: tuple[tuple[Fraction, Fraction], ...]
+    gram: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,12 +59,14 @@ class DistributionPair:
 
     i_a / i_b are the row and column input labels (bitmask integers, sorted);
     mu0 / mu1 map (row index, col index) positions to rational masses.
+    spectrum, when known, gives every spectral quantity of the pair exactly.
     """
 
     i_a: tuple[int, ...]
     i_b: tuple[int, ...]
     mu0: dict[tuple[int, int], Fraction]
     mu1: dict[tuple[int, int], Fraction]
+    spectrum: PairSpectrum | None = None
 
     @property
     def k_a(self) -> int:
@@ -135,12 +106,14 @@ def validate_pair(pair: DistributionPair, g: InnerFunction) -> None:
 
 @dataclass(frozen=True)
 class SpectralDiscrepancyCert:
-    """Scaled norms of a pair and the minimal r they certify."""
+    """Scaled norms of a pair and the minimal r they certify; rho_sq is
+    rho^2 exactly when the pair carries its spectrum."""
 
     pair: DistributionPair
     sum_scaled: float
     diff_scaled: float
     rho: float
+    rho_sq: Fraction | None = None
 
     def qcc_bound_bits(self) -> float:
         """log2(1/rho): the discrepancy route's lower bound in bits, with no
@@ -151,14 +124,44 @@ class SpectralDiscrepancyCert:
 
 
 def spectral_certificate(pair: DistributionPair) -> SpectralDiscrepancyCert:
-    """Minimal r this pair certifies: max(diff_scaled, sum_scaled - 1, 0)."""
-    scale = math.sqrt(pair.k_a * pair.k_b)
-    avg = (pair.dense(0) + pair.dense(1)) / 2.0
-    diff = (pair.dense(0) - pair.dense(1)) / 2.0
-    sum_scaled = scale * operator_norm(avg)
-    diff_scaled = scale * operator_norm(diff)
-    rho = max(diff_scaled, sum_scaled - 1.0, 0.0)
-    return SpectralDiscrepancyCert(pair, sum_scaled, diff_scaled, rho)
+    """Minimal r this pair certifies: max(diff_scaled, sum_scaled - 1, 0).
+
+    Exact from the pair's spectrum when it has one, by dense SVD otherwise.
+    """
+    spec = pair.spectrum
+    if spec is None:
+        scale = math.sqrt(pair.k_a * pair.k_b)
+        sum_scaled = scale * operator_norm((pair.dense(0) + pair.dense(1)) / 2.0)
+        diff_scaled = scale * operator_norm((pair.dense(0) - pair.dense(1)) / 2.0)
+        rho = max(diff_scaled, sum_scaled - 1.0, 0.0)
+        return SpectralDiscrepancyCert(pair, sum_scaled, diff_scaled, rho)
+    # squared scaled norms of (mu0 +- mu1)/2
+    area = Fraction(pair.k_a * pair.k_b, 4)
+    if spec.gram:
+        sum_sq = area * max(a for a, _ in spec.eigen)
+        diff_sq = area * max(b for _, b in spec.eigen)
+    else:
+        sum_sq = area * max((a + b) ** 2 for a, b in spec.eigen)
+        diff_sq = area * max((a - b) ** 2 for a, b in spec.eigen)
+    if sum_sq > 1:
+        # both built-in pairs have uniform marginals, so sum_scaled = 1
+        raise ValueError("exact rho needs sum_scaled <= 1")
+    return SpectralDiscrepancyCert(pair, math.sqrt(sum_sq), math.sqrt(diff_sq),
+                                   math.sqrt(diff_sq), diff_sq)
+
+
+def family_bound(family: str, k: int,
+                 cert: SpectralDiscrepancyCert) -> tuple[float, bool]:
+    """The bound on rho for a built-in family (3/k for disj, 1/sqrt(K-1)
+    for ip) and whether the certificate meets it.  Compared as squares of
+    the exact rho: the ip certificate meets its bound with equality."""
+    if cert.rho_sq is None:
+        raise ValueError("family bounds apply to pairs with a known spectrum")
+    if family == "disj":
+        return 3.0 / k, cert.rho_sq <= Fraction(9, k * k)
+    if family == "ip":
+        return 1.0 / math.sqrt((1 << k) - 1), cert.rho_sq <= Fraction(1, (1 << k) - 1)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def uniform_pair(g: InnerFunction,
@@ -185,12 +188,16 @@ def uniform_pair(g: InnerFunction,
     return DistributionPair(i_a, i_b, mus[0], mus[1])
 
 
-PAIR_SIDE_CAP = DENSE_FALLBACK_DIM
+PAIR_SIDE_CAP = 512
 
 
 def ip_pair(k: int) -> DistributionPair:
     """Uniform pair for inner product mod 2, with the zero row removed
-    from Alice's side (the zero row is constant and would break condition (2))."""
+    from Alice's side (the zero row is constant and would break condition (2)).
+
+    Each distribution is uniform on c = K(K-1)/2 cells, so plus = J/c and
+    minus = H'/c for H' the Hadamard matrix without its zero row: plus plus^T
+    = K J/c^2 (eigenvalues K(K-1)/c^2 and 0) and minus minus^T = K I/c^2."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = 1 << k
@@ -208,7 +215,12 @@ def ip_pair(k: int) -> DistributionPair:
             counts[b] += 1
     mu0 = {pos: Fraction(1, counts[0]) for pos in entries[0]}
     mu1 = {pos: Fraction(1, counts[1]) for pos in entries[1]}
-    return DistributionPair(i_a, i_b, mu0, mu1)
+    c = Fraction(size * (size - 1), 2)
+    eigen = ((size * (size - 1) / c ** 2, size / c ** 2),
+             (Fraction(0), size / c ** 2))
+    # for K = 2 the single row has no eigenspace orthogonal to the ones vector
+    spectrum = PairSpectrum(eigen[:1] if size == 2 else eigen, gram=True)
+    return DistributionPair(i_a, i_b, mu0, mu1, spectrum)
 
 
 def ip_closed_forms(k: int) -> tuple[float, float]:
@@ -282,7 +294,8 @@ def disj_weights(k: int) -> tuple[int, int, int]:
 
 def disj_pair(k: int) -> DistributionPair:
     """Uniform pair for disjointness on p-subsets (p = k/3) restricted to
-    intersections of size at most one: mu_s = J_{k,p,s} / w_s."""
+    intersections of size at most one: mu_s = J_{k,p,s} / w_s, whose shared
+    Johnson-scheme eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
     if k < 3 or k % 3:
         raise ValueError("k must be a positive multiple of 3")
     p = k // 3
@@ -301,7 +314,9 @@ def disj_pair(k: int) -> DistributionPair:
                 mu0[(i, j)] = f0
             elif inter == 1:
                 mu1[(i, j)] = f1
-    return DistributionPair(subsets, subsets, mu0, mu1)
+    spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
+                                  for t in range(p + 1)))
+    return DistributionPair(subsets, subsets, mu0, mu1, spectrum)
 
 
 def disj_lambda(k: int, s: int, t: int) -> Fraction:

@@ -25,8 +25,9 @@ from blockcomp.mainlemma import (build_witness_matrix,
                                  inner_product_with_composition, opnorm_bound,
                                  require_materialized, restricted_composition)
 from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
-                                 optimal_decision_tree, repetition_schedule,
-                                 symmetric_and_protocol, za_header_bits)
+                                 dense_input, optimal_decision_tree,
+                                 repetition_schedule, symmetric_and_protocol,
+                                 za_header_bits)
 from blockcomp.specdisc import (disj_lambda, disj_lambda_diff_closed,
                                 disj_pair, disj_weights, ip_pair,
                                 johnson_matrix, knuth_eigenvalue,
@@ -212,8 +213,8 @@ def test_criterion_7_protocol_suite():
             total += 1
         f16 = n16[4]
         for t in range(40_000):
-            x = cli._dense_input(rng, 16, 4)
-            y = cli._dense_input(rng, 16, 4)
+            x = dense_input(rng, 16, 4)
+            y = dense_input(rng, 16, 4)
             out, _ = symmetric_and_protocol(f16, x, y, seed=1_000_003 * t)
             assert out == f16.value(x & y)
             total += 1
@@ -230,8 +231,8 @@ def test_criterion_7_protocol_suite():
         scheduled = 1.0 / (3.0 * (math.floor(math.log2(cap)) + 1))
         cfg = HamOracleConfig(error_prob=scheduled)
         for t in range(5_000):
-            x = cli._dense_input(rng, 4, 2)
-            y = cli._dense_input(rng, 4, 2)
+            x = dense_input(rng, 4, 2)
+            y = dense_input(rng, 4, 2)
             out, _ = symmetric_and_protocol(step4, x, y, cfg, seed=13 * t + 5)
             errors += out != step4.value(x & y)
         assert errors / 10_000 <= 1 / 3 + 0.02
@@ -251,8 +252,8 @@ def test_criterion_7_protocol_suite():
                            + math.ceil(math.log2(delta + 1)) * reps * cfg0.cost(delta))
             worst = 0
             for t in range(2_000):
-                x = cli._dense_input(rng, 16, l1)
-                y = cli._dense_input(rng, 16, l1)
+                x = dense_input(rng, 16, l1)
+                y = dense_input(rng, 16, l1)
                 out, ledger = symmetric_and_protocol(f, x, y, cfg0,
                                                      seed=31 * t + l1)
                 assert out == f.value(x & y)

@@ -147,7 +147,7 @@ class TestMainlemmaCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["inner_product"] == "1/1"
-        assert payload["norm_source"] == "materialized_svd"
+        assert payload["norm_source"] == "exact_spectrum"
         assert payload["qcc_constant_note"] == "no hidden constant applied"
 
     def test_disj(self, capsys, parity2):
@@ -161,6 +161,20 @@ class TestMainlemmaCommand:
         code, _, _ = run(capsys, ["mainlemma", "--f", path,
                                   "--family", "ip", "--k", "2"])
         assert code == 2
+
+    # mixed-sign h with a smaller side over 512 yet within the 4096 guard
+    @pytest.mark.parametrize("n,family,k", [(2, "ip", 5), (3, "ip", 4),
+                                            (3, "disj", 6), (4, "ip", 3)])
+    def test_large_mixed_sign_cells(self, capsys, tmp_path, n, family, k):
+        path = write_json(tmp_path, "or.json",
+                          {"n": n, "bits": "0" + "1" * ((1 << n) - 1)})
+        code, out, _ = run(capsys, ["mainlemma", "--f", path,
+                                    "--family", family, "--k", str(k)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["norm_source"] == "exact_spectrum"
+        assert payload["inner_product"] == "1/1"
+        assert 0 < payload["h_opnorm_exact"] <= payload["h_opnorm_bound"]
 
 
 class TestReduceCommand:
@@ -280,6 +294,23 @@ class TestBatchCommand:
         assert code == 0
         row = out.strip().splitlines()[1]
         assert row.split(",")[4] == "2"  # degree column
+
+
+class TestInternalErrors:
+    def test_pivot_limit_exits_3(self, capsys, monkeypatch, or4):
+        from blockcomp import approxdeg
+        from blockcomp.simplex import PivotLimitExceeded
+
+        def exceeded(*args, **kwargs):
+            raise PivotLimitExceeded("no convergence in 0 pivots")
+
+        monkeypatch.setattr(approxdeg, "_degree_cache", {})
+        monkeypatch.setattr(approxdeg, "solve_feasibility", exceeded)
+        code, out, err = run(capsys, ["approxdeg", "--f", or4])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

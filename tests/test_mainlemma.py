@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from blockcomp.boolcube import (and_function, constant_function, disj_le1_inner,
                                 ip_inner, or_function, parity_function)
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
-from blockcomp.mainlemma import (build_witness_matrix, fourier_materialize,
-                                 inner_product_with_composition,
+from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
+                                 h_opnorm, inner_product_with_composition,
                                  mainlemma_certify, opnorm_bound,
                                  require_materialized, restricted_composition,
                                  trace_norm_certificate,
@@ -30,6 +31,33 @@ def tiny_pair():
     # k=1 rectangle with disjoint single-cell distributions
     return DistributionPair((0, 1), (0, 1),
                             {(0, 0): Fraction(1)}, {(1, 1): Fraction(1)})
+
+
+def hand_built(pair):
+    """The same distributions, built with the 4-argument constructor."""
+    return DistributionPair(pair.i_a, pair.i_b, pair.mu0, pair.mu1)
+
+
+def fourier_materialize(h):
+    """Independent assembly of h from the witness spectrum: the term for
+    frequency w uses (mu0+mu1) at blocks outside w and (mu0-mu1) at blocks
+    inside w (unhalved), weighted by q_hat_w."""
+    n = h.n
+    size = 1 << n
+    q_hat = {}
+    for w in range(size):
+        acc = Fraction(0)
+        for z, coeff in h.terms:
+            acc += -coeff if (w & z).bit_count() & 1 else coeff
+        if acc:
+            q_hat[w] = acc / size
+    plus = h.pair.dense(0) + h.pair.dense(1)
+    minus = h.pair.dense(0) - h.pair.dense(1)
+    out = np.zeros((h.pair.k_a ** n, h.pair.k_b ** n))
+    for w, coeff in q_hat.items():
+        factors = [minus if (w >> (i - 1)) & 1 else plus for i in range(1, n + 1)]
+        out += float(coeff) * reduce(np.kron, factors)
+    return out
 
 
 class TestWitnessMatrixAssembly:
@@ -65,7 +93,7 @@ class TestWitnessMatrixAssembly:
         pair = ip_pair(2)  # sides 3 and 4, squared exceeds 8
         w = dual_witness(parity_function(2), THIRD)
         h = build_witness_matrix(w, pair)
-        assert h.materialized is None
+        assert not h.fits_guard
         with pytest.raises(SizeGuardExceeded):
             require_materialized(h)
 
@@ -198,17 +226,31 @@ class TestOpnormBound:
         with pytest.raises(ValueError):
             opnorm_bound(w, cert)
 
-    @pytest.mark.parametrize("f", OUTERS)
-    @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
+    # f3 x disj9 (OR_4, 84^4 rows per side) is far past the guard: bound only
+    @pytest.mark.parametrize("f", OUTERS + [or_function(4), or_function(2)])
+    @pytest.mark.parametrize("pair_g", PAIRS + [(ip_pair(3), ip_inner(3)),
+                                                (disj_pair(6), disj_le1_inner(6)),
+                                                (disj_pair(9), disj_le1_inner(9))],
+                             ids=("ip2", "disj3", "ip3", "disj6", "disj9"))
     def test_exact_norm_within_bound(self, f, pair_g):
         pair, _ = pair_g
         w = dual_witness(f, THIRD)
         h = build_witness_matrix(w, pair)
-        from blockcomp.specdisc import operator_norm
-
-        exact = operator_norm(require_materialized(h))
+        exact, source = h_opnorm(h)
+        assert source == "exact_spectrum"
+        if max(h.shape) <= 1024:
+            dense = np.linalg.norm(require_materialized(h), 2)
+            assert exact == pytest.approx(dense, rel=1e-12)
         b = opnorm_bound(w, spectral_certificate(pair))
-        assert exact <= b.bound_r + 1e-9
+        assert exact <= b.bound_r
+
+    def test_disjointness_norm_is_rational(self):
+        w = dual_witness(or_function(3), THIRD)
+        h = build_witness_matrix(w, disj_pair(6))
+        norm_sq = exact_opnorm_sq(h)
+        assert isinstance(norm_sq, Fraction)
+        root = Fraction(math.isqrt(norm_sq.numerator), math.isqrt(norm_sq.denominator))
+        assert root * root == norm_sq
 
     def test_final_form_weaker_when_valid(self):
         pair = ip_pair(5)
@@ -260,6 +302,17 @@ class TestTraceNormCertificate:
         with pytest.raises(ValueError):
             trace_norm_certificate(h, f, g, THIRD, THIRD)
 
+    def test_norm_route_past_the_guard(self, monkeypatch):
+        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
+        pair, g = PAIRS[0]
+        f = parity_function(2)
+        w = dual_witness(f, THIRD)
+        exact = trace_norm_certificate(build_witness_matrix(w, pair), f, g, THIRD, SIXTH)
+        assert exact > 0
+        h = build_witness_matrix(w, hand_built(pair))
+        with pytest.raises(SizeGuardExceeded):
+            trace_norm_certificate(h, f, g, THIRD, SIXTH)
+
 
 class TestCertifyChain:
     def test_constant_outer_rejected(self):
@@ -271,7 +324,7 @@ class TestCertifyChain:
         pair, g = PAIRS[0]
         report = mainlemma_certify(parity_function(2), pair, g)
         assert report.inner_product == 1
-        assert report.norm_source == "materialized_svd"
+        assert report.norm_source == "exact_spectrum"
         assert report.h_opnorm_exact is not None
         assert report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
         route = (1 - float(report.epsilon_prime) / float(report.epsilon)) \
@@ -292,7 +345,7 @@ class TestCertifyChain:
 
     def test_analytic_route_when_too_large(self, monkeypatch):
         monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
-        pair, g = PAIRS[0]
+        pair, g = hand_built(PAIRS[0][0]), PAIRS[0][1]
         report = mainlemma_certify(parity_function(2), pair, g)
         assert report.norm_source == "analytic_bound"
         assert report.h_opnorm_exact is None

@@ -6,14 +6,19 @@ import pytest
 
 from blockcomp.boolcube import and_inner, ip_inner, restrict_rows, InnerFunction
 from blockcomp.errors import SizeGuardExceeded
-from blockcomp.specdisc import (DistributionPair, NormNotConverged,
-                                PAIR_SIDE_CAP, disj_lambda,
+from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
                                 disj_lambda_diff_closed, disj_pair,
                                 disj_weights, eigenspace_dimension,
-                                ip_closed_forms, ip_pair, johnson_matrix,
-                                knuth_eigenvalue, operator_norm,
-                                rectangle_discrepancy, spectral_certificate,
-                                uniform_pair, validate_pair)
+                                family_bound, ip_closed_forms, ip_pair,
+                                johnson_matrix, knuth_eigenvalue,
+                                operator_norm, rectangle_discrepancy,
+                                spectral_certificate, uniform_pair,
+                                validate_pair)
+
+
+def hand_built(pair):
+    """The same distributions, built with the 4-argument constructor."""
+    return DistributionPair(pair.i_a, pair.i_b, pair.mu0, pair.mu1)
 
 
 class TestOperatorNorm:
@@ -40,7 +45,6 @@ class TestOperatorNorm:
         assert operator_norm(m) == pytest.approx(ref, abs=1e-10)
 
     def test_nonnegative_vs_svd(self):
-        # sign-definite matrices take the ones-start power-iteration path
         rng = np.random.default_rng(11)
         m = rng.uniform(0.0, 1.0, size=(20, 20))
         ref = np.linalg.svd(m, compute_uv=False)[0]
@@ -57,10 +61,11 @@ class TestOperatorNorm:
         assert got == pytest.approx(dense, abs=1e-8)
 
     def test_large_mixed_sign_uncertifiable(self):
+        # mixed-sign with more than 512 rows and columns
         m = np.ones((513, 513))
         m[0, 0] = -1.0
-        with pytest.raises(NormNotConverged):
-            operator_norm(m)
+        ref = np.linalg.svd(m, compute_uv=False)[0]
+        assert operator_norm(m) == pytest.approx(ref, rel=1e-12)
 
 
 class TestPairsAndCertificates:
@@ -140,6 +145,27 @@ class TestInnerProductPair:
     def test_rho_bound(self, k):
         cert = spectral_certificate(ip_pair(k))
         assert cert.rho <= 1.0 / math.sqrt((1 << k) - 1) + 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_exact_certificate_matches_svd(self, k):
+        pair = ip_pair(k)
+        exact, dense = spectral_certificate(pair), spectral_certificate(hand_built(pair))
+        assert exact.rho_sq == Fraction(1, (1 << k) - 1)
+        assert dense.rho_sq is None
+        for field in ("sum_scaled", "diff_scaled", "rho"):
+            assert getattr(exact, field) == pytest.approx(getattr(dense, field), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_bound_met_with_equality(self, k):
+        bound, within = family_bound("ip", k, spectral_certificate(ip_pair(k)))
+        assert within
+        assert bound == 1.0 / math.sqrt((1 << k) - 1)
+
+    def test_family_bound_needs_exact_certificate(self):
+        with pytest.raises(ValueError):
+            family_bound("ip", 2, spectral_certificate(hand_built(ip_pair(2))))
+        with pytest.raises(ValueError):
+            family_bound("and", 2, spectral_certificate(ip_pair(2)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -270,6 +296,16 @@ class TestDisjointnessPair:
         assert cert.sum_scaled == pytest.approx(1.0, abs=1e-9)
         assert cert.diff_scaled == pytest.approx(9 / (4 * k), abs=1e-9)
         assert cert.rho <= 3.0 / k + 1e-9
+
+    @pytest.mark.parametrize("k", [3, 6, 9, 12])
+    def test_exact_certificate(self, k):
+        pair = disj_pair(k)
+        cert = spectral_certificate(pair)
+        assert cert.rho_sq == Fraction(9, 4 * k) ** 2
+        assert family_bound("disj", k, cert) == (3.0 / k, True)
+        if k <= 6:
+            dense = spectral_certificate(hand_built(pair))
+            assert cert.rho == pytest.approx(dense.rho, rel=1e-12)
 
 
 class TestRectangleDiscrepancy:
