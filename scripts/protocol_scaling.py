@@ -16,7 +16,7 @@ import math
 import random
 import sys
 
-from blockcomp.boolcube import from_profile
+from blockcomp.boolcube import from_profile, symmetric_profile
 from blockcomp.protocols import dense_input, symmetric_and_protocol
 
 
@@ -40,13 +40,14 @@ def main(argv=None) -> int:
         if ell1 > args.n // 2:
             raise SystemExit(f"ell1={ell1} needs n >= {2 * ell1}")
         f = from_profile([0] * (args.n + 1 - ell1) + [1] * ell1)
+        profile = symmetric_profile(f)
         worst = 0
         mean = 0.0
         for t in range(args.trials):
             x = dense_input(rng, args.n, ell1)
             y = dense_input(rng, args.n, ell1)
             out, ledger = symmetric_and_protocol(
-                f, x, y, seed=args.seed * 1_000_003 + t)
+                profile, x, y, seed=args.seed * 1_000_003 + t)
             assert out == f.value(x & y)
             worst = max(worst, ledger.total)
             mean += ledger.total

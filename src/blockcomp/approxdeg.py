@@ -25,7 +25,10 @@ LP_ARITY_CAP = 12  # constraint count is 2*2^n; exact pivoting beyond this is im
 
 
 def _check_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+    try:
+        epsilon = Fraction(epsilon)
+    except ZeroDivisionError:
+        raise EpsilonOutOfRange(f"epsilon {epsilon!r} has a zero denominator") from None
     if not 0 < epsilon < Fraction(1, 2):
         raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
     return epsilon

@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -156,10 +155,7 @@ def walsh_transform(values: Sequence) -> list:
 
 def fourier(f: BooleanFunction) -> FourierSpectrum:
     """Exact Fourier spectrum of a 0/1-valued function."""
-    scale = Fraction(1, 1 << f.n)
-    transformed = walsh_transform(f.table)
-    coeffs = {w: v * scale for w, v in enumerate(transformed) if v != 0}
-    return FourierSpectrum(f.n, coeffs)
+    return spectrum_of_values(f.n, dict(enumerate(f.table)))
 
 
 def spectrum_of_values(n: int, values: dict[int, Fraction]) -> FourierSpectrum:
@@ -192,12 +188,11 @@ class SymmetricProfile:
     ell1: int
 
 
-@lru_cache(maxsize=256)
 def symmetric_profile(f: BooleanFunction) -> SymmetricProfile:
     """Weight profile of f; raises NotSymmetric on any weight-class disagreement.
 
-    Cached: protocol simulations re-derive the profile on every run, and the
-    full-table scan dominates once n is large."""
+    Scans the whole 2^n table, so a caller that needs the profile repeatedly
+    (a protocol simulation, say) computes it once and passes it down."""
     profile: list[int | None] = [None] * (f.n + 1)
     for x, bit in enumerate(f.table):
         m = x.bit_count()

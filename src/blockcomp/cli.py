@@ -143,7 +143,7 @@ def cmd_knuth(args) -> int:
 def cmd_mainlemma(args) -> int:
     f = load_function(args.f)
     eps = approxdeg._check_epsilon(args.epsilon)
-    eps_prime = Fraction(args.epsilon_prime)
+    eps_prime = mainlemma._check_epsilon_prime(args.epsilon_prime, eps)
     report = mainlemma.mainlemma_certify(
         f, _pair_for(args.family, args.k), _inner_for(args.family, args.k),
         eps, eps_prime)
@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
                 x, y = rng.randrange(1 << f.n), rng.randrange(1 << f.n)
             expected = f.value(x & y)
             out, ledger = protocols.symmetric_and_protocol(
-                f, x, y, cfg, seed=args.seed * 1_000_003 + t)
+                profile, x, y, cfg, seed=args.seed * 1_000_003 + t)
             lines.append(_trial_line(t, x, y, out, expected, ledger))
             errors += out != expected
     summary = {"summary": True, "trials": args.trials, "errors": errors,

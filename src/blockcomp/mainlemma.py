@@ -193,6 +193,17 @@ def opnorm_bound(q: DualWitness, cert: SpectralDiscrepancyCert) -> OpnormBound:
     return OpnormBound(n, d, rho, eps, scale, bound_r, bound_final, final_valid)
 
 
+def _check_epsilon_prime(epsilon_prime: Fraction, epsilon: Fraction) -> Fraction:
+    try:
+        epsilon_prime = Fraction(epsilon_prime)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"epsilon_prime {epsilon_prime!r} has a zero denominator") from None
+    if not 0 <= epsilon_prime < epsilon:
+        raise ValueError(f"epsilon_prime must lie in [0, epsilon), got {epsilon_prime}")
+    return epsilon_prime
+
+
 def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
                            g: InnerFunction, epsilon: Fraction,
                            epsilon_prime: Fraction,
@@ -202,12 +213,12 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
 
     With an explicit F_tilde the numerator is evaluated directly (entries
     outside the composition's domain are ignored; h vanishes there anyway);
-    without one it is replaced by the guaranteed 1 - eps'/eps.  The norm in
+    without one it is replaced by the guaranteed 1 - eps'/eps, which needs
+    0 <= eps' < eps to lie in (0, 1].  The norm in
     the denominator is exact (``h_opnorm`` without an analytic bound), so a
     pair with no known spectrum must fit the materialization guard.
     """
-    if not epsilon_prime < epsilon:
-        raise ValueError("epsilon_prime must be < epsilon")
+    epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     if f_tilde is not None:
         mat = require_materialized(h)
         values, defined = restricted_composition(f, g, h.pair)
@@ -252,8 +263,7 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
                       ) -> CertificateReport:
     """Run the full chain: dual witness, witness matrix, norm bounds,
     trace-norm lower bound, and the implied communication bound in bits."""
-    if not epsilon_prime < epsilon:
-        raise ValueError("epsilon_prime must be < epsilon")
+    epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     validate_pair(pair, g)
     witness = dual_witness(f, epsilon)
     cert = spectral_certificate(pair)

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .boolcube import BooleanFunction, InnerFunction, symmetric_profile
+from .boolcube import BooleanFunction, InnerFunction, SymmetricProfile
 from .errors import ArityMismatch
 
 TREE_ARITY_CAP = 4
@@ -213,11 +213,15 @@ def dense_input(rng: random.Random, n: int, ell1: int) -> int:
     return x
 
 
-def symmetric_and_protocol(f: BooleanFunction, x: int, y: int,
+def symmetric_and_protocol(profile: SymmetricProfile, x: int, y: int,
                            cfg: HamOracleConfig = HamOracleConfig(),
                            seed: int | None = None) -> tuple[int, CostLedger]:
     """Binary-search protocol for a symmetric f (with no flip in the lower
     half of the weight range) composed with bitwise AND.
+
+    f is given by its weight profile (``symmetric_profile(f)``), which the
+    caller computes once for all the runs it makes; n, the values and ell1
+    are read from it.
 
     Both sides first compare their zero counts against the top flip
     distance ell1 and output 0 early when either is over the threshold.
@@ -227,10 +231,9 @@ def symmetric_and_protocol(f: BooleanFunction, x: int, y: int,
     instead of 0 on the low plateau, the complement is computed and the
     output flipped, with a ledger note.
     """
-    profile = symmetric_profile(f)
     if profile.ell0 != 0:
         raise ValueError(f"protocol requires ell0 = 0, got {profile.ell0}")
-    n = f.n
+    n = profile.n
     if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
         raise ValueError("input outside the cube")
     rng = random.Random(seed)

@@ -6,21 +6,25 @@ of their average and half-difference by sqrt(|I_A|*|I_B|) yields the
 certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
 
-The built-in pairs carry their per-block spectra (``PairSpectrum``): closed
-forms for inner product, Johnson-scheme eigenvalues for disjointness.  Their
-certificates are exact, with rho^2 a rational, and so are the witness-matrix
-norms built on them.  Other pairs go through one dense SVD.
+Every pair built here is uniform on g^{-1}(b) over a rectangle, and
+``uniform_pair`` is the one builder of its masses.  The built-in pairs add
+their per-block spectra (``PairSpectrum``) to it: closed forms for inner
+product (``ip_pair``), Johnson-scheme eigenvalues for disjointness
+(``disj_pair``).  Their certificates are exact, with rho^2 a rational, and
+so are the witness-matrix norms built on them.  Other pairs go through one
+dense SVD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .boolcube import InnerFunction, weight_subsets
+from .boolcube import (InnerFunction, disj_le1_inner, ip_inner,
+                       weight_subsets)
 from .errors import SizeGuardExceeded
 
 
@@ -167,24 +171,21 @@ def family_bound(family: str, k: int,
 def uniform_pair(g: InnerFunction,
                  rows: tuple[int, ...] | None = None,
                  cols: tuple[int, ...] | None = None) -> DistributionPair:
-    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols."""
+    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols.
+
+    Positions are (row index, col index) into rows x cols, in row-major
+    order; every cell of one side shares the mass 1/|g^{-1}(b)|."""
     side = 1 << g.k
     i_a = tuple(rows) if rows is not None else tuple(range(side))
     i_b = tuple(cols) if cols is not None else tuple(range(side))
-    row_pos = {x: i for i, x in enumerate(i_a)}
-    col_pos = {y: j for j, y in enumerate(i_b)}
-    cells: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    for x in i_a:
-        for y in i_b:
-            v = g.value(x, y)
-            if v is not None:
-                cells[v].append((row_pos[x], col_pos[y]))
+    block = g.values[np.ix_(i_a, i_b)]
     mus = []
     for b in (0, 1):
-        if not cells[b]:
+        pos_a, pos_b = np.nonzero(block == b)
+        if not pos_a.size:
             raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
-        mass = Fraction(1, len(cells[b]))
-        mus.append({pos: mass for pos in cells[b]})
+        mus.append(dict.fromkeys(zip(pos_a.tolist(), pos_b.tolist()),
+                                 Fraction(1, pos_a.size)))
     return DistributionPair(i_a, i_b, mus[0], mus[1])
 
 
@@ -192,8 +193,8 @@ PAIR_SIDE_CAP = 512
 
 
 def ip_pair(k: int) -> DistributionPair:
-    """Uniform pair for inner product mod 2, with the zero row removed
-    from Alice's side (the zero row is constant and would break condition (2)).
+    """Uniform pair of ``ip_inner(k)`` with the zero row removed from
+    Alice's side (the zero row is constant and would break condition (2)).
 
     Each distribution is uniform on c = K(K-1)/2 cells, so plus = J/c and
     minus = H'/c for H' the Hadamard matrix without its zero row: plus plus^T
@@ -204,23 +205,13 @@ def ip_pair(k: int) -> DistributionPair:
     if size > PAIR_SIDE_CAP:
         raise SizeGuardExceeded(
             f"side size {size} exceeds the certifiable cap {PAIR_SIDE_CAP}")
-    i_a = tuple(range(1, size))
-    i_b = tuple(range(size))
-    counts = {0: 0, 1: 0}
-    entries: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    for x in i_a:
-        for y in i_b:
-            b = (x & y).bit_count() & 1
-            entries[b].append((x - 1, y))
-            counts[b] += 1
-    mu0 = {pos: Fraction(1, counts[0]) for pos in entries[0]}
-    mu1 = {pos: Fraction(1, counts[1]) for pos in entries[1]}
     c = Fraction(size * (size - 1), 2)
     eigen = ((size * (size - 1) / c ** 2, size / c ** 2),
              (Fraction(0), size / c ** 2))
     # for K = 2 the single row has no eigenspace orthogonal to the ones vector
     spectrum = PairSpectrum(eigen[:1] if size == 2 else eigen, gram=True)
-    return DistributionPair(i_a, i_b, mu0, mu1, spectrum)
+    return replace(uniform_pair(ip_inner(k), rows=range(1, size)),
+                   spectrum=spectrum)
 
 
 def ip_closed_forms(k: int) -> tuple[float, float]:
@@ -293,30 +284,22 @@ def disj_weights(k: int) -> tuple[int, int, int]:
 
 
 def disj_pair(k: int) -> DistributionPair:
-    """Uniform pair for disjointness on p-subsets (p = k/3) restricted to
-    intersections of size at most one: mu_s = J_{k,p,s} / w_s, whose shared
-    Johnson-scheme eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
+    """Uniform pair of ``disj_le1_inner(k)`` on p-subsets (p = k/3):
+    mu_s = J_{k,p,s} / w_s, whose shared Johnson-scheme eigenspaces t = 0..p
+    carry eigenvalues disj_lambda(k, s, t).  The side cap is checked before
+    the 2^k x 2^k inner table is built."""
     if k < 3 or k % 3:
         raise ValueError("k must be a positive multiple of 3")
     p = k // 3
-    m, w0, w1 = disj_weights(k)
+    m = math.comb(k, p)
     if m > PAIR_SIDE_CAP:
         raise SizeGuardExceeded(
             f"side size {m} exceeds the certifiable cap {PAIR_SIDE_CAP}")
     subsets = weight_subsets(k, p)
-    mu0: dict[tuple[int, int], Fraction] = {}
-    mu1: dict[tuple[int, int], Fraction] = {}
-    f0, f1 = Fraction(1, w0), Fraction(1, w1)
-    for i, x in enumerate(subsets):
-        for j, y in enumerate(subsets):
-            inter = (x & y).bit_count()
-            if inter == 0:
-                mu0[(i, j)] = f0
-            elif inter == 1:
-                mu1[(i, j)] = f1
     spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
                                   for t in range(p + 1)))
-    return DistributionPair(subsets, subsets, mu0, mu1, spectrum)
+    return replace(uniform_pair(disj_le1_inner(k), subsets, subsets),
+                   spectrum=spectrum)
 
 
 def disj_lambda(k: int, s: int, t: int) -> Fraction:
@@ -334,40 +317,3 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
     ratio = Fraction(math.comb(k - p - t, p - t), math.comb(k - p, p))
     val = Fraction(1, m) * ratio * Fraction(t * (k - t + 1), p * p)
     return -val if t & 1 else val
-
-
-# ---------------------------------------------------------------------------
-# brute-force rectangle discrepancy (cross-check oracle)
-
-RECTANGLE_GUARD = 24
-
-
-def rectangle_discrepancy(pair: DistributionPair, g: InnerFunction) -> float:
-    """Max over all sub-rectangles of |sum mu(x,y) (-1)^g(x,y)| for the
-    combined distribution mu = (mu0+mu1)/2.  Exhaustive over subsets of
-    the smaller side."""
-    if pair.k_a + pair.k_b > RECTANGLE_GUARD:
-        raise SizeGuardExceeded(
-            f"|I_A| + |I_B| = {pair.k_a + pair.k_b} exceeds {RECTANGLE_GUARD}")
-    signed = np.zeros((pair.k_a, pair.k_b))
-    for b in (0, 1):
-        for (i, j), mass in pair.mu(b).items():
-            v = g.value(pair.i_a[i], pair.i_b[j])
-            if v is None:
-                raise ValueError(f"mass on undefined point ({pair.i_a[i]},{pair.i_b[j]})")
-            signed[i, j] += float(mass) / 2.0 * (1 if v == 0 else -1)
-    if pair.k_b <= pair.k_a:
-        cols = signed
-    else:
-        cols = signed.T
-    n_sub = cols.shape[1]
-    best = 0.0
-    for mask in range(1 << n_sub):
-        if mask == 0:
-            continue
-        sel = [j for j in range(n_sub) if (mask >> j) & 1]
-        sums = cols[:, sel].sum(axis=1)
-        pos = sums[sums > 0].sum()
-        neg = -sums[sums < 0].sum()
-        best = max(best, pos, neg)
-    return float(best)

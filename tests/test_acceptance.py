@@ -19,7 +19,7 @@ from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
                                 block_compose, disj_le1_inner, from_profile,
                                 ip_inner, or_function, parity_function,
-                                spectrum_of_values)
+                                spectrum_of_values, symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
 from blockcomp.mainlemma import (build_witness_matrix,
                                  inner_product_with_composition, opnorm_bound,
@@ -196,6 +196,8 @@ def test_criterion_7_protocol_suite():
         tree2 = optimal_decision_tree(parity_function(2))
         composed2 = block_compose(parity_function(2), and_inner())
         n16 = {l1: from_profile([0] * (17 - l1) + [1] * l1) for l1 in (2, 4, 8)}
+        step4_profile = symmetric_profile(step4)
+        n16_profiles = {l1: symmetric_profile(f) for l1, f in n16.items()}
 
         # --- 1e5 zero-error trials are exactly correct
         rng = random.Random(2024)
@@ -208,14 +210,14 @@ def test_criterion_7_protocol_suite():
             total += 1
         for t in range(40_000):
             x, y = rng.randrange(16), rng.randrange(16)
-            out, _ = symmetric_and_protocol(step4, x, y, seed=1_000_003 * t)
+            out, _ = symmetric_and_protocol(step4_profile, x, y, seed=1_000_003 * t)
             assert out == step4.value(x & y)
             total += 1
-        f16 = n16[4]
+        f16, f16_profile = n16[4], n16_profiles[4]
         for t in range(40_000):
             x = dense_input(rng, 16, 4)
             y = dense_input(rng, 16, 4)
-            out, _ = symmetric_and_protocol(f16, x, y, seed=1_000_003 * t)
+            out, _ = symmetric_and_protocol(f16_profile, x, y, seed=1_000_003 * t)
             assert out == f16.value(x & y)
             total += 1
         assert total == 100_000
@@ -233,7 +235,8 @@ def test_criterion_7_protocol_suite():
         for t in range(5_000):
             x = dense_input(rng, 4, 2)
             y = dense_input(rng, 4, 2)
-            out, _ = symmetric_and_protocol(step4, x, y, cfg, seed=13 * t + 5)
+            out, _ = symmetric_and_protocol(step4_profile, x, y, cfg,
+                                            seed=13 * t + 5)
             errors += out != step4.value(x & y)
         assert errors / 10_000 <= 1 / 3 + 0.02
 
@@ -254,7 +257,7 @@ def test_criterion_7_protocol_suite():
             for t in range(2_000):
                 x = dense_input(rng, 16, l1)
                 y = dense_input(rng, 16, l1)
-                out, ledger = symmetric_and_protocol(f, x, y, cfg0,
+                out, ledger = symmetric_and_protocol(n16_profiles[l1], x, y, cfg0,
                                                      seed=31 * t + l1)
                 assert out == f.value(x & y)
                 assert ledger.total <= budget_bits, (l1, ledger.total)

@@ -62,6 +62,8 @@ class TestLpFeasible:
             lp_feasible(or_function(2), Fraction(1, 2), 1)
         with pytest.raises(EpsilonOutOfRange):
             lp_feasible(or_function(2), Fraction(0), 1)
+        with pytest.raises(EpsilonOutOfRange, match="zero denominator"):
+            lp_feasible(or_function(2), "1/0", 1)
 
     def test_degree_cap_validation(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,16 @@ class TestApproxdegCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["approxdeg", "witness", "mainlemma"])
+    def test_zero_denominator_epsilon(self, capsys, or4, command):
+        argv = [command, "--f", or4, "--epsilon", "1/0"]
+        if command == "mainlemma":
+            argv += ["--family", "ip", "--k", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["approxdeg", "--f", str(tmp_path / "nope.json")])
         assert code == 2
@@ -161,6 +171,20 @@ class TestMainlemmaCommand:
         code, _, _ = run(capsys, ["mainlemma", "--f", path,
                                   "--family", "ip", "--k", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("eps_prime", ["1/0", "-10", "-1/100", "1/3"])
+    def test_bad_epsilon_prime(self, capsys, parity2, eps_prime):
+        code, out, err = run(capsys, ["mainlemma", "--f", parity2, "--family", "ip",
+                                      "--k", "3", f"--epsilon-prime={eps_prime}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "epsilon_prime" in err
+
+    def test_zero_epsilon_prime(self, capsys, parity2):
+        code, out, _ = run(capsys, ["mainlemma", "--f", parity2, "--family", "ip",
+                                    "--k", "3", "--epsilon-prime", "0"])
+        assert code == 0
+        assert json.loads(out)["epsilon_prime"] == "0/1"
 
     # mixed-sign h with a smaller side over 512 yet within the 4096 guard
     @pytest.mark.parametrize("n,family,k", [(2, "ip", 5), (3, "ip", 4),

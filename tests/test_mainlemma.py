@@ -302,6 +302,17 @@ class TestTraceNormCertificate:
         with pytest.raises(ValueError):
             trace_norm_certificate(h, f, g, THIRD, THIRD)
 
+    @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])
+    def test_epsilon_prime_range_enforced(self, eps_prime):
+        # a negative eps' would lift the guaranteed numerator 1 - eps'/eps above 1
+        pair, g = PAIRS[0]
+        f = parity_function(2)
+        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        with pytest.raises(ValueError, match="epsilon_prime"):
+            trace_norm_certificate(h, f, g, THIRD, eps_prime)
+        assert trace_norm_certificate(h, f, g, THIRD, Fraction(0)) \
+            == pytest.approx(1.0 / h_opnorm(h)[0], rel=1e-15)
+
     def test_norm_route_past_the_guard(self, monkeypatch):
         monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
         pair, g = PAIRS[0]
@@ -357,3 +368,13 @@ class TestCertifyChain:
         with pytest.raises(ValueError):
             mainlemma_certify(parity_function(2), pair, g,
                               epsilon=THIRD, epsilon_prime=THIRD)
+
+    @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])
+    def test_epsilon_prime_range(self, eps_prime):
+        pair, g = PAIRS[0]
+        with pytest.raises(ValueError, match="epsilon_prime"):
+            mainlemma_certify(parity_function(2), pair, g,
+                              epsilon=THIRD, epsilon_prime=eps_prime)
+        report = mainlemma_certify(parity_function(2), pair, g,
+                                   epsilon=THIRD, epsilon_prime=Fraction(0))
+        assert report.epsilon_prime == 0

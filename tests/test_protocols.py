@@ -5,7 +5,7 @@ import pytest
 from blockcomp.boolcube import (and_function, and_inner, block_compose,
                                 constant_function, from_profile, ip_inner,
                                 or_function, parity_function, projection,
-                                restrict_rows)
+                                restrict_rows, symmetric_profile)
 from blockcomp.errors import ArityMismatch, NotSymmetric
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
@@ -17,6 +17,8 @@ from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
 # n=4 profile with ell0 = 0, ell1 = 2: zero up to weight 2, one above
 STEP4 = from_profile([0, 0, 0, 1, 1])
 STEP4_NEG = from_profile([1, 1, 1, 0, 0])
+STEP4_PROFILE = symmetric_profile(STEP4)
+STEP4_NEG_PROFILE = symmetric_profile(STEP4_NEG)
 
 
 class TestDecisionTrees:
@@ -162,47 +164,50 @@ class TestHamOracleConfig:
 class TestSymmetricAndProtocol:
     def test_ell0_nonzero_rejected(self):
         with pytest.raises(ValueError, match="ell0"):
-            symmetric_and_protocol(or_function(4), 0, 0)
+            symmetric_and_protocol(symmetric_profile(or_function(4)), 0, 0)
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(NotSymmetric):
-            symmetric_and_protocol(projection(3, 1), 0, 0)
+            symmetric_and_protocol(symmetric_profile(projection(3, 1)), 0, 0)
 
     def test_input_range(self):
         with pytest.raises(ValueError):
-            symmetric_and_protocol(STEP4, 16, 0)
+            symmetric_and_protocol(STEP4_PROFILE, 16, 0)
 
     def test_and4_exhaustive(self):
         f = and_function(4)
+        profile = symmetric_profile(f)
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(f, x, y)
+                out, ledger = symmetric_and_protocol(profile, x, y)
                 assert out == f.value(x & y)
                 assert ledger.total <= 4  # threshold, maybe header+answer
 
     def test_step4_exhaustive(self):
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(STEP4, x, y, seed=x * 16 + y)
+                out, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y,
+                                                     seed=x * 16 + y)
                 assert out == STEP4.value(x & y), (x, y)
 
     def test_negated_profile_exhaustive(self):
         seen_note = False
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(STEP4_NEG, x, y)
+                out, ledger = symmetric_and_protocol(STEP4_NEG_PROFILE, x, y)
                 assert out == STEP4_NEG.value(x & y), (x, y)
                 seen_note = seen_note or any("negated" in n for n in ledger.notes)
         assert seen_note
 
     def test_constant_after_orientation(self):
-        out, ledger = symmetric_and_protocol(constant_function(3, 1), 5, 3)
+        profile = symmetric_profile(constant_function(3, 1))
+        out, ledger = symmetric_and_protocol(profile, 5, 3)
         assert out == 1
         assert any("constant" in n for n in ledger.notes)
         assert ledger.total == 0
 
     def test_early_exit_cost(self):
-        out, ledger = symmetric_and_protocol(STEP4, 0, 15)
+        out, ledger = symmetric_and_protocol(STEP4_PROFILE, 0, 15)
         assert out == 0
         assert ledger.total == 2
         assert any("early exit" in n for n in ledger.notes)
@@ -210,7 +215,7 @@ class TestSymmetricAndProtocol:
     def test_dense_run_structure(self):
         # x = y with one zero each: search must land at delta = 0
         x = y = 0b1110
-        out, ledger = symmetric_and_protocol(STEP4, x, y, seed=1)
+        out, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y, seed=1)
         assert out == STEP4.value(x & y) == 1
         reps = repetition_schedule(2)
         names = [name for name, _ in ledger.subprotocol_invocations]
@@ -227,20 +232,20 @@ class TestSymmetricAndProtocol:
         budget = 2 + za_header_bits(ell1) + 1 + search_iters * reps * cfg.cost(cap)
         for x in range(16):
             for y in range(16):
-                _, ledger = symmetric_and_protocol(STEP4, x, y, cfg)
+                _, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y, cfg)
                 assert ledger.total <= budget
 
     def test_header_discrepancy_note(self):
         # ell1 = 4: charged header differs from the tight encoding
         f = from_profile([0, 0, 0, 0, 0, 1, 1, 1, 1])
         x = y = 0b11111110
-        out, ledger = symmetric_and_protocol(f, x, y, seed=0)
+        out, ledger = symmetric_and_protocol(symmetric_profile(f), x, y, seed=0)
         assert out == f.value(x & y)
         assert any("header charged" in n for n in ledger.notes)
 
     def test_deterministic_given_seed(self):
         cfg = HamOracleConfig(error_prob=0.2)
-        runs = [symmetric_and_protocol(STEP4, 0b1110, 0b1101, cfg, seed=7)
+        runs = [symmetric_and_protocol(STEP4_PROFILE, 0b1110, 0b1101, cfg, seed=7)
                 for _ in range(2)]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -252,7 +257,7 @@ class TestSymmetricAndProtocol:
         x, y = 0b1110, 0b1101
         want = STEP4.value(x & y)
         errors = sum(
-            symmetric_and_protocol(STEP4, x, y, cfg, seed=t)[0] != want
+            symmetric_and_protocol(STEP4_PROFILE, x, y, cfg, seed=t)[0] != want
             for t in range(800)
         )
         assert errors / 800 <= 1.0 / 3.0 + 0.02
@@ -261,9 +266,10 @@ class TestSymmetricAndProtocol:
         import random
 
         f = from_profile([0, 0, 0, 0, 0, 1, 1])
+        profile = symmetric_profile(f)
         rng = random.Random(5)
         for t in range(1500):
             x = rng.randrange(64)
             y = rng.randrange(64)
-            out, _ = symmetric_and_protocol(f, x, y, seed=t)
+            out, _ = symmetric_and_protocol(profile, x, y, seed=t)
             assert out == f.value(x & y), (x, y)

@@ -1,0 +1,46 @@
+"""Smoke tests for the experiment scripts: each runs at a small size."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_protocol_scaling(capsys):
+    script = load_script("protocol_scaling")
+    assert script.main(["--n", "8", "--ell1", "2", "4", "--trials", "50"]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines()[1:3]]
+    assert [row[0] for row in rows] == ["2", "4"]
+    assert "fitted c =" in out
+
+
+def test_lemma_report(capsys):
+    script = load_script("lemma_report")
+    assert script.main(["--ip-k", "2", "--disj-k", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "ip_2" in out and "disj_3" in out
+
+
+def test_certificate_grid(capsys):
+    script = load_script("certificate_grid")
+    assert script.main(["--ip-k", "2", "3", "--disj-k", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("f,family,k,")
+    assert [line.split(",")[1:3] for line in lines[1:]] == [
+        ["ip", "2"], ["ip", "3"], ["disj", "3"]]
+    assert all(line.split(",")[-1] == "" for line in lines[1:])
+
+
+def test_protocol_scaling_rejects_oversized_ell1():
+    with pytest.raises(SystemExit):
+        load_script("protocol_scaling").main(["--n", "6", "--ell1", "4"])

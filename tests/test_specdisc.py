@@ -1,24 +1,83 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blockcomp.boolcube import and_inner, ip_inner, restrict_rows, InnerFunction
+from blockcomp.boolcube import (InnerFunction, and_inner, disj_le1_inner,
+                                ip_inner, random_inner, restrict_rows,
+                                weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
 from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
                                 disj_lambda_diff_closed, disj_pair,
                                 disj_weights, eigenspace_dimension,
                                 family_bound, ip_closed_forms, ip_pair,
                                 johnson_matrix, knuth_eigenvalue,
-                                operator_norm, rectangle_discrepancy,
-                                spectral_certificate, uniform_pair,
-                                validate_pair)
+                                operator_norm, spectral_certificate,
+                                uniform_pair, validate_pair)
 
 
 def hand_built(pair):
     """The same distributions, built with the 4-argument constructor."""
     return DistributionPair(pair.i_a, pair.i_b, pair.mu0, pair.mu1)
+
+
+def loop_uniform_pair(g, rows=None, cols=None):
+    """Reference for uniform_pair: the literal double loop over g.value."""
+    side = 1 << g.k
+    i_a = tuple(rows) if rows is not None else tuple(range(side))
+    i_b = tuple(cols) if cols is not None else tuple(range(side))
+    cells = {0: [], 1: []}
+    for i, x in enumerate(i_a):
+        for j, y in enumerate(i_b):
+            v = g.value(x, y)
+            if v is not None:
+                cells[v].append((i, j))
+    mu0, mu1 = ({pos: Fraction(1, len(cells[b])) for pos in cells[b]}
+                for b in (0, 1))
+    return DistributionPair(i_a, i_b, mu0, mu1)
+
+
+def assert_same_pair(got, want):
+    """Equal labels, masses and spectrum, with mu0/mu1 in the same order."""
+    assert got == want
+    assert list(got.mu0.items()) == list(want.mu0.items())
+    assert list(got.mu1.items()) == list(want.mu1.items())
+
+
+RECTANGLE_GUARD = 24
+
+
+def rectangle_discrepancy(pair: DistributionPair, g: InnerFunction) -> float:
+    """Max over all sub-rectangles of |sum mu(x,y) (-1)^g(x,y)| for the
+    combined distribution mu = (mu0+mu1)/2.  Exhaustive over subsets of
+    the smaller side."""
+    if pair.k_a + pair.k_b > RECTANGLE_GUARD:
+        raise SizeGuardExceeded(
+            f"|I_A| + |I_B| = {pair.k_a + pair.k_b} exceeds {RECTANGLE_GUARD}")
+    signed = np.zeros((pair.k_a, pair.k_b))
+    for b in (0, 1):
+        for (i, j), mass in pair.mu(b).items():
+            v = g.value(pair.i_a[i], pair.i_b[j])
+            if v is None:
+                raise ValueError(f"mass on undefined point ({pair.i_a[i]},{pair.i_b[j]})")
+            signed[i, j] += float(mass) / 2.0 * (1 if v == 0 else -1)
+    if pair.k_b <= pair.k_a:
+        cols = signed
+    else:
+        cols = signed.T
+    n_sub = cols.shape[1]
+    best = 0.0
+    for mask in range(1 << n_sub):
+        if mask == 0:
+            continue
+        sel = [j for j in range(n_sub) if (mask >> j) & 1]
+        sums = cols[:, sel].sum(axis=1)
+        pos = sums[sums > 0].sum()
+        neg = -sums[sums < 0].sum()
+        best = max(best, pos, neg)
+    return float(best)
 
 
 class TestOperatorNorm:
@@ -78,6 +137,35 @@ class TestPairsAndCertificates:
     def test_uniform_pair_missing_value(self):
         with pytest.raises(ValueError):
             uniform_pair(and_inner(), rows=(0,), cols=(0, 1))
+
+    @pytest.mark.parametrize("g, rows, cols", [
+        (random_inner(2, 5), None, None),
+        (random_inner(3, 9), (1, 2, 6), (0, 3, 4, 7)),
+        (ip_inner(3), None, None),
+        (ip_inner(3), range(1, 8), None),
+        (and_inner(), None, None),
+        (restrict_rows(ip_inner(2), (1, 3)), None, None),
+        (restrict_rows(ip_inner(3), (2, 5, 6)), (2, 5, 6), (1, 3, 4)),
+    ])
+    def test_uniform_pair_matches_loop(self, g, rows, cols):
+        assert_same_pair(uniform_pair(g, rows, cols), loop_uniform_pair(g, rows, cols))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_ip_pair_is_uniform_pair(self, k):
+        pair = ip_pair(k)
+        rows = range(1, 1 << k)
+        assert_same_pair(pair, replace(loop_uniform_pair(ip_inner(k), rows),
+                                       spectrum=pair.spectrum))
+        assert pair.spectrum.gram
+
+    @pytest.mark.parametrize("k", [3, 6, 9])
+    def test_disj_pair_is_uniform_pair(self, k):
+        pair = disj_pair(k)
+        subsets = weight_subsets(k, k // 3)
+        want = loop_uniform_pair(disj_le1_inner(k), subsets, subsets)
+        assert_same_pair(pair, replace(want, spectrum=pair.spectrum))
+        assert pair.spectrum.eigen == tuple(
+            (disj_lambda(k, 0, t), disj_lambda(k, 1, t)) for t in range(k // 3 + 1))
 
     def test_validate_mass_errors(self):
         g = and_inner()
