@@ -21,7 +21,14 @@ from .boolcube import BooleanFunction, FourierSpectrum, spectrum_of_values, symm
 from .errors import EpsilonOutOfRange, WitnessNotApplicable
 from .simplex import solve_feasibility
 
-LP_ARITY_CAP = 12  # constraint count is 2*2^n; exact pivoting beyond this is impractical
+# Largest n at which `blockcomp witness` (eps = 1/3) finished within 60 s on
+# OR_n, MAJ_n (weight > n/2) and a seeded random table, one process on a
+# shared 2-vCPU Xeon guest:
+#   n   OR_n     MAJ_n     seeded
+#   6   0.5 s    1.3 s     2.1 s
+#   7   2.7 s    26.6 s    51.2 s
+#   8   64 s     > 300 s   (not run)
+LP_ARITY_CAP = 7
 
 
 def _check_epsilon(epsilon: Fraction) -> Fraction:
@@ -112,7 +119,7 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     ub_rows = []
     for x in range(1 << f.n):
         signs = [_chi(w, x) for w in monos]
-        row_up = [Fraction(s) for s in signs] + [Fraction(-s) for s in signs]
+        row_up = signs + [-s for s in signs]
         row_lo = [-c for c in row_up]
         fx = f.table[x]
         ub_rows.append((row_up, fx + epsilon))
@@ -155,8 +162,8 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     monos = monomials_up_to(f.n, degree_cap)
     eq_rows = []
     for w in monos:
-        signs = [Fraction(_chi(w, x)) for x in range(size)]
-        eq_rows.append((signs + [-s for s in signs], Fraction(0)))
+        signs = [_chi(w, x) for x in range(size)]
+        eq_rows.append((signs + [-s for s in signs], 0))
     # q = q_minus - q_plus; the certificate row scales the strict Farkas
     # inequality to <= -1
     row = [f.table[x] + epsilon for x in range(size)]

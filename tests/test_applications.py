@@ -6,6 +6,7 @@ import pytest
 from blockcomp.applications import (DriverResult, disj_lemma_driver,
                                     ip_corollary_driver,
                                     padding_identity_check, reduction_plan)
+from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.boolcube import (constant_function, from_profile, or_function,
                                 projection)
 from blockcomp.errors import (DegeneratePlan, NotSymmetric, SizeGuardExceeded,
@@ -107,6 +108,14 @@ class TestReductionPlanSelection:
         natural = reduction_plan(SMALL_L0_TOY, c=12.0)
         assert not natural.k_overridden
         assert natural.degree is not None
+
+    def test_source_past_lp_cap_stays_symbolic(self):
+        # c = 24 makes k = 1, so the ell1 case's source has arity 2*ell1 = 10
+        plan = reduction_plan(L1_TOY, c=24.0)
+        assert not plan.k_overridden
+        assert plan.source_arity > LP_ARITY_CAP
+        assert plan.degree is None
+        assert plan.degree_symbolic == f"24.0*sqrt(2)*{plan.n_prime}"
 
 
 class TestReductionPlanFormulas:

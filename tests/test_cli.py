@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
 
 
@@ -69,6 +70,14 @@ class TestApproxdegCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_arity_past_lp_cap(self, capsys, tmp_path):
+        n = LP_ARITY_CAP + 1
+        path = write_json(tmp_path, "or.json", {"profile": [0] + [1] * n})
+        code, out, err = run(capsys, ["approxdeg", "--f", path])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: LP operations support n <= {LP_ARITY_CAP}, got {n}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["approxdeg", "--f", str(tmp_path / "nope.json")])
