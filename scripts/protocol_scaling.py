@@ -16,7 +16,7 @@ import math
 import random
 import sys
 
-from blockcomp.boolcube import from_profile, symmetric_profile
+from blockcomp.boolcube import profile_from_values
 from blockcomp.protocols import dense_input, symmetric_and_protocol
 
 
@@ -39,8 +39,7 @@ def main(argv=None) -> int:
     for ell1 in args.ell1:
         if ell1 > args.n // 2:
             raise SystemExit(f"ell1={ell1} needs n >= {2 * ell1}")
-        f = from_profile([0] * (args.n + 1 - ell1) + [1] * ell1)
-        profile = symmetric_profile(f)
+        profile = profile_from_values([0] * (args.n + 1 - ell1) + [1] * ell1)
         worst = 0
         mean = 0.0
         for t in range(args.trials):
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
             y = dense_input(rng, args.n, ell1)
             out, ledger = symmetric_and_protocol(
                 profile, x, y, seed=args.seed * 1_000_003 + t)
-            assert out == f.value(x & y)
+            assert out == profile.values[(x & y).bit_count()]
             worst = max(worst, ledger.total)
             mean += ledger.total
         stats[ell1] = (worst, mean / args.trials)

@@ -1,6 +1,10 @@
 """Drivers that turn the certificate machinery into concrete lower-bound
 artifacts: inner-product and disjointness instantiations, and the padding
-reductions from AND-composition to restricted-disjointness composition."""
+reductions from AND-composition to restricted-disjointness composition.
+
+The reductions concern a symmetric outer function, which they take as its
+weight profile: padding a symmetric f with ones shifts its profile, so
+neither the plan nor its identity check builds a 2^n truth table."""
 
 from __future__ import annotations
 
@@ -10,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .approxdeg import LP_ARITY_CAP, approx_degree
-from .boolcube import (BooleanFunction, disj_le1_inner, ip_inner,
-                       materialize_limit, pad_restrict, symmetric_profile,
-                       weight_subsets)
+from .boolcube import (BooleanFunction, SymmetricProfile, disj_le1_inner,
+                       ell1_of_profile, from_profile, ip_inner,
+                       materialize_limit, weight_subsets)
 from .errors import DegeneratePlan, SizeGuardExceeded
 from .mainlemma import CertificateReport, mainlemma_certify
 from .specdisc import disj_pair, family_bound, ip_pair, spectral_certificate
@@ -113,32 +117,36 @@ def _constants(c: float) -> tuple[float, float]:
     return alpha, beta
 
 
-def _source_degree(f: BooleanFunction, arity: int, ones: int, zeros: int,
-                   skip: bool) -> tuple[int | None, BooleanFunction | None]:
+def _source_degree(values: tuple[int, ...], arity: int, ones: int, zeros: int,
+                   skip: bool) -> tuple[int | None, tuple[int, ...] | None]:
+    """Profile of the source f(x 1^ones 0^zeros) and, within the LP cap, its degree."""
     if arity < 1 or ones < 0 or zeros < 0:
         return None, None
-    source = pad_restrict(f, ones, zeros)
+    source = values[ones:ones + arity + 1]
     if skip or arity > LP_ARITY_CAP:
         return None, source
-    return approx_degree(source, Fraction(1, 3)).degree, source
+    return approx_degree(from_profile(source), Fraction(1, 3)).degree, source
 
 
-def reduction_plan(f: BooleanFunction, c: float = 1.0,
+def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
                    k_override: int | None = None,
                    n_prime_override: int | None = None) -> ReductionPlan:
-    """Select and instantiate the reduction case for a symmetric f.
+    """Select and instantiate the reduction case for the symmetric f with
+    weight profile `profile` (``symmetric_profile(f)``).
 
     ell0 = 0 routes to the ell1 case; otherwise ell0 <= alpha*n picks the
-    small-ell0 case and the rest the large-ell0 case.  Overrides substitute
-    toy values for k (and optionally n') so the composed identity fits in
-    the materialization guard; overridden plans skip the degree LP and mark
-    themselves, and every non-negativity the argument needs "by direct
-    inspection" lands in the checks dict instead of being assumed.
+    small-ell0 case and the rest the large-ell0 case.  The source function
+    is f with ones_pad ones and zeros_pad zeros appended, whose profile is
+    a window of f's; only its degree LP builds a table, and only within
+    LP_ARITY_CAP.  Overrides substitute toy values for k (and optionally n')
+    so the composed identity fits in the materialization guard; overridden
+    plans skip the degree LP and mark themselves, and every non-negativity
+    the argument needs "by direct inspection" lands in the checks dict
+    instead of being assumed.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    profile = symmetric_profile(f)
-    n, ell0, ell1 = f.n, profile.ell0, profile.ell1
+    n, ell0, ell1 = profile.n, profile.ell0, profile.ell1
     alpha, beta = _constants(c)
     if ell0 == 0 and ell1 == 0:
         # constant, or (odd n) a lone flip at the middle boundary that
@@ -146,34 +154,14 @@ def reduction_plan(f: BooleanFunction, c: float = 1.0,
         raise DegeneratePlan("degenerate profile: both flip distances are zero")
     skip_lp = k_override is not None or n_prime_override is not None
 
-    if ell0 == 0:
-        case = "l1"
-        k = k_override if k_override is not None else math.ceil(6.0 * math.sqrt(2.0) * math.e / c)
-        n_prime = n_prime_override if n_prime_override is not None else ell1 // (2 * k - 1)
-        arity = 2 * n_prime
-        ones = n - ell1 - n_prime
-        zeros = n - arity - ones
-        c_ones = ones
-        c_zeros = n - 2 * k * n_prime - ones
-        degree, source = _source_degree(f, arity, ones, zeros, skip_lp)
-        checks = {
-            "n_prime_ge_1": n_prime >= 1,
-            "ones_pad_nonneg": ones >= 0,
-            "zeros_pad_nonneg": zeros >= 0,
-            "composed_zeros_nonneg": c_zeros >= 0,
-        }
-        if source is not None and arity >= 1:
-            sp = symmetric_profile(source)
-            checks["source_ell1_eq_n_prime"] = sp.ell1 == n_prime
-        symbolic = f"{c}*sqrt(2)*{n_prime}"
-    elif ell0 <= alpha * n:
+    if 0 < ell0 <= alpha * n:
         case = "small-l0"
         n_prime = n_prime_override if n_prime_override is not None \
             else math.floor(beta * n ** (2.0 / 3.0) * ell0 ** (1.0 / 3.0))
         arity = n_prime
         ones = 0
         zeros = n - n_prime
-        degree, source = _source_degree(f, arity, ones, zeros, skip_lp)
+        degree, source = _source_degree(profile.values, arity, ones, zeros, skip_lp)
         if k_override is not None:
             k = k_override
         elif degree is not None and degree > 0:
@@ -191,26 +179,31 @@ def reduction_plan(f: BooleanFunction, c: float = 1.0,
         }
         symbolic = f"{c}*sqrt({n_prime}*{ell0})"
     else:
-        case = "large-l0"
+        # the l1 and large-l0 cases share k and the source shape: 2n'
+        # inputs, then `ones` ones and the rest zeros
+        case = "l1" if ell0 == 0 else "large-l0"
         k = k_override if k_override is not None else math.ceil(6.0 * math.sqrt(2.0) * math.e / c)
-        n_prime = n_prime_override if n_prime_override is not None \
-            else min((n - ell0 + 1) // (2 * k - 1), ell0 - 1)
+        if n_prime_override is not None:
+            n_prime = n_prime_override
+        elif ell0 == 0:
+            n_prime = ell1 // (2 * k - 1)
+        else:
+            n_prime = min((n - ell0 + 1) // (2 * k - 1), ell0 - 1)
         arity = 2 * n_prime
-        ones = ell0 - 1 - n_prime
+        ones = n - ell1 - n_prime if ell0 == 0 else ell0 - 1 - n_prime
         zeros = n - arity - ones
         c_ones = ones
         c_zeros = n - ones - 2 * k * n_prime
-        degree, source = _source_degree(f, arity, ones, zeros, skip_lp)
+        degree, source = _source_degree(profile.values, arity, ones, zeros, skip_lp)
         checks = {
             "n_prime_ge_1": n_prime >= 1,
             "ones_pad_nonneg": ones >= 0,
             "zeros_pad_nonneg": zeros >= 0,
             "composed_zeros_nonneg": c_zeros >= 0,
         }
-        if source is not None and arity >= 1:
-            sp = symmetric_profile(source)
-            checks["source_ell1_eq_n_prime"] = sp.ell1 == n_prime
-        if degree is not None and degree > 0:
+        if source is not None:
+            checks["source_ell1_eq_n_prime"] = ell1_of_profile(source) == n_prime
+        if case == "large-l0" and degree is not None and degree > 0:
             checks["k_ge_12en_prime_over_d"] = k >= 6.0 * math.e * arity / degree
         symbolic = f"{c}*sqrt(2)*{n_prime}"
 
@@ -224,16 +217,19 @@ def reduction_plan(f: BooleanFunction, c: float = 1.0,
         n_prime_overridden=n_prime_override is not None, checks=checks)
 
 
-def padding_identity_check(plan: ReductionPlan, f: BooleanFunction) -> bool:
+def padding_identity_check(plan: ReductionPlan, profile: SymmetricProfile) -> bool:
     """Exhaustively verify that composing the restricted source with
-    disjointness equals the AND-composition of f on the padded inputs.
+    disjointness equals the AND-composition of f on the padded inputs,
+    f symmetric with weight profile `profile`.
 
-    Raises before evaluating anything if a pad count is negative or the
-    plan shape is unusable; raises SizeGuardExceeded when the restricted
-    domain is too large to enumerate.
+    Every point of the restricted domain is enumerated; both sides are read
+    off the profile by weight, the source at |z| + ones_pad and f at
+    |x AND y|.  Raises before evaluating anything if a pad count is
+    negative or the plan shape is unusable; raises SizeGuardExceeded when
+    the restricted domain is too large to enumerate.
     """
-    if f.n != plan.n:
-        raise ValueError(f"plan built for n={plan.n}, got n={f.n}")
+    if profile.n != plan.n:
+        raise ValueError(f"plan built for n={plan.n}, got n={profile.n}")
     for name, count in (("ones_pad", plan.ones_pad),
                         ("zeros_pad", plan.zeros_pad),
                         ("composed_ones_pad", plan.composed_ones_pad),
@@ -245,10 +241,14 @@ def padding_identity_check(plan: ReductionPlan, f: BooleanFunction) -> bool:
     if plan.k < 3 or plan.k % 3:
         raise DegeneratePlan("identity check needs k a positive multiple of 3")
     k, blocks = plan.k, plan.source_arity
-    if blocks * k + plan.composed_ones_pad + plan.composed_zeros_pad != f.n:
+    if blocks + plan.ones_pad + plan.zeros_pad != plan.n:
+        raise DegeneratePlan(
+            f"source layout {blocks} + {plan.ones_pad} + {plan.zeros_pad} "
+            f"does not fill {plan.n} inputs")
+    if blocks * k + plan.composed_ones_pad + plan.composed_zeros_pad != plan.n:
         raise DegeneratePlan(
             f"composed layout {blocks}*{k} + {plan.composed_ones_pad} + "
-            f"{plan.composed_zeros_pad} does not fill {f.n} blocks")
+            f"{plan.composed_zeros_pad} does not fill {plan.n} blocks")
     p = k // 3
     subsets = weight_subsets(k, p)
     dom_pairs = [(a, b) for a in subsets for b in subsets
@@ -256,7 +256,8 @@ def padding_identity_check(plan: ReductionPlan, f: BooleanFunction) -> bool:
     if len(dom_pairs) ** blocks > materialize_limit() ** 2:
         raise SizeGuardExceeded(
             f"{len(dom_pairs)}^{blocks} domain points exceed the guard")
-    source = pad_restrict(f, plan.ones_pad, plan.zeros_pad)
+    values = profile.values
+    source = values[plan.ones_pad:plan.ones_pad + blocks + 1]
     pad_bits = ((1 << plan.composed_ones_pad) - 1) << (blocks * k)
     for combo in itertools.product(dom_pairs, repeat=blocks):
         z = 0
@@ -267,6 +268,6 @@ def padding_identity_check(plan: ReductionPlan, f: BooleanFunction) -> bool:
                 z |= 1 << i
             x |= a << (i * k)
             y |= b << (i * k)
-        if source.value(z) != f.value(x & y):
+        if source[z.bit_count()] != values[(x & y).bit_count()]:
             return False
     return True

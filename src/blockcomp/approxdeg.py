@@ -130,22 +130,13 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return {w: solution[t] - solution[m + t] for t, w in enumerate(monos)}
 
 
-_degree_cache: dict[tuple, ApproxDegreeResult] = {}
-
-
 def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
     """Smallest D with lp_feasible nonempty, by linear sweep D = 0, 1, ..."""
     epsilon = _check_epsilon(epsilon)
-    key = (f.table, epsilon)
-    cached = _degree_cache.get(key)
-    if cached is not None:
-        return cached
     for degree in range(f.n + 1):
         coeffs = lp_feasible(f, epsilon, degree)
         if coeffs is not None:
-            result = ApproxDegreeResult(epsilon, degree, coeffs)
-            _degree_cache[key] = result
-            return result
+            return ApproxDegreeResult(epsilon, degree, coeffs)
     raise RuntimeError("degree n is always feasible; sweep must terminate")
 
 

@@ -48,10 +48,6 @@ class BooleanFunction:
     def value(self, index: int) -> int:
         return self.table[index]
 
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.table)) == 1
-
 
 def evaluate(f: BooleanFunction, x: Sequence[int]) -> int:
     """Evaluate f at a bit vector (x_1 first)."""
@@ -96,9 +92,10 @@ def negate(f: BooleanFunction) -> BooleanFunction:
 
 
 def from_profile(profile: Sequence[int]) -> BooleanFunction:
-    """Symmetric function from its weight profile (profile[m] = value at weight m)."""
-    n = len(profile) - 1
-    return from_predicate(n, lambda x: profile[x.bit_count()])
+    """Truth table of the symmetric function with weight profile `profile`
+    (profile[m] = value at weight m), validated by profile_from_values."""
+    values = profile_from_values(profile).values
+    return from_predicate(len(values) - 1, lambda x: values[x.bit_count()])
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +128,6 @@ class FourierSpectrum:
         if not self.coeffs:
             return None
         return min(w.bit_count() for w in self.coeffs)
-
-    def squared_mass(self) -> Fraction:
-        return sum((c * c for c in self.coeffs.values()), Fraction(0))
 
 
 def walsh_transform(values: Sequence) -> list:
@@ -188,6 +182,19 @@ class SymmetricProfile:
     ell1: int
 
 
+def profile_from_values(values: Sequence[int]) -> SymmetricProfile:
+    """The symmetric function whose value at weight m is values[m].
+
+    Needs n + 1 >= 2 entries, each the int 0 or 1; builds no truth table."""
+    if not isinstance(values, (list, tuple)) or len(values) < 2:
+        raise ValueError(f"a profile is a list of n + 1 >= 2 values, got {values!r}")
+    for m, v in enumerate(values):
+        if type(v) is not int or v not in (0, 1):
+            raise ValueError(f"profile entries must be 0 or 1, got {v!r} at weight {m}")
+    return SymmetricProfile(len(values) - 1, tuple(values), ell0_of_profile(values),
+                            ell1_of_profile(values))
+
+
 def symmetric_profile(f: BooleanFunction) -> SymmetricProfile:
     """Weight profile of f; raises NotSymmetric on any weight-class disagreement.
 
@@ -200,8 +207,7 @@ def symmetric_profile(f: BooleanFunction) -> SymmetricProfile:
             profile[m] = bit
         elif profile[m] != bit:
             raise NotSymmetric(f"inputs of weight {m} disagree")
-    values = tuple(profile)  # type: ignore[arg-type]
-    return SymmetricProfile(f.n, values, ell0_of_profile(values), ell1_of_profile(values))
+    return profile_from_values(profile)  # type: ignore[arg-type]
 
 
 def ell0_of_profile(values: Sequence[int]) -> int:
@@ -259,10 +265,6 @@ class InnerFunction:
     def domain(self) -> Iterator[tuple[int, int]]:
         xs, ys = np.nonzero(self.values != UNDEF)
         return zip(xs.tolist(), ys.tolist())
-
-    def preimage(self, b: int) -> list[tuple[int, int]]:
-        xs, ys = np.nonzero(self.values == b)
-        return list(zip(xs.tolist(), ys.tolist()))
 
 
 def and_inner() -> InnerFunction:
@@ -345,10 +347,6 @@ class ComposedFunction:
     def k(self) -> int:
         return self.g.k
 
-    @property
-    def side_bits(self) -> int:
-        return self.f.n * self.g.k
-
     def value(self, x: int, y: int) -> int | None:
         v = int(self.values[x, y])
         return None if v == UNDEF else v
@@ -388,7 +386,7 @@ def function_to_dict(f: BooleanFunction) -> dict:
 def function_from_dict(obj: dict) -> BooleanFunction:
     n = int(obj["n"])
     bits = obj["bits"]
-    if len(bits) != 1 << n or set(bits) - {"0", "1"}:
+    if not isinstance(bits, str) or len(bits) != 1 << n or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a 0/1 string of length 2^{n}")
     return BooleanFunction(n, tuple(int(c) for c in bits))
 

@@ -66,7 +66,7 @@ def solve_feasibility(
         obj = [o - scale * v for o, v in zip(obj, rows[i])]
 
     enter_limit = n_vars + n_slack  # artificials never re-enter
-    for _ in range(MAX_PIVOTS):
+    for pivots in range(MAX_PIVOTS + 1):
         enter = -1
         for j in range(enter_limit):
             if obj[j] < 0:
@@ -74,6 +74,8 @@ def solve_feasibility(
                 break
         if enter < 0:
             break
+        if pivots == MAX_PIVOTS:
+            raise PivotLimitExceeded(f"no convergence in {MAX_PIVOTS} pivots")
         # Bland's ratio test: least rhs_i/a_i over a_i > 0, ties to the
         # smallest basic column; a row's denominator cancels in its ratio
         leave = -1
@@ -88,8 +90,6 @@ def solve_feasibility(
             raise RuntimeError("phase-1 objective unbounded; malformed system")
         obj, obj_den = _pivot(rows, dens, obj, obj_den, leave, enter)
         basis[leave] = enter
-    else:
-        raise PivotLimitExceeded(f"no convergence in {MAX_PIVOTS} pivots")
 
     if obj[-1] != 0:  # residual artificial mass
         return None

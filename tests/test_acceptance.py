@@ -160,7 +160,7 @@ def test_criterion_6_reduction_identities():
                 f = from_profile(profile)
                 for c in (1.0, 12.0):
                     try:
-                        plan = reduction_plan(f, c=c, k_override=3)
+                        plan = reduction_plan(symmetric_profile(f), c=c, k_override=3)
                     except DegeneratePlan:
                         continue
                     pads = (plan.ones_pad, plan.zeros_pad,
@@ -172,7 +172,7 @@ def test_criterion_6_reduction_identities():
                     if not plan.valid:
                         continue
                     try:
-                        held = padding_identity_check(plan, f)
+                        held = padding_identity_check(plan, symmetric_profile(f))
                     except SizeGuardExceeded:
                         continue
                     assert held is True, (profile, c, plan.case)
@@ -181,8 +181,8 @@ def test_criterion_6_reduction_identities():
         # the l1 case needs ell1 >= 2k-1 = 5, out of reach at n <= 8;
         # exercise it once above the sweep range
         f12 = from_profile([0] * 8 + [1] * 5)
-        plan12 = reduction_plan(f12, k_override=3)
-        assert plan12.valid and padding_identity_check(plan12, f12) is True
+        plan12 = reduction_plan(symmetric_profile(f12), k_override=3)
+        assert plan12.valid and padding_identity_check(plan12, symmetric_profile(f12)) is True
         verified += 1
         cases.add(plan12.case)
         assert verified > 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -8,13 +9,38 @@ from blockcomp.applications import (DriverResult, disj_lemma_driver,
                                     padding_identity_check, reduction_plan)
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.boolcube import (constant_function, from_profile, or_function,
-                                projection)
+                                pad_restrict, projection, symmetric_profile,
+                                weight_subsets)
 from blockcomp.errors import (DegeneratePlan, NotSymmetric, SizeGuardExceeded,
                               WitnessNotApplicable)
 
 
 def profile_fn(*values):
     return from_profile(list(values))
+
+
+def table_identity_check(plan, f):
+    """The identity on truth tables: the restricted source pad_restrict(f)
+    at z against f at x AND y, over every point of the restricted domain.
+    The reference for padding_identity_check, which reads both by weight."""
+    k, blocks = plan.k, plan.source_arity
+    subsets = weight_subsets(k, k // 3)
+    dom_pairs = [(a, b) for a in subsets for b in subsets
+                 if (a & b).bit_count() <= 1]
+    source = pad_restrict(f, plan.ones_pad, plan.zeros_pad)
+    pad_bits = ((1 << plan.composed_ones_pad) - 1) << (blocks * k)
+    for combo in itertools.product(dom_pairs, repeat=blocks):
+        z = 0
+        x = pad_bits
+        y = pad_bits
+        for i, (a, b) in enumerate(combo):
+            if (a & b).bit_count() == 1:
+                z |= 1 << i
+            x |= a << (i * k)
+            y |= b << (i * k)
+        if source.value(z) != f.value(x & y):
+            return False
+    return True
 
 
 LARGE_L0_TOY = profile_fn(0, 0, 1, 1, 1, 1, 1)          # n=6, ell0=2
@@ -76,42 +102,42 @@ class TestDisjDriver:
 class TestReductionPlanSelection:
     def test_constant_rejected(self):
         with pytest.raises(DegeneratePlan):
-            reduction_plan(constant_function(4, 0))
+            reduction_plan(symmetric_profile(constant_function(4, 0)))
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(NotSymmetric):
-            reduction_plan(projection(3, 1))
+            reduction_plan(symmetric_profile(projection(3, 1)))
 
     def test_c_positive(self):
         with pytest.raises(ValueError):
-            reduction_plan(or_function(4), c=0.0)
+            reduction_plan(symmetric_profile(or_function(4)), c=0.0)
 
     def test_case_selection(self):
-        assert reduction_plan(L1_TOY, k_override=3).case == "l1"
+        assert reduction_plan(symmetric_profile(L1_TOY), k_override=3).case == "l1"
         # at c=1 alpha*n < 1 for small n, so any flip below the middle
         # routes to large-l0
-        assert reduction_plan(LARGE_L0_TOY, k_override=3).case == "large-l0"
-        assert reduction_plan(or_function(8), c=1.0).case == "large-l0"
+        assert reduction_plan(symmetric_profile(LARGE_L0_TOY), k_override=3).case == "large-l0"
+        assert reduction_plan(symmetric_profile(or_function(8)), c=1.0).case == "large-l0"
         # at c=12 the coefficient grows enough for ell0=1 to count as small
-        assert reduction_plan(SMALL_L0_TOY, c=12.0).case == "small-l0"
+        assert reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0).case == "small-l0"
 
     def test_alpha_beta_monotone_in_c(self):
-        p1 = reduction_plan(or_function(8), c=1.0)
-        p2 = reduction_plan(or_function(8), c=12.0)
+        p1 = reduction_plan(symmetric_profile(or_function(8)), c=1.0)
+        p2 = reduction_plan(symmetric_profile(or_function(8)), c=12.0)
         assert p2.beta > p1.beta and p2.alpha > p1.alpha
         assert p2.beta == pytest.approx(min(2 ** (1 / 3), (1 / math.e) ** (2 / 3)))
 
     def test_override_flags_and_lp_skip(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         assert plan.k_overridden and not plan.n_prime_overridden
         assert plan.degree is None and plan.degree_symbolic is not None
-        natural = reduction_plan(SMALL_L0_TOY, c=12.0)
+        natural = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0)
         assert not natural.k_overridden
         assert natural.degree is not None
 
     def test_source_past_lp_cap_stays_symbolic(self):
         # c = 24 makes k = 1, so the ell1 case's source has arity 2*ell1 = 10
-        plan = reduction_plan(L1_TOY, c=24.0)
+        plan = reduction_plan(symmetric_profile(L1_TOY), c=24.0)
         assert not plan.k_overridden
         assert plan.source_arity > LP_ARITY_CAP
         assert plan.degree is None
@@ -120,7 +146,7 @@ class TestReductionPlanSelection:
 
 class TestReductionPlanFormulas:
     def test_l1_fields(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         assert (plan.n, plan.ell0, plan.ell1) == (12, 0, 5)
         assert plan.n_prime == 5 // 5 == 1
         assert plan.source_arity == 2
@@ -131,7 +157,7 @@ class TestReductionPlanFormulas:
         assert plan.valid
 
     def test_large_l0_fields(self):
-        plan = reduction_plan(LARGE_L0_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(LARGE_L0_TOY), k_override=3)
         assert (plan.n, plan.ell0, plan.ell1) == (6, 2, 0)
         assert plan.n_prime == min((6 - 2 + 1) // 5, 1) == 1
         assert plan.source_arity == 2
@@ -142,7 +168,7 @@ class TestReductionPlanFormulas:
         assert plan.valid
 
     def test_small_l0_fields(self):
-        plan = reduction_plan(SMALL_L0_TOY, c=12.0)
+        plan = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0)
         beta = min(2 ** (1 / 3), (12 / (12 * math.e)) ** (2 / 3))
         assert plan.n_prime == math.floor(beta * 8 ** (2 / 3) * 1)
         assert plan.n_prime == 2
@@ -154,14 +180,14 @@ class TestReductionPlanFormulas:
         assert not plan.valid  # composed zeros go negative at natural k
 
     def test_small_l0_with_toy_k(self):
-        plan = reduction_plan(SMALL_L0_TOY, c=12.0, k_override=3)
+        plan = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0, k_override=3)
         assert plan.case == "small-l0"
         assert plan.composed_zeros_pad == 8 - 2 * 3 == 2
         assert plan.valid
 
     def test_natural_k_too_large_for_small_n(self):
         # without overrides the l1/large-l0 divisor 2k-1 ~ 47 forces n'=0
-        plan = reduction_plan(or_function(8), c=1.0)
+        plan = reduction_plan(symmetric_profile(or_function(8)), c=1.0)
         assert plan.k == math.ceil(6 * math.sqrt(2) * math.e)
         assert plan.n_prime == 0
         assert not plan.valid
@@ -174,60 +200,128 @@ class TestPaddingIdentity:
         (SMALL_L0_TOY, {"c": 12.0, "k_override": 3}),
     ], ids=("l1", "large-l0", "small-l0"))
     def test_identity_holds(self, f, kwargs):
-        plan = reduction_plan(f, **kwargs)
+        plan = reduction_plan(symmetric_profile(f), **kwargs)
         assert plan.valid
-        assert padding_identity_check(plan, f) is True
+        assert padding_identity_check(plan, symmetric_profile(f)) is True
 
     def test_corrupted_ones_pad_detected(self):
-        plan = reduction_plan(SMALL_L0_TOY, c=12.0, k_override=3)
+        plan = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0, k_override=3)
         bad = dataclasses.replace(plan, ones_pad=plan.ones_pad + 1,
                                   zeros_pad=plan.zeros_pad - 1)
-        assert padding_identity_check(bad, SMALL_L0_TOY) is False
+        assert padding_identity_check(bad, symmetric_profile(SMALL_L0_TOY)) is False
 
     def test_corrupted_composed_ones_detected(self):
         # shift a zero pad into a one pad: the layout still fills n blocks
         # but the padded weight shifts by one, breaking the identity
-        plan = reduction_plan(SMALL_L0_TOY, c=12.0, k_override=3)
+        plan = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0, k_override=3)
         bad = dataclasses.replace(
             plan, composed_ones_pad=plan.composed_ones_pad + 1,
             composed_zeros_pad=plan.composed_zeros_pad - 1)
-        assert padding_identity_check(bad, SMALL_L0_TOY) is False
+        assert padding_identity_check(bad, symmetric_profile(SMALL_L0_TOY)) is False
 
     def test_composed_layout_mismatch_raises(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         bad = dataclasses.replace(
             plan, composed_ones_pad=plan.composed_ones_pad + 1)
         with pytest.raises(DegeneratePlan, match="fill"):
-            padding_identity_check(bad, L1_TOY)
+            padding_identity_check(bad, symmetric_profile(L1_TOY))
+
+    def test_source_layout_mismatch_raises(self):
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
+        bad = dataclasses.replace(plan, ones_pad=plan.ones_pad + 1)
+        with pytest.raises(DegeneratePlan, match="source layout"):
+            padding_identity_check(bad, symmetric_profile(L1_TOY))
 
     def test_negative_pad_raises_before_evaluation(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         bad = dataclasses.replace(plan, composed_zeros_pad=-1)
         with pytest.raises(DegeneratePlan):
-            padding_identity_check(bad, L1_TOY)
+            padding_identity_check(bad, symmetric_profile(L1_TOY))
 
     def test_degenerate_arity_raises(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         bad = dataclasses.replace(plan, source_arity=0)
         with pytest.raises(DegeneratePlan):
-            padding_identity_check(bad, L1_TOY)
+            padding_identity_check(bad, symmetric_profile(L1_TOY))
 
     def test_k_must_be_multiple_of_three(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         bad = dataclasses.replace(plan, k=4)
         with pytest.raises(DegeneratePlan):
-            padding_identity_check(bad, L1_TOY)
+            padding_identity_check(bad, symmetric_profile(L1_TOY))
 
     def test_wrong_function_rejected(self):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         with pytest.raises(ValueError):
-            padding_identity_check(plan, or_function(4))
+            padding_identity_check(plan, symmetric_profile(or_function(4)))
 
     def test_oversized_domain_guarded(self, monkeypatch):
-        plan = reduction_plan(L1_TOY, k_override=3)
+        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
         monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
         with pytest.raises(SizeGuardExceeded):
-            padding_identity_check(plan, L1_TOY)
+            padding_identity_check(plan, symmetric_profile(L1_TOY))
+
+
+CASE_PLANS = [(L1_TOY, {"k_override": 3}),
+              (LARGE_L0_TOY, {"k_override": 3}),
+              (SMALL_L0_TOY, {"c": 12.0, "k_override": 3})]
+
+
+def corruptions(plan):
+    """Plans whose pads are shifted while both layouts still fill n."""
+    yield dataclasses.replace(plan, ones_pad=plan.ones_pad + 1,
+                              zeros_pad=plan.zeros_pad - 1)
+    yield dataclasses.replace(plan, ones_pad=plan.ones_pad - 1,
+                              zeros_pad=plan.zeros_pad + 1)
+    yield dataclasses.replace(plan, composed_ones_pad=plan.composed_ones_pad + 1,
+                              composed_zeros_pad=plan.composed_zeros_pad - 1)
+    yield dataclasses.replace(plan, composed_ones_pad=plan.composed_ones_pad - 1,
+                              composed_zeros_pad=plan.composed_zeros_pad + 1)
+
+
+class TestIdentityAgainstTableOracle:
+    @pytest.mark.parametrize("f,kwargs", CASE_PLANS, ids=("l1", "large-l0", "small-l0"))
+    def test_case_plans_agree(self, f, kwargs):
+        plan = reduction_plan(symmetric_profile(f), **kwargs)
+        assert padding_identity_check(plan, symmetric_profile(f)) is True
+        assert table_identity_check(plan, f) is True
+        compared = 0
+        for bad in corruptions(plan):
+            if min(bad.ones_pad, bad.zeros_pad, bad.composed_ones_pad,
+                   bad.composed_zeros_pad) < 0:
+                continue
+            assert padding_identity_check(bad, symmetric_profile(f)) == \
+                table_identity_check(bad, f)
+            compared += 1
+        assert compared >= 1
+
+    def test_corrupted_plan_false_on_both(self):
+        plan = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0, k_override=3)
+        bad = dataclasses.replace(plan, ones_pad=plan.ones_pad + 1,
+                                  zeros_pad=plan.zeros_pad - 1)
+        assert padding_identity_check(bad, symmetric_profile(SMALL_L0_TOY)) is False
+        assert table_identity_check(bad, SMALL_L0_TOY) is False
+
+    def test_every_small_plan_agrees(self):
+        outcomes = set()
+        for n in range(2, 8):
+            for bits in range(1 << (n + 1)):
+                f = from_profile([(bits >> m) & 1 for m in range(n + 1)])
+                profile = symmetric_profile(f)
+                for c in (1.0, 12.0):
+                    try:
+                        plan = reduction_plan(profile, c=c, k_override=3)
+                    except DegeneratePlan:
+                        continue
+                    for candidate in (plan, *corruptions(plan)):
+                        try:
+                            held = padding_identity_check(candidate, profile)
+                        except DegeneratePlan:
+                            continue
+                        assert held == table_identity_check(candidate, f), \
+                            (n, bits, c, candidate)
+                        outcomes.add(held)
+        assert outcomes == {True, False}
 
 
 class TestPlanGridInvariants:
@@ -238,7 +332,7 @@ class TestPlanGridInvariants:
                 prof = [(bits >> m) & 1 for m in range(n + 1)]
                 f = from_profile(prof)
                 try:
-                    plan = reduction_plan(f, k_override=3)
+                    plan = reduction_plan(symmetric_profile(f), k_override=3)
                 except DegeneratePlan:
                     # constant, or an odd-n flip at the middle boundary
                     # invisible to both scan ranges

@@ -13,8 +13,9 @@ from blockcomp.boolcube import (BooleanFunction, ComposedFunction, UNDEF,
                                 from_profile, function_from_dict,
                                 function_to_dict, inner_from_dict,
                                 inner_to_dict, ip_inner, negate, or_function,
-                                pad_restrict, parity_function, projection,
-                                random_inner, restrict_rows, spectrum_of_values,
+                                pad_restrict, parity_function,
+                                profile_from_values, projection, random_inner,
+                                restrict_rows, spectrum_of_values,
                                 symmetric_profile, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 
@@ -114,6 +115,23 @@ class TestSymmetricProfile:
             p = symmetric_profile(f)
             assert p.ell0 == ell0_of_profile(p.values)
             assert p.ell1 == ell1_of_profile(p.values)
+
+
+class TestProfileFromValues:
+    def test_matches_table_route(self):
+        for n in range(1, 7):
+            for bits in range(1 << (n + 1)):
+                values = [(bits >> m) & 1 for m in range(n + 1)]
+                assert profile_from_values(values) == \
+                    symmetric_profile(from_profile(values))
+
+    @pytest.mark.parametrize("values", ["0011", [0, 2, 1], [1], [], [0, True],
+                                        [0, 1.0], (0, "1"), None, 3])
+    def test_malformed_rejected(self, values):
+        with pytest.raises(ValueError):
+            profile_from_values(values)
+        with pytest.raises(ValueError):
+            from_profile(values)
 
 
 class TestPadRestrict:

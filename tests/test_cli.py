@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from blockcomp import boolcube
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
 
@@ -238,6 +240,141 @@ class TestReduceCommand:
         assert code == 2
 
 
+BAD_PROFILES = ["0011", [0, 2, 1], [1], []]
+PROFILE_COMMANDS = {
+    "approxdeg": ["approxdeg"],
+    "reduce": ["reduce"],
+    "symand": ["simulate", "--protocol", "symand"],
+}
+
+
+class TestProfileInputs:
+    @pytest.mark.parametrize("command", list(PROFILE_COMMANDS))
+    @pytest.mark.parametrize("profile", BAD_PROFILES, ids=repr)
+    def test_malformed_profile_exits_2(self, capsys, tmp_path, command, profile):
+        path = write_json(tmp_path, "bad.json", {"profile": profile})
+        code, out, err = run(capsys, PROFILE_COMMANDS[command] + ["--f", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", list(PROFILE_COMMANDS))
+    @pytest.mark.parametrize("payload", [[0, 1], 5, {"n": 2, "bits": 6}], ids=repr)
+    def test_malformed_function_file_exits_2(self, capsys, tmp_path, command, payload):
+        path = write_json(tmp_path, "bad.json", payload)
+        code, out, err = run(capsys, PROFILE_COMMANDS[command] + ["--f", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("values, argv", [
+        ([0] * 8 + [1] * 5, ["reduce", "--k-override", "3", "--check-identity"]),
+        ([0, 1, 1, 1, 1], ["reduce"]),
+        ([0, 0, 0, 1, 1], ["simulate", "--protocol", "symand", "--dense",
+                           "--trials", "40", "--seed", "3"]),
+        ([0, 0, 0, 1, 1], ["simulate", "--protocol", "symand", "--trials", "40",
+                           "--inject-error", "0.2"]),
+    ])
+    def test_profile_and_bits_agree(self, capsys, tmp_path, values, argv):
+        n = len(values) - 1
+        bits = "".join(str(values[x.bit_count()]) for x in range(1 << n))
+        by_profile = write_json(tmp_path, "p.json", {"profile": values})
+        by_bits = write_json(tmp_path, "b.json", {"n": n, "bits": bits})
+        code, out, _ = run(capsys, argv + ["--f", by_profile])
+        assert code == 0
+        assert run(capsys, argv + ["--f", by_bits]) == (0, out, "")
+
+    def test_no_truth_table_past_lp_cap(self, capsys, monkeypatch, tmp_path):
+        def refuse(n):
+            if n > LP_ARITY_CAP:
+                raise AssertionError(f"built a 2^{n} truth table")
+
+        from_predicate = boolcube.from_predicate
+        post_init = boolcube.BooleanFunction.__post_init__
+
+        def checked_predicate(n, pred):
+            refuse(n)
+            return from_predicate(n, pred)
+
+        def checked_post_init(self):
+            refuse(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(boolcube, "from_predicate", checked_predicate)
+        monkeypatch.setattr(boolcube.BooleanFunction, "__post_init__", checked_post_init)
+        l1 = write_json(tmp_path, "l1.json", {"profile": [0] * 11 + [1] * 10})
+        code, out, _ = run(capsys, ["reduce", "--f", l1, "--k-override", "3",
+                                    "--check-identity"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n"], payload["case"], payload["identity_holds"]) == (20, "l1", True)
+        code, out, _ = run(capsys, ["reduce", "--f", l1])
+        assert code == 0
+        step = write_json(tmp_path, "step.json", {"profile": [0] * 17 + [1] * 4})
+        code, out, _ = run(capsys, ["simulate", "--protocol", "symand", "--f", step,
+                                    "--dense", "--trials", "30", "--seed", "5"])
+        assert code == 0
+        assert last_json(out)["errors"] == 0
+        with pytest.raises(AssertionError, match="2\\^20"):
+            boolcube.from_profile([0] * 17 + [1] * 4)
+
+
+def bcw_trials(capsys, argv):
+    code, out, _ = run(capsys, ["simulate", "--protocol", "bcw"] + argv)
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines[-1]["errors"] == 0
+    return lines[:-1]
+
+
+def blocks_of(value, n, k):
+    return [(value >> (i * k)) & ((1 << k) - 1) for i in range(n)]
+
+
+class TestBcwSampler:
+    @pytest.mark.parametrize("family,k", [("and", 1), ("ip", 2), ("disj", 3),
+                                          ("disj", 6)])
+    def test_blocks_in_domain(self, capsys, parity2, family, k):
+        g = {"and": boolcube.and_inner, "ip": boolcube.ip_inner,
+             "disj": boolcube.disj_le1_inner}[family]
+        g = g() if family == "and" else g(k)
+        trials = bcw_trials(capsys, ["--f", parity2, "--g-family", family,
+                                     "--k", str(k), "--trials", "200"])
+        for t in trials:
+            cells = zip(blocks_of(t["x"], 2, k), blocks_of(t["y"], 2, k))
+            bits = [g.value(a, b) for a, b in cells]
+            assert None not in bits
+            assert t["expected"] == bits[0] ^ bits[1]
+
+    def test_inner_from_file(self, capsys, tmp_path, parity2):
+        g = boolcube.restrict_rows(boolcube.ip_inner(2), [1, 2])
+        path = write_json(tmp_path, "g.json", boolcube.inner_to_dict(g))
+        trials = bcw_trials(capsys, ["--f", parity2, "--g", path, "--trials", "100"])
+        seen = {a for t in trials for a in blocks_of(t["x"], 2, 2)}
+        assert seen == {1, 2}
+
+    def test_undefined_inner_exits_2(self, capsys, tmp_path, parity2):
+        path = write_json(tmp_path, "g.json", {"k": 1, "rows": [["u", "u"], ["u", "u"]]})
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g", path, "--trials", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_disj3_cells_uniform(self, capsys, tmp_path):
+        # every block is uniform on the 9 cells of disj3's domain
+        path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
+        trials = bcw_trials(capsys, ["--f", path, "--g-family", "disj", "--k", "3",
+                                     "--trials", "600", "--seed", "9"])
+        counts = Counter()
+        for t in trials:
+            counts.update(zip(blocks_of(t["x"], 3, 3), blocks_of(t["y"], 3, 3)))
+        domain = set(boolcube.disj_le1_inner(3).domain())
+        assert set(counts) == domain and len(domain) == 9
+        draws, p = 3 * 600, 1 / 9
+        slack = 5 * (draws * p * (1 - p)) ** 0.5
+        assert all(abs(c - draws * p) <= slack for c in counts.values())
+
+
 class TestSimulateCommand:
     def test_bcw_exact(self, capsys, parity2):
         code, out, _ = run(capsys, ["simulate", "--protocol", "bcw",
@@ -337,7 +474,6 @@ class TestInternalErrors:
         def exceeded(*args, **kwargs):
             raise PivotLimitExceeded("no convergence in 0 pivots")
 
-        monkeypatch.setattr(approxdeg, "_degree_cache", {})
         monkeypatch.setattr(approxdeg, "solve_feasibility", exceeded)
         code, out, err = run(capsys, ["approxdeg", "--f", or4])
         assert code == 3
@@ -350,6 +486,15 @@ class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path, step4, capsys):
         argvs = ["simulate", "--protocol", "symand", "--f", step4,
                  "--dense", "--trials", "60", "--seed", "11"]
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        assert main(argvs + ["--out", str(a)]) == 0
+        assert main(argvs + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_bcw_byte_identical(self, tmp_path, parity2):
+        argvs = ["simulate", "--protocol", "bcw", "--f", parity2,
+                 "--g-family", "disj", "--k", "3", "--trials", "60", "--seed", "11"]
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
         assert main(argvs + ["--out", str(a)]) == 0

@@ -213,10 +213,8 @@ class TestCliBytes:
     def test_stdout_matches_fraction_tableau(self, capsys, monkeypatch, tmp_path,
                                              name, profile, command):
         argv = [command, "--f", write_profile(tmp_path, name, profile)]
-        monkeypatch.setattr(approxdeg, "_degree_cache", {})
         assert main(argv) == 0
         got = capsys.readouterr().out
-        monkeypatch.setattr(approxdeg, "_degree_cache", {})
         monkeypatch.setattr(approxdeg, "solve_feasibility", fraction_simplex)
         assert main(argv) == 0
         assert capsys.readouterr().out == got
@@ -229,9 +227,16 @@ class TestPivotCap:
         with pytest.raises(PivotLimitExceeded, match="0 pivots"):
             solve_feasibility(1, ub_rows=[([-1], -1)])
 
+    def test_no_pivot_needed_under_cap_0(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        assert solve_feasibility(3) == [ZERO, ZERO, ZERO]
+
+    def test_cap_allows_exactly_cap_pivots(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+        assert solve_feasibility(1, ub_rows=[([-1], -1)]) == [ONE]
+
     def test_cli_exits_3(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
-        monkeypatch.setattr(approxdeg, "_degree_cache", {})
         code = main(["approxdeg", "--f", write_profile(tmp_path, "OR_2", [0, 1, 1])])
         captured = capsys.readouterr()
         assert code == 3
