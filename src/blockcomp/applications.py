@@ -4,20 +4,19 @@ reductions from AND-composition to restricted-disjointness composition.
 
 The reductions concern a symmetric outer function, which they take as its
 weight profile: padding a symmetric f with ones shifts its profile, so
-neither the plan nor its identity check builds a 2^n truth table."""
+the plan reads its source as a window of the profile and the identity check
+compares two such windows; neither builds a 2^n truth table."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .approxdeg import LP_ARITY_CAP, approx_degree
 from .boolcube import (BooleanFunction, SymmetricProfile, disj_le1_inner,
-                       ell1_of_profile, from_profile, ip_inner,
-                       materialize_limit, weight_subsets)
-from .errors import DegeneratePlan, SizeGuardExceeded
+                       ell1_of_profile, from_profile, ip_inner)
+from .errors import DegeneratePlan
 from .mainlemma import CertificateReport, mainlemma_certify
 from .specdisc import disj_pair, family_bound, ip_pair, spectral_certificate
 
@@ -138,11 +137,10 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
     small-ell0 case and the rest the large-ell0 case.  The source function
     is f with ones_pad ones and zeros_pad zeros appended, whose profile is
     a window of f's; only its degree LP builds a table, and only within
-    LP_ARITY_CAP.  Overrides substitute toy values for k (and optionally n')
-    so the composed identity fits in the materialization guard; overridden
-    plans skip the degree LP and mark themselves, and every non-negativity
-    the argument needs "by direct inspection" lands in the checks dict
-    instead of being assumed.
+    LP_ARITY_CAP.  Overrides substitute toy values for k (and optionally n');
+    overridden plans skip the degree LP and mark themselves, and every
+    non-negativity the argument needs "by direct inspection" lands in the
+    checks dict instead of being assumed.
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -218,15 +216,15 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
 
 
 def padding_identity_check(plan: ReductionPlan, profile: SymmetricProfile) -> bool:
-    """Exhaustively verify that composing the restricted source with
-    disjointness equals the AND-composition of f on the padded inputs,
-    f symmetric with weight profile `profile`.
+    """Verify that composing the restricted source with disjointness equals
+    the AND-composition of f on the padded inputs, f symmetric with weight
+    profile `profile`, by weight.
 
-    Every point of the restricted domain is enumerated; both sides are read
-    off the profile by weight, the source at |z| + ones_pad and f at
-    |x AND y|.  Raises before evaluating anything if a pad count is
-    negative or the plan shape is unusable; raises SizeGuardExceeded when
-    the restricted domain is too large to enumerate.
+    Proof: each block pair of the restricted domain meets in at most one
+    element, so |x AND y| = composed_ones_pad + |z| where the source reads
+    f at ones_pad + |z|, and for k >= 3 every |z| in 0..source_arity occurs.
+    Raises before comparing anything if a pad count is negative or the plan
+    shape is unusable.
     """
     if profile.n != plan.n:
         raise ValueError(f"plan built for n={plan.n}, got n={profile.n}")
@@ -249,25 +247,6 @@ def padding_identity_check(plan: ReductionPlan, profile: SymmetricProfile) -> bo
         raise DegeneratePlan(
             f"composed layout {blocks}*{k} + {plan.composed_ones_pad} + "
             f"{plan.composed_zeros_pad} does not fill {plan.n} blocks")
-    p = k // 3
-    subsets = weight_subsets(k, p)
-    dom_pairs = [(a, b) for a in subsets for b in subsets
-                 if (a & b).bit_count() <= 1]
-    if len(dom_pairs) ** blocks > materialize_limit() ** 2:
-        raise SizeGuardExceeded(
-            f"{len(dom_pairs)}^{blocks} domain points exceed the guard")
     values = profile.values
-    source = values[plan.ones_pad:plan.ones_pad + blocks + 1]
-    pad_bits = ((1 << plan.composed_ones_pad) - 1) << (blocks * k)
-    for combo in itertools.product(dom_pairs, repeat=blocks):
-        z = 0
-        x = pad_bits
-        y = pad_bits
-        for i, (a, b) in enumerate(combo):
-            if (a & b).bit_count() == 1:
-                z |= 1 << i
-            x |= a << (i * k)
-            y |= b << (i * k)
-        if source[z.bit_count()] != values[(x & y).bit_count()]:
-            return False
-    return True
+    return values[plan.ones_pad:plan.ones_pad + blocks + 1] == \
+        values[plan.composed_ones_pad:plan.composed_ones_pad + blocks + 1]

@@ -8,7 +8,6 @@ block i of an nk-bit input occupies bits (i-1)k .. ik-1 of the integer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,14 +15,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
+from .errors import ArityMismatch, NotSymmetric
 
-DEFAULT_MATERIALIZE_LIMIT = 4096
-
-
-def materialize_limit() -> int:
-    """Per-side dimension cap for dense materializations (env-overridable)."""
-    return int(os.environ.get("BLOCKCOMP_MAX_MATERIALIZE", DEFAULT_MATERIALIZE_LIMIT))
+MAX_MATERIALIZE = 4096  # per-side dimension cap for dense materializations
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +217,6 @@ def ell1_of_profile(values: Sequence[int]) -> int:
     return max(flips, default=0)
 
 
-def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
-    """Restriction f'(x) = f(x 1^ones 0^zeros), suffix appended in that order."""
-    if ones < 0 or zeros < 0:
-        raise ValueError("pad counts must be non-negative")
-    n_prime = f.n - ones - zeros
-    if n_prime < 1:
-        raise ArityMismatch(f"restricted arity {n_prime} < 1")
-    suffix = ((1 << ones) - 1) << n_prime
-    table = tuple(f.table[x | suffix] for x in range(1 << n_prime))
-    return BooleanFunction(n_prime, table)
-
-
 # ---------------------------------------------------------------------------
 # inner two-party functions (possibly partial)
 
@@ -320,61 +302,6 @@ def disj_le1_inner(k: int) -> InnerFunction:
     return InnerFunction(k, values)
 
 
-def random_inner(k: int, seed: int) -> InnerFunction:
-    """Seeded uniformly random total inner function."""
-    rng = np.random.default_rng(seed)
-    side = 1 << k
-    return InnerFunction(k, rng.integers(0, 2, size=(side, side), dtype=np.int8))
-
-
-# ---------------------------------------------------------------------------
-# block composition
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedFunction:
-    """Materialized f(g(x_1,y_1), ..., g(x_n,y_n)) on {0,1}^{nk} x {0,1}^{nk}."""
-
-    f: BooleanFunction
-    g: InnerFunction
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.f.n
-
-    @property
-    def k(self) -> int:
-        return self.g.k
-
-    def value(self, x: int, y: int) -> int | None:
-        v = int(self.values[x, y])
-        return None if v == UNDEF else v
-
-
-def block_compose(f: BooleanFunction, g: InnerFunction) -> ComposedFunction:
-    """Compose f with g blockwise; block i of an input is bits (i-1)k..ik-1."""
-    n, k = f.n, g.k
-    side = 1 << (n * k)
-    limit = materialize_limit()
-    if side > limit:
-        raise SizeGuardExceeded(f"2^(nk) = {side} exceeds limit {limit}")
-    mask = (1 << k) - 1
-    coords = np.arange(side)
-    z_index = np.zeros((side, side), dtype=np.int16)
-    undefined = np.zeros((side, side), dtype=bool)
-    for i in range(n):
-        xi = (coords >> (i * k)) & mask
-        yi = xi
-        block = g.values[np.ix_(xi, yi)]
-        undefined |= block == UNDEF
-        z_index |= (block == 1).astype(np.int16) << i
-    f_table = np.array(f.table, dtype=np.int8)
-    values = f_table[z_index]
-    values[undefined] = UNDEF
-    return ComposedFunction(f, g, values)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire formats
 
@@ -400,7 +327,8 @@ def inner_from_dict(obj: dict) -> InnerFunction:
     k = int(obj["k"])
     side = 1 << k
     rows = obj["rows"]
-    if len(rows) != side or any(len(r) != side for r in rows):
+    if not isinstance(rows, list) or len(rows) != side \
+            or any(not isinstance(r, list) or len(r) != side for r in rows):
         raise ValueError(f"rows must form a {side}x{side} matrix")
     values = np.full((side, side), UNDEF, dtype=np.int8)
     for i, row in enumerate(rows):

@@ -287,36 +287,66 @@ BATCH_COLUMNS = ["f", "family", "k", "n", "degree", "rho", "sum_scaled",
                  "diff_scaled", "bound", "within_bound", "error"]
 
 
+BATCH_ERRORS = (ValueError, SizeGuardExceeded, OSError, json.JSONDecodeError)
+
+
+def _error_cell(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _function_cells(path: str | None) -> tuple[dict, str]:
+    """The n and degree columns of one function, and its error if any."""
+    cells: dict = {}
+    if path is None:
+        return cells, ""
+    try:
+        f = load_function(path)
+        cells["n"] = f.n
+        cells["degree"] = approxdeg.approx_degree(f, Fraction(1, 3)).degree
+    except BATCH_ERRORS as exc:
+        return cells, _error_cell(exc)
+    return cells, ""
+
+
+def _certificate_cells(family: str, k: int) -> tuple[dict, str]:
+    """The certificate columns of one (family, k) cell, and its error if any."""
+    try:
+        payload, _ = _cert_payload(family, k)
+    except BATCH_ERRORS as exc:
+        return {}, _error_cell(exc)
+    return {"rho": payload["rho"], "sum_scaled": payload["sum_scaled"],
+            "diff_scaled": payload["diff_scaled"],
+            "bound": payload.get("bound_3_over_k",
+                                 payload.get("bound_inv_sqrt_K_minus_1")),
+            "within_bound": payload["within_bound"]}, ""
+
+
 def batch_table(grid: dict) -> str:
     """Cross product of functions x families x k values, one CSV row per
-    cell; per-cell failures land in the error column without aborting."""
+    cell; per-cell failures land in the error column without aborting.
+    Each function and each (family, k) certificate is computed once, on
+    first use."""
     functions = grid.get("f", [None])
     families = grid.get("family", [])
     ks = grid.get("k", [])
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BATCH_COLUMNS, lineterminator="\n")
     writer.writeheader()
+    certificates: dict[tuple[int, int], tuple[dict, str]] = {}
     for path in functions:
-        for family in families:
-            for k in ks:
-                row = {"f": path or "", "family": family, "k": k, "error": ""}
-                try:
-                    if path is not None:
-                        f = load_function(path)
-                        row["n"] = f.n
-                        row["degree"] = approxdeg.approx_degree(
-                            f, Fraction(1, 3)).degree
-                    payload, _ = _cert_payload(family, k)
-                    row["rho"] = payload["rho"]
-                    row["sum_scaled"] = payload["sum_scaled"]
-                    row["diff_scaled"] = payload["diff_scaled"]
-                    row["bound"] = payload.get("bound_3_over_k",
-                                               payload.get("bound_inv_sqrt_K_minus_1"))
-                    row["within_bound"] = payload["within_bound"]
-                except (ValueError, SizeGuardExceeded, OSError,
-                        json.JSONDecodeError) as exc:
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                writer.writerow(row)
+        function = None
+        for i, family in enumerate(families):
+            for j, k in enumerate(ks):
+                if function is None:
+                    function = _function_cells(path)
+                cells, error = function
+                if not error:
+                    if (i, j) not in certificates:
+                        certificates[i, j] = _certificate_cells(family, k)
+                    cert_cells, error = certificates[i, j]
+                    cells = {**cells, **cert_cells}
+                writer.writerow({"f": path or "", "family": family, "k": k,
+                                 **cells, "error": error})
     return buf.getvalue()
 
 

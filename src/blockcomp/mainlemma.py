@@ -16,7 +16,6 @@ binomial-tail bound beyond it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +23,9 @@ from functools import reduce
 
 import numpy as np
 
+from . import boolcube
 from .approxdeg import DualWitness, dual_witness
-from .boolcube import (BooleanFunction, InnerFunction, materialize_limit,
-                       spectrum_of_values)
+from .boolcube import BooleanFunction, InnerFunction, spectrum_of_values
 from .errors import ArityMismatch, SizeGuardExceeded
 from .specdisc import (DistributionPair, SpectralDiscrepancyCert,
                        operator_norm, spectral_certificate, validate_pair)
@@ -48,7 +47,7 @@ class WitnessMatrix:
 
     @property
     def fits_guard(self) -> bool:
-        return max(self.shape) <= materialize_limit()
+        return max(self.shape) <= boolcube.MAX_MATERIALIZE
 
     def q_values(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -121,36 +120,6 @@ def h_opnorm(h: WitnessMatrix,
     return analytic_bound, "analytic_bound"
 
 
-def restricted_composition(f: BooleanFunction, g: InnerFunction,
-                           pair: DistributionPair
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, defined) of the block composition over I_A^n x I_B^n,
-    indexed consistently with WitnessMatrix (block 1 most significant)."""
-    n = f.n
-    limit = materialize_limit()
-    if pair.k_a ** n > limit or pair.k_b ** n > limit:
-        raise SizeGuardExceeded("restricted composition exceeds the guard")
-    side = 1 << g.k
-    if any(x >= side for x in pair.i_a) or any(y >= side for y in pair.i_b):
-        raise ArityMismatch("pair labels outside the inner function's domain")
-    values = np.zeros((pair.k_a ** n, pair.k_b ** n))
-    defined = np.zeros_like(values, dtype=bool)
-    for r, xs in enumerate(itertools.product(pair.i_a, repeat=n)):
-        for c, ys in enumerate(itertools.product(pair.i_b, repeat=n)):
-            z = 0
-            ok = True
-            for i in range(n):
-                b = g.value(xs[i], ys[i])
-                if b is None:
-                    ok = False
-                    break
-                z |= b << i
-            if ok:
-                defined[r, c] = True
-                values[r, c] = f.value(z)
-    return values, defined
-
-
 def inner_product_with_composition(h: WitnessMatrix, f: BooleanFunction,
                                    g: InnerFunction) -> Fraction:
     """tr(h^T F) for F the block composition of f and g, computed by the
@@ -204,35 +173,6 @@ def _check_epsilon_prime(epsilon_prime: Fraction, epsilon: Fraction) -> Fraction
     return epsilon_prime
 
 
-def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
-                           g: InnerFunction, epsilon: Fraction,
-                           epsilon_prime: Fraction,
-                           f_tilde: np.ndarray | None = None) -> float:
-    """Lower bound on the trace norm of any entrywise eps'-approximation
-    of the restricted composition: |tr(h^T F_tilde)| / ||h||.
-
-    With an explicit F_tilde the numerator is evaluated directly (entries
-    outside the composition's domain are ignored; h vanishes there anyway);
-    without one it is replaced by the guaranteed 1 - eps'/eps, which needs
-    0 <= eps' < eps to lie in (0, 1].  The norm in
-    the denominator is exact (``h_opnorm`` without an analytic bound), so a
-    pair with no known spectrum must fit the materialization guard.
-    """
-    epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
-    if f_tilde is not None:
-        mat = require_materialized(h)
-        values, defined = restricted_composition(f, g, h.pair)
-        if f_tilde.shape != values.shape:
-            raise ArityMismatch(f"approximation shape {f_tilde.shape} != {values.shape}")
-        slack = float(epsilon_prime) + 1e-12
-        if np.abs(np.where(defined, f_tilde - values, 0.0)).max() > slack:
-            raise ValueError("approximation violates the entrywise error bound")
-        numerator = abs(float(np.where(defined, mat * f_tilde, 0.0).sum()))
-    else:
-        numerator = 1.0 - float(epsilon_prime) / float(epsilon)
-    return numerator / h_opnorm(h)[0]
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Everything the certification chain produces for one (f, g, pair)."""
@@ -262,9 +202,9 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
                       epsilon_prime: Fraction = Fraction(1, 6)
                       ) -> CertificateReport:
     """Run the full chain: dual witness, witness matrix, norm bounds,
-    trace-norm lower bound, and the implied communication bound in bits."""
+    trace-norm lower bound, and the implied communication bound in bits.
+    The pair is validated against g once, by the trace computation."""
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
-    validate_pair(pair, g)
     witness = dual_witness(f, epsilon)
     cert = spectral_certificate(pair)
     h = build_witness_matrix(witness, pair)

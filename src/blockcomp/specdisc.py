@@ -214,44 +214,13 @@ def ip_pair(k: int) -> DistributionPair:
                    spectrum=spectrum)
 
 
-def ip_closed_forms(k: int) -> tuple[float, float]:
-    """Reference values for the ip_pair scaled-norm ingredients:
-    ||avg|| = 1/sqrt(K(K-1)) and ||half-diff|| = 1/((K-1)sqrt(K))."""
-    big_k = 1 << k
-    return (1.0 / math.sqrt(big_k * (big_k - 1)),
-            1.0 / ((big_k - 1) * math.sqrt(big_k)))
-
-
 # ---------------------------------------------------------------------------
 # intersection-indicator matrices on p-subsets and their exact spectra
-
-
-@dataclass(frozen=True, eq=False)
-class JohnsonMatrix:
-    """0/1 indicator of |x cap y| = s over p-subsets of [k], lex order."""
-
-    k: int
-    p: int
-    s: int
-    subsets: tuple[int, ...]
-    matrix: np.ndarray
 
 
 def _check_kps(k: int, p: int, s: int) -> None:
     if not (0 <= s <= p and 2 * p <= k):
         raise ValueError(f"need 0 <= s <= p <= k/2, got k={k}, p={p}, s={s}")
-
-
-def johnson_matrix(k: int, p: int, s: int) -> JohnsonMatrix:
-    _check_kps(k, p, s)
-    subsets = weight_subsets(k, p)
-    m = len(subsets)
-    mat = np.zeros((m, m), dtype=np.int8)
-    for i, x in enumerate(subsets):
-        for j, y in enumerate(subsets):
-            if (x & y).bit_count() == s:
-                mat[i, j] = 1
-    return JohnsonMatrix(k, p, s, subsets, mat)
 
 
 def knuth_eigenvalue(k: int, p: int, s: int, t: int) -> Fraction:
@@ -307,13 +276,3 @@ def disj_lambda(k: int, s: int, t: int) -> Fraction:
     p = k // 3
     _, w0, w1 = disj_weights(k)
     return knuth_eigenvalue(k, p, s, t) / (w1 if s else w0)
-
-
-def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
-    """Closed-form lambda_{0,t} - lambda_{1,t} for the disjointness pair:
-    (-1)^t * (1/M) * [C(k-p-t, p-t)/C(k-p, p)] * t(k-t+1)/p^2."""
-    p = k // 3
-    m = math.comb(k, p)
-    ratio = Fraction(math.comb(k - p - t, p - t), math.comb(k - p, p))
-    val = Fraction(1, m) * ratio * Fraction(t * (k - t + 1), p * p)
-    return -val if t & 1 else val

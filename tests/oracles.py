@@ -1,0 +1,260 @@
+"""Reference implementations the tests check the library against.
+
+Each one computes by enumeration or dense materialization what the library
+derives from structure: truth-table restrictions and block compositions,
+the restricted composition and an explicit-approximation trace-norm bound,
+dense intersection matrices and closed-form spectra, and the padding
+identity point by point.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from blockcomp import boolcube
+from blockcomp.applications import ReductionPlan
+from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
+                                SymmetricProfile, weight_subsets)
+from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
+from blockcomp.mainlemma import (WitnessMatrix, _check_epsilon_prime, h_opnorm,
+                                 require_materialized)
+from blockcomp.specdisc import DistributionPair, _check_kps
+
+# ---------------------------------------------------------------------------
+# truth tables and block composition
+
+
+def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
+    """Restriction f'(x) = f(x 1^ones 0^zeros), suffix appended in that order."""
+    if ones < 0 or zeros < 0:
+        raise ValueError("pad counts must be non-negative")
+    n_prime = f.n - ones - zeros
+    if n_prime < 1:
+        raise ArityMismatch(f"restricted arity {n_prime} < 1")
+    suffix = ((1 << ones) - 1) << n_prime
+    table = tuple(f.table[x | suffix] for x in range(1 << n_prime))
+    return BooleanFunction(n_prime, table)
+
+
+def random_inner(k: int, seed: int) -> InnerFunction:
+    """Seeded uniformly random total inner function."""
+    rng = np.random.default_rng(seed)
+    side = 1 << k
+    return InnerFunction(k, rng.integers(0, 2, size=(side, side), dtype=np.int8))
+
+
+@dataclass(frozen=True, eq=False)
+class ComposedFunction:
+    """Materialized f(g(x_1,y_1), ..., g(x_n,y_n)) on {0,1}^{nk} x {0,1}^{nk}."""
+
+    f: BooleanFunction
+    g: InnerFunction
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.f.n
+
+    @property
+    def k(self) -> int:
+        return self.g.k
+
+    def value(self, x: int, y: int) -> int | None:
+        v = int(self.values[x, y])
+        return None if v == UNDEF else v
+
+
+def block_compose(f: BooleanFunction, g: InnerFunction) -> ComposedFunction:
+    """Compose f with g blockwise; block i of an input is bits (i-1)k..ik-1."""
+    n, k = f.n, g.k
+    side = 1 << (n * k)
+    limit = boolcube.MAX_MATERIALIZE
+    if side > limit:
+        raise SizeGuardExceeded(f"2^(nk) = {side} exceeds limit {limit}")
+    mask = (1 << k) - 1
+    coords = np.arange(side)
+    z_index = np.zeros((side, side), dtype=np.int16)
+    undefined = np.zeros((side, side), dtype=bool)
+    for i in range(n):
+        xi = (coords >> (i * k)) & mask
+        yi = xi
+        block = g.values[np.ix_(xi, yi)]
+        undefined |= block == UNDEF
+        z_index |= (block == 1).astype(np.int16) << i
+    f_table = np.array(f.table, dtype=np.int8)
+    values = f_table[z_index]
+    values[undefined] = UNDEF
+    return ComposedFunction(f, g, values)
+
+
+# ---------------------------------------------------------------------------
+# restricted composition and the explicit trace-norm bound
+
+
+def restricted_composition(f: BooleanFunction, g: InnerFunction,
+                           pair: DistributionPair
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, defined) of the block composition over I_A^n x I_B^n,
+    indexed consistently with WitnessMatrix (block 1 most significant)."""
+    n = f.n
+    limit = boolcube.MAX_MATERIALIZE
+    if pair.k_a ** n > limit or pair.k_b ** n > limit:
+        raise SizeGuardExceeded("restricted composition exceeds the guard")
+    side = 1 << g.k
+    if any(x >= side for x in pair.i_a) or any(y >= side for y in pair.i_b):
+        raise ArityMismatch("pair labels outside the inner function's domain")
+    values = np.zeros((pair.k_a ** n, pair.k_b ** n))
+    defined = np.zeros_like(values, dtype=bool)
+    for r, xs in enumerate(itertools.product(pair.i_a, repeat=n)):
+        for c, ys in enumerate(itertools.product(pair.i_b, repeat=n)):
+            z = 0
+            ok = True
+            for i in range(n):
+                b = g.value(xs[i], ys[i])
+                if b is None:
+                    ok = False
+                    break
+                z |= b << i
+            if ok:
+                defined[r, c] = True
+                values[r, c] = f.value(z)
+    return values, defined
+
+
+def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
+                           g: InnerFunction, epsilon: Fraction,
+                           epsilon_prime: Fraction,
+                           f_tilde: np.ndarray | None = None) -> float:
+    """Lower bound on the trace norm of any entrywise eps'-approximation
+    of the restricted composition: |tr(h^T F_tilde)| / ||h||.
+
+    With an explicit F_tilde the numerator is evaluated directly (entries
+    outside the composition's domain are ignored; h vanishes there anyway);
+    without one it is replaced by the guaranteed 1 - eps'/eps, which needs
+    0 <= eps' < eps to lie in (0, 1].  The norm in
+    the denominator is exact (``h_opnorm`` without an analytic bound), so a
+    pair with no known spectrum must fit the materialization guard.
+    """
+    epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
+    if f_tilde is not None:
+        mat = require_materialized(h)
+        values, defined = restricted_composition(f, g, h.pair)
+        if f_tilde.shape != values.shape:
+            raise ArityMismatch(f"approximation shape {f_tilde.shape} != {values.shape}")
+        slack = float(epsilon_prime) + 1e-12
+        if np.abs(np.where(defined, f_tilde - values, 0.0)).max() > slack:
+            raise ValueError("approximation violates the entrywise error bound")
+        numerator = abs(float(np.where(defined, mat * f_tilde, 0.0).sum()))
+    else:
+        numerator = 1.0 - float(epsilon_prime) / float(epsilon)
+    return numerator / h_opnorm(h)[0]
+
+
+# ---------------------------------------------------------------------------
+# intersection matrices and closed forms
+
+
+def ip_closed_forms(k: int) -> tuple[float, float]:
+    """Reference values for the ip_pair scaled-norm ingredients:
+    ||avg|| = 1/sqrt(K(K-1)) and ||half-diff|| = 1/((K-1)sqrt(K))."""
+    big_k = 1 << k
+    return (1.0 / math.sqrt(big_k * (big_k - 1)),
+            1.0 / ((big_k - 1) * math.sqrt(big_k)))
+
+
+@dataclass(frozen=True, eq=False)
+class JohnsonMatrix:
+    """0/1 indicator of |x cap y| = s over p-subsets of [k], lex order."""
+
+    k: int
+    p: int
+    s: int
+    subsets: tuple[int, ...]
+    matrix: np.ndarray
+
+
+def johnson_matrix(k: int, p: int, s: int) -> JohnsonMatrix:
+    _check_kps(k, p, s)
+    subsets = weight_subsets(k, p)
+    m = len(subsets)
+    mat = np.zeros((m, m), dtype=np.int8)
+    for i, x in enumerate(subsets):
+        for j, y in enumerate(subsets):
+            if (x & y).bit_count() == s:
+                mat[i, j] = 1
+    return JohnsonMatrix(k, p, s, subsets, mat)
+
+
+def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
+    """Closed-form lambda_{0,t} - lambda_{1,t} for the disjointness pair:
+    (-1)^t * (1/M) * [C(k-p-t, p-t)/C(k-p, p)] * t(k-t+1)/p^2."""
+    p = k // 3
+    m = math.comb(k, p)
+    ratio = Fraction(math.comb(k - p - t, p - t), math.comb(k - p, p))
+    val = Fraction(1, m) * ratio * Fraction(t * (k - t + 1), p * p)
+    return -val if t & 1 else val
+
+
+# ---------------------------------------------------------------------------
+# the padding identity, point by point
+
+
+def enumerated_identity_check(plan: ReductionPlan, profile: SymmetricProfile) -> bool:
+    """Exhaustively verify that composing the restricted source with
+    disjointness equals the AND-composition of f on the padded inputs,
+    f symmetric with weight profile `profile`.
+
+    Every point of the restricted domain is enumerated; both sides are read
+    off the profile by weight, the source at |z| + ones_pad and f at
+    |x AND y|.  Raises before evaluating anything if a pad count is
+    negative or the plan shape is unusable; raises SizeGuardExceeded when
+    the restricted domain is too large to enumerate.
+    """
+    if profile.n != plan.n:
+        raise ValueError(f"plan built for n={plan.n}, got n={profile.n}")
+    for name, count in (("ones_pad", plan.ones_pad),
+                        ("zeros_pad", plan.zeros_pad),
+                        ("composed_ones_pad", plan.composed_ones_pad),
+                        ("composed_zeros_pad", plan.composed_zeros_pad)):
+        if count < 0:
+            raise DegeneratePlan(f"{name} = {count} is negative")
+    if plan.source_arity < 1:
+        raise DegeneratePlan("source arity must be at least 1")
+    if plan.k < 3 or plan.k % 3:
+        raise DegeneratePlan("identity check needs k a positive multiple of 3")
+    k, blocks = plan.k, plan.source_arity
+    if blocks + plan.ones_pad + plan.zeros_pad != plan.n:
+        raise DegeneratePlan(
+            f"source layout {blocks} + {plan.ones_pad} + {plan.zeros_pad} "
+            f"does not fill {plan.n} inputs")
+    if blocks * k + plan.composed_ones_pad + plan.composed_zeros_pad != plan.n:
+        raise DegeneratePlan(
+            f"composed layout {blocks}*{k} + {plan.composed_ones_pad} + "
+            f"{plan.composed_zeros_pad} does not fill {plan.n} blocks")
+    p = k // 3
+    subsets = weight_subsets(k, p)
+    dom_pairs = [(a, b) for a in subsets for b in subsets
+                 if (a & b).bit_count() <= 1]
+    if len(dom_pairs) ** blocks > boolcube.MAX_MATERIALIZE ** 2:
+        raise SizeGuardExceeded(
+            f"{len(dom_pairs)}^{blocks} domain points exceed the guard")
+    values = profile.values
+    source = values[plan.ones_pad:plan.ones_pad + blocks + 1]
+    pad_bits = ((1 << plan.composed_ones_pad) - 1) << (blocks * k)
+    for combo in itertools.product(dom_pairs, repeat=blocks):
+        z = 0
+        x = pad_bits
+        y = pad_bits
+        for i, (a, b) in enumerate(combo):
+            if (a & b).bit_count() == 1:
+                z |= 1 << i
+            x |= a << (i * k)
+            y |= b << (i * k)
+        if source[z.bit_count()] != values[(x & y).bit_count()]:
+            return False
+    return True

@@ -17,22 +17,23 @@ from blockcomp.approxdeg import (approx_degree, dual_system_witness,
                                  dual_witness, lp_feasible)
 from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
-                                block_compose, disj_le1_inner, from_profile,
-                                ip_inner, or_function, parity_function,
+                                disj_le1_inner, from_profile, ip_inner,
+                                or_function, parity_function,
                                 spectrum_of_values, symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
 from blockcomp.mainlemma import (build_witness_matrix,
                                  inner_product_with_composition, opnorm_bound,
-                                 require_materialized, restricted_composition)
+                                 require_materialized)
 from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
                                  dense_input, optimal_decision_tree,
                                  repetition_schedule, symmetric_and_protocol,
                                  za_header_bits)
-from blockcomp.specdisc import (disj_lambda, disj_lambda_diff_closed,
-                                disj_pair, disj_weights, ip_pair,
-                                johnson_matrix, knuth_eigenvalue,
+from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
+                                ip_pair, knuth_eigenvalue,
                                 eigenspace_dimension, operator_norm,
                                 spectral_certificate)
+from oracles import (block_compose, disj_lambda_diff_closed, johnson_matrix,
+                     restricted_composition)
 
 THIRD = Fraction(1, 3)
 

@@ -9,10 +9,10 @@ from blockcomp.applications import (DriverResult, disj_lemma_driver,
                                     padding_identity_check, reduction_plan)
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.boolcube import (constant_function, from_profile, or_function,
-                                pad_restrict, projection, symmetric_profile,
-                                weight_subsets)
-from blockcomp.errors import (DegeneratePlan, NotSymmetric, SizeGuardExceeded,
-                              WitnessNotApplicable)
+                                profile_from_values, projection,
+                                symmetric_profile, weight_subsets)
+from blockcomp.errors import DegeneratePlan, NotSymmetric, WitnessNotApplicable
+from oracles import enumerated_identity_check, pad_restrict
 
 
 def profile_fn(*values):
@@ -255,11 +255,17 @@ class TestPaddingIdentity:
         with pytest.raises(ValueError):
             padding_identity_check(plan, symmetric_profile(or_function(4)))
 
-    def test_oversized_domain_guarded(self, monkeypatch):
-        plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
-        with pytest.raises(SizeGuardExceeded):
-            padding_identity_check(plan, symmetric_profile(L1_TOY))
+    def test_natural_k_plan_checked_by_weight(self):
+        # n = 100, l1 case at the plan's own k = 24: its restricted domain
+        # has about 10^7 pairs per block, far past any enumeration
+        profile = profile_from_values([0] * 51 + [1] * 50)
+        plan = reduction_plan(profile)
+        assert (plan.case, plan.k, plan.source_arity) == ("l1", 24, 2)
+        assert plan.valid and not plan.k_overridden
+        assert padding_identity_check(plan, profile) is True
+        bad = dataclasses.replace(plan, ones_pad=plan.ones_pad + 1,
+                                  zeros_pad=plan.zeros_pad - 1)
+        assert padding_identity_check(bad, profile) is False
 
 
 CASE_PLANS = [(L1_TOY, {"k_override": 3}),
@@ -303,22 +309,27 @@ class TestIdentityAgainstTableOracle:
         assert table_identity_check(bad, SMALL_L0_TOY) is False
 
     def test_every_small_plan_agrees(self):
+        """The weight check against both enumerations, at k = 3 and at each
+        plan's own k, on every plan and corruption with 2 <= n <= 7."""
         outcomes = set()
         for n in range(2, 8):
             for bits in range(1 << (n + 1)):
                 f = from_profile([(bits >> m) & 1 for m in range(n + 1)])
                 profile = symmetric_profile(f)
-                for c in (1.0, 12.0):
+                for c, k_override in itertools.product((1.0, 12.0), (3, None)):
                     try:
-                        plan = reduction_plan(profile, c=c, k_override=3)
+                        plan = reduction_plan(profile, c=c, k_override=k_override)
                     except DegeneratePlan:
                         continue
                     for candidate in (plan, *corruptions(plan)):
                         try:
                             held = padding_identity_check(candidate, profile)
                         except DegeneratePlan:
+                            with pytest.raises(DegeneratePlan):
+                                enumerated_identity_check(candidate, profile)
                             continue
-                        assert held == table_identity_check(candidate, f), \
+                        assert held == table_identity_check(candidate, f) == \
+                            enumerated_identity_check(candidate, profile), \
                             (n, bits, c, candidate)
                         outcomes.add(held)
         assert outcomes == {True, False}

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcomp.boolcube import (BooleanFunction, ComposedFunction, UNDEF,
-                                and_function, and_inner, block_compose,
-                                constant_function, disj_le1_inner, ell0_of_profile,
-                                ell1_of_profile, evaluate, fourier,
-                                from_profile, function_from_dict,
+from blockcomp import boolcube
+from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
+                                and_inner, constant_function, disj_le1_inner,
+                                ell0_of_profile, ell1_of_profile, evaluate,
+                                fourier, from_profile, function_from_dict,
                                 function_to_dict, inner_from_dict,
                                 inner_to_dict, ip_inner, negate, or_function,
-                                pad_restrict, parity_function,
-                                profile_from_values, projection, random_inner,
-                                restrict_rows, spectrum_of_values,
+                                parity_function, profile_from_values,
+                                projection, restrict_rows, spectrum_of_values,
                                 symmetric_profile, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
+from oracles import ComposedFunction, block_compose, pad_restrict, random_inner
 
 
 def random_function(n, seed):
@@ -236,7 +236,7 @@ class TestBlockCompose:
             block_compose(parity_function(13), and_inner())
 
     def test_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "16")
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 16)
         with pytest.raises(SizeGuardExceeded):
             block_compose(parity_function(3), ip_inner(2))
 

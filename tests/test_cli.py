@@ -360,6 +360,14 @@ class TestBcwSampler:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("rows", [5, [5, 5]])
+    def test_malformed_rows_exit_2(self, capsys, tmp_path, parity2, rows):
+        path = write_json(tmp_path, "g.json", {"k": 1, "rows": rows})
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g", path, "--trials", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rows must form a 2x2 matrix")
+
     def test_disj3_cells_uniform(self, capsys, tmp_path):
         # every block is uniform on the 9 cells of disj3's domain
         path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
@@ -464,6 +472,34 @@ class TestBatchCommand:
         assert code == 0
         row = out.strip().splitlines()[1]
         assert row.split(",")[4] == "2"  # degree column
+
+
+    def test_each_function_and_certificate_computed_once(self, capsys, monkeypatch,
+                                                         tmp_path, or4):
+        from blockcomp import approxdeg, cli
+
+        degrees, certificates = [], []
+        real_degree, real_cert = approxdeg.approx_degree, cli._cert_payload
+        monkeypatch.setattr(approxdeg, "approx_degree",
+                            lambda *a: degrees.append(a) or real_degree(*a))
+        monkeypatch.setattr(cli, "_cert_payload",
+                            lambda *a: certificates.append(a) or real_cert(*a))
+        missing = str(tmp_path / "missing.json")
+        grid = write_json(tmp_path, "grid.json", {"f": [or4, missing, or4],
+                                                  "family": ["disj", "ip"],
+                                                  "k": [3, 4, 10]})
+        code, out, _ = run(capsys, ["batch", "--grid", grid])
+        assert code == 0
+        assert len(degrees) == 2 and len(certificates) == 6
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 18
+        assert rows[:6] == rows[12:]
+        errors = [row[-1] for row in rows[:6]]
+        assert errors[0] == errors[3] == errors[4] == ""
+        assert errors[1] == errors[2] == "ValueError: k must be a positive multiple of 3"
+        assert errors[5].startswith("SizeGuardExceeded: side size 1024")
+        assert all(row[3:-1] == [""] * 7 and row[-1].startswith("FileNotFoundError")
+                   for row in rows[6:12])
 
 
 class TestInternalErrors:

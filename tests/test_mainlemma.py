@@ -6,19 +6,21 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from blockcomp import boolcube, mainlemma
 from blockcomp.approxdeg import dual_witness
-from blockcomp.boolcube import (and_function, constant_function, disj_le1_inner,
-                                ip_inner, or_function, parity_function)
+from blockcomp.boolcube import (UNDEF, InnerFunction, and_function,
+                                constant_function, disj_le1_inner, ip_inner,
+                                or_function, parity_function)
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
 from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
                                  h_opnorm, inner_product_with_composition,
                                  mainlemma_certify, opnorm_bound,
-                                 require_materialized, restricted_composition,
-                                 trace_norm_certificate,
+                                 require_materialized,
                                  witness_matrix_from_values)
 from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
-                                spectral_certificate)
+                                spectral_certificate, validate_pair)
+from oracles import restricted_composition, trace_norm_certificate
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -89,7 +91,7 @@ class TestWitnessMatrixAssembly:
             witness_matrix_from_values({4: Fraction(1)}, 2, tiny_pair())
 
     def test_materialization_guard(self, monkeypatch):
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair = ip_pair(2)  # sides 3 and 4, squared exceeds 8
         w = dual_witness(parity_function(2), THIRD)
         h = build_witness_matrix(w, pair)
@@ -187,7 +189,7 @@ class TestRestrictedComposition:
         assert values[~defined].sum() == 0
 
     def test_guard(self, monkeypatch):
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         with pytest.raises(SizeGuardExceeded):
             restricted_composition(parity_function(2), ip_inner(2), ip_pair(2))
 
@@ -314,7 +316,7 @@ class TestTraceNormCertificate:
             == pytest.approx(1.0 / h_opnorm(h)[0], rel=1e-15)
 
     def test_norm_route_past_the_guard(self, monkeypatch):
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair, g = PAIRS[0]
         f = parity_function(2)
         w = dual_witness(f, THIRD)
@@ -355,7 +357,7 @@ class TestCertifyChain:
         assert report.tracenorm_lb >= report.closed_form_lb - 1e-9
 
     def test_analytic_route_when_too_large(self, monkeypatch):
-        monkeypatch.setenv("BLOCKCOMP_MAX_MATERIALIZE", "8")
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair, g = hand_built(PAIRS[0][0]), PAIRS[0][1]
         report = mainlemma_certify(parity_function(2), pair, g)
         assert report.norm_source == "analytic_bound"
@@ -368,6 +370,23 @@ class TestCertifyChain:
         with pytest.raises(ValueError):
             mainlemma_certify(parity_function(2), pair, g,
                               epsilon=THIRD, epsilon_prime=THIRD)
+
+    @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
+    def test_pair_validated_once(self, monkeypatch, pair_g):
+        pair, g = pair_g
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_pair(*args)
+
+        monkeypatch.setattr(mainlemma, "validate_pair", counting)
+        mainlemma_certify(parity_function(2), pair, g)
+        assert len(calls) == 1
+        mismatched = InnerFunction(g.k, np.where(g.values == UNDEF, UNDEF, 1 - g.values))
+        with pytest.raises(ValueError, match="puts mass"):
+            mainlemma_certify(parity_function(2), pair, mismatched)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])
     def test_epsilon_prime_range(self, eps_prime):

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from blockcomp.boolcube import (and_function, and_inner, block_compose,
-                                constant_function, from_profile, ip_inner,
-                                or_function, parity_function, projection,
-                                restrict_rows, symmetric_profile)
+from blockcomp.boolcube import (and_function, and_inner, constant_function,
+                                from_profile, ip_inner, or_function,
+                                parity_function, projection, restrict_rows,
+                                symmetric_profile)
 from blockcomp.errors import ArityMismatch, NotSymmetric
+from oracles import block_compose
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
                                  optimal_decision_tree,

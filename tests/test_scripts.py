@@ -31,16 +31,6 @@ def test_lemma_report(capsys):
     assert "ip_2" in out and "disj_3" in out
 
 
-def test_certificate_grid(capsys):
-    script = load_script("certificate_grid")
-    assert script.main(["--ip-k", "2", "3", "--disj-k", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("f,family,k,")
-    assert [line.split(",")[1:3] for line in lines[1:]] == [
-        ["ip", "2"], ["ip", "3"], ["disj", "3"]]
-    assert all(line.split(",")[-1] == "" for line in lines[1:])
-
-
 def test_protocol_scaling_rejects_oversized_ell1():
     with pytest.raises(SystemExit):
         load_script("protocol_scaling").main(["--n", "6", "--ell1", "4"])

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from blockcomp.boolcube import (InnerFunction, and_inner, disj_le1_inner,
-                                ip_inner, random_inner, restrict_rows,
-                                weight_subsets)
+                                ip_inner, restrict_rows, weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
 from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
-                                disj_lambda_diff_closed, disj_pair,
-                                disj_weights, eigenspace_dimension,
-                                family_bound, ip_closed_forms, ip_pair,
-                                johnson_matrix, knuth_eigenvalue,
+                                disj_pair, disj_weights, eigenspace_dimension,
+                                family_bound, ip_pair, knuth_eigenvalue,
                                 operator_norm, spectral_certificate,
                                 uniform_pair, validate_pair)
+from oracles import (disj_lambda_diff_closed, ip_closed_forms, johnson_matrix,
+                     random_inner)
 
 
 def hand_built(pair):
