@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .approxdeg import LP_ARITY_CAP, approx_degree
-from .boolcube import (BooleanFunction, SymmetricProfile, disj_le1_inner,
-                       ell1_of_profile, from_profile, ip_inner)
+from .boolcube import (BooleanFunction, SymmetricProfile, ell1_of_profile,
+                       from_profile)
 from .errors import DegeneratePlan
 from .mainlemma import CertificateReport, mainlemma_certify
 from .specdisc import disj_pair, family_bound, ip_pair, spectral_certificate
@@ -38,7 +38,7 @@ def ip_corollary_driver(f: BooleanFunction, k: int) -> DriverResult:
     """
     n = f.n
     pair = ip_pair(k)
-    report = mainlemma_certify(f, pair, ip_inner(k))
+    report = mainlemma_certify(f, pair)
     threshold = 2.0 * math.log2(n) + 5.0 if n >= 1 else 5.0
     condition = k >= threshold
     rho_small = report.rho <= 1.0 / (2.0 * math.e * n)
@@ -53,14 +53,12 @@ def ip_corollary_driver(f: BooleanFunction, k: int) -> DriverResult:
 
 def disj_lemma_driver(f: BooleanFunction, k: int) -> DriverResult:
     """Certify f composed with at-most-one-intersection disjointness."""
-    if k < 3 or k % 3:
-        raise ValueError("k must be a positive multiple of 3")
     n = f.n
     pair = disj_pair(k)
     cert = spectral_certificate(pair)
     if not family_bound("disj", k, cert)[1]:
         raise ValueError(f"disjointness certificate rho={cert.rho} exceeds 3/k")
-    report = mainlemma_certify(f, pair, disj_le1_inner(k))
+    report = mainlemma_certify(f, pair)
     d = report.degree
     cond_k = k >= 6.0 * math.e * n / d
     checks = {

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, NotSymmetric
+from .errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 
 MAX_MATERIALIZE = 4096  # per-side dimension cap for dense materializations
 
@@ -254,15 +254,20 @@ def and_inner() -> InnerFunction:
     return InnerFunction(1, np.array([[0, 0], [0, 1]], dtype=np.int8))
 
 
+def _check_table_side(k: int) -> None:
+    """Refuse a 2^k x 2^k table past the materialization guard."""
+    if 1 << k > MAX_MATERIALIZE:
+        raise SizeGuardExceeded(
+            f"inner table side 2^{k} exceeds the guard {MAX_MATERIALIZE}")
+
+
 def ip_inner(k: int) -> InnerFunction:
     """Inner product mod 2 on k-bit strings (total)."""
-    side = 1 << k
-    xs = np.arange(side)
-    par = np.zeros((side, side), dtype=np.int8)
-    for x in range(side):
-        masked = xs & x
-        par[x] = np.array([m.bit_count() & 1 for m in masked.tolist()], dtype=np.int8)
-    return InnerFunction(k, par)
+    _check_table_side(k)
+    values = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(k):  # one more bit: the value flips where both new bits are 1
+        values = np.block([[values, values], [values, 1 - values]])
+    return InnerFunction(k, values)
 
 
 def restrict_rows(g: InnerFunction, rows: Sequence[int]) -> InnerFunction:
@@ -285,20 +290,33 @@ def weight_subsets(k: int, p: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def disj_p(k: int) -> int:
+    """Subset size p = k/3 of the disjointness restriction; k must be a
+    positive multiple of 3."""
+    if k < 3 or k % 3:
+        raise ValueError("k must be a positive multiple of 3")
+    return k // 3
+
+
+def disj_block(k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The p-subsets of [k] (p = k/3, ``weight_subsets`` order) and the
+    disjointness block on them: 0 for disjoint, 1 for meeting in exactly one
+    element, UNDEF for meeting in two or more."""
+    subsets = weight_subsets(k, disj_p(k))
+    s = np.array(subsets)
+    meet = s[:, None] & s[None, :]
+    return subsets, np.where(meet & (meet - 1), UNDEF, meet != 0).astype(np.int8)
+
+
 def disj_le1_inner(k: int) -> InnerFunction:
     """Set disjointness on p-subsets of [k] (p = k/3), restricted to pairs
     intersecting in at most one element; 1 means intersecting."""
-    if k < 3 or k % 3:
-        raise ValueError("k must be a positive multiple of 3")
-    p = k // 3
+    disj_p(k)  # a bad k is reported before the size guard
+    _check_table_side(k)
+    subsets, block = disj_block(k)
     side = 1 << k
     values = np.full((side, side), UNDEF, dtype=np.int8)
-    masks = weight_subsets(k, p)
-    for x in masks:
-        for y in masks:
-            inter = (x & y).bit_count()
-            if inter <= 1:
-                values[x, y] = 1 if inter == 1 else 0
+    values[np.ix_(subsets, subsets)] = block
     return InnerFunction(k, values)
 
 

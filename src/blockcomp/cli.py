@@ -159,9 +159,8 @@ def cmd_mainlemma(args) -> int:
     f = load_function(args.f)
     eps = approxdeg._check_epsilon(args.epsilon)
     eps_prime = mainlemma._check_epsilon_prime(args.epsilon_prime, eps)
-    report = mainlemma.mainlemma_certify(
-        f, _pair_for(args.family, args.k), _inner_for(args.family, args.k),
-        eps, eps_prime)
+    report = mainlemma.mainlemma_certify(f, _pair_for(args.family, args.k),
+                                         eps, eps_prime)
     payload = {
         "n": report.n,
         "degree": report.degree,
@@ -321,14 +320,23 @@ def _certificate_cells(family: str, k: int) -> tuple[dict, str]:
             "within_bound": payload["within_bound"]}, ""
 
 
+def _grid_list(grid: dict, key: str, kind: type) -> list:
+    """grid[key], [] if absent; it must be a list of `kind` values, and a
+    bool is not an int."""
+    values = grid.get(key, [])
+    if not isinstance(values, list) or any(type(v) is not kind for v in values):
+        raise ValueError(f"grid {key!r} must be a list of {kind.__name__} values")
+    return values
+
+
 def batch_table(grid: dict) -> str:
     """Cross product of functions x families x k values, one CSV row per
     cell; per-cell failures land in the error column without aborting.
     Each function and each (family, k) certificate is computed once, on
-    first use."""
-    functions = grid.get("f", [None])
-    families = grid.get("family", [])
-    ks = grid.get("k", [])
+    first use.  f and family must be lists of strings, k a list of ints."""
+    functions = _grid_list(grid, "f", str) if "f" in grid else [None]
+    families = _grid_list(grid, "family", str)
+    ks = _grid_list(grid, "k", int)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BATCH_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -351,9 +359,7 @@ def batch_table(grid: dict) -> str:
 
 
 def cmd_batch(args) -> int:
-    with open(args.grid) as fh:
-        grid = json.load(fh)
-    text = batch_table(grid)
+    text = batch_table(_load_json(args.grid))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

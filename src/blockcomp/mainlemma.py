@@ -2,11 +2,12 @@
 they imply.
 
 Given a dual witness q for the outer function and a distribution pair for
-the inner function, h = sum_z q(z) (x)_i mu_{z_i} has unit correlation
+the inner function g, h = sum_z q(z) (x)_i mu_{z_i} has unit correlation
 with the composed function, entrywise L1 equal to ||q||_1, and operator
-norm decaying like rho^degree.  The ratio of the first and last quantities
-lower-bounds the trace norm of every entrywise approximation of the
-composition, which in turn lower-bounds quantum communication.
+norm decaying like rho^degree.  Each mu_b lies in g^{-1}(b) by the pair's
+construction, so the chain takes no g.  The ratio of the first and last
+quantities lower-bounds the trace norm of every entrywise approximation of
+the composition, which in turn lower-bounds quantum communication.
 
 ||h|| has one route per kind of pair (``h_opnorm``): exact from the pair's
 spectrum for the built-in inner-product and disjointness pairs, a dense SVD
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import boolcube
 from .approxdeg import DualWitness, dual_witness
-from .boolcube import BooleanFunction, InnerFunction, spectrum_of_values
+from .boolcube import BooleanFunction, spectrum_of_values
 from .errors import ArityMismatch, SizeGuardExceeded
 from .specdisc import (DistributionPair, SpectralDiscrepancyCert,
-                       operator_norm, spectral_certificate, validate_pair)
+                       operator_norm, spectral_certificate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +57,6 @@ class WitnessMatrix:
 def witness_matrix_from_values(q: dict[int, Fraction], n: int,
                                pair: DistributionPair) -> WitnessMatrix:
     """Assemble h in tensor form from raw witness values."""
-    if pair.mu0.keys() & pair.mu1.keys():
-        raise ValueError("mu0 and mu1 share support; L1 bookkeeping invalid")
     if any(z < 0 or z >= 1 << n for z in q):
         raise ArityMismatch("witness support outside {0,1}^n")
     terms = tuple(sorted((z, v) for z, v in q.items() if v))
@@ -120,15 +119,13 @@ def h_opnorm(h: WitnessMatrix,
     return analytic_bound, "analytic_bound"
 
 
-def inner_product_with_composition(h: WitnessMatrix, f: BooleanFunction,
-                                   g: InnerFunction) -> Fraction:
-    """tr(h^T F) for F the block composition of f and g, computed by the
-    block-factorized identity: once each mu_b sits inside g^{-1}(b), the
-    tensor term for z meets F on a constant-f(z) region of mass 1, so the
-    trace collapses to sum_z q(z) f(z).  Exact."""
+def inner_product_with_composition(h: WitnessMatrix, f: BooleanFunction) -> Fraction:
+    """tr(h^T F) for F the block composition of f and the pair's g, by the
+    block-factorized identity: each mu_b lies in g^{-1}(b) by construction,
+    so the tensor term for z meets F on a constant-f(z) region of mass 1,
+    and the trace collapses to sum_z q(z) f(z).  Exact."""
     if f.n != h.n:
         raise ArityMismatch(f"outer arity {f.n} != witness block count {h.n}")
-    validate_pair(h.pair, g)
     return sum((coeff for z, coeff in h.terms if f.value(z)), Fraction(0))
 
 
@@ -175,7 +172,7 @@ def _check_epsilon_prime(epsilon_prime: Fraction, epsilon: Fraction) -> Fraction
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Everything the certification chain produces for one (f, g, pair)."""
+    """Everything the certification chain produces for one (f, pair)."""
 
     n: int
     degree: int
@@ -197,18 +194,16 @@ class CertificateReport:
 
 
 def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
-                      g: InnerFunction,
                       epsilon: Fraction = Fraction(1, 3),
                       epsilon_prime: Fraction = Fraction(1, 6)
                       ) -> CertificateReport:
     """Run the full chain: dual witness, witness matrix, norm bounds,
-    trace-norm lower bound, and the implied communication bound in bits.
-    The pair is validated against g once, by the trace computation."""
+    trace-norm lower bound, and the implied communication bound in bits."""
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     witness = dual_witness(f, epsilon)
     cert = spectral_certificate(pair)
     h = build_witness_matrix(witness, pair)
-    inner = inner_product_with_composition(h, f, g)
+    inner = inner_product_with_composition(h, f)
     bounds = opnorm_bound(witness, cert)
     denom, source = h_opnorm(h, bounds.bound_r)
     exact = None if source == "analytic_bound" else denom

@@ -151,6 +151,8 @@ def bcw_compile_and_run(tree: DecisionTree, g: InnerFunction,
     g-subprotocol `repetitions` times and takes the majority."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if g_protocol_cost < 0:
+        raise ValueError("g_protocol_cost must be >= 0")
     if not 0.0 <= inject_error <= 1.0 / 3.0:
         raise ValueError("inject_error must lie in [0, 1/3]")
     k = g.k

@@ -6,25 +6,23 @@ of their average and half-difference by sqrt(|I_A|*|I_B|) yields the
 certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
 
-Every pair built here is uniform on g^{-1}(b) over a rectangle, and
-``uniform_pair`` is the one builder of its masses.  The built-in pairs add
-their per-block spectra (``PairSpectrum``) to it: closed forms for inner
-product (``ip_pair``), Johnson-scheme eigenvalues for disjointness
-(``disj_pair``).  Their certificates are exact, with rho^2 a rational, and
-so are the witness-matrix norms built on them.  Other pairs go through one
-dense SVD.
+A pair is g's value block on the rectangle, uniform on each value, so the
+support condition holds by construction.  The built-in pairs add their
+per-block spectra (``PairSpectrum``): closed forms for inner product
+(``ip_pair``), Johnson-scheme eigenvalues for disjointness (``disj_pair``).
+Their certificates are exact, with rho^2 a rational, and so are the
+witness-matrix norms built on them.  Other pairs go through one dense SVD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .boolcube import (InnerFunction, disj_le1_inner, ip_inner,
-                       weight_subsets)
+from .boolcube import InnerFunction, disj_block, disj_p, ip_inner
 from .errors import SizeGuardExceeded
 
 
@@ -57,20 +55,25 @@ class PairSpectrum:
     gram: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionPair:
-    """b-distributions on a rectangle, stored sparsely with exact masses.
-
-    i_a / i_b are the row and column input labels (bitmask integers, sorted);
-    mu0 / mu1 map (row index, col index) positions to rational masses.
-    spectrum, when known, gives every spectral quantity of the pair exactly.
-    """
+    """g's values on the rectangle i_a x i_b (input labels), as the int8
+    ``block`` with UNDEF where g is undefined.  mu_b puts mass 1/#(block == b)
+    on each b-cell.  spectrum, when known, gives every spectral quantity of
+    the pair exactly."""
 
     i_a: tuple[int, ...]
     i_b: tuple[int, ...]
-    mu0: dict[tuple[int, int], Fraction]
-    mu1: dict[tuple[int, int], Fraction]
+    block: np.ndarray
     spectrum: PairSpectrum | None = None
+
+    def __post_init__(self):
+        shape = (self.k_a, self.k_b)
+        if self.block.shape != shape:
+            raise ValueError(f"block shape {self.block.shape} != {shape}")
+        for b in (0, 1):
+            if not (self.block == b).any():
+                raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
 
     @property
     def k_a(self) -> int:
@@ -80,32 +83,10 @@ class DistributionPair:
     def k_b(self) -> int:
         return len(self.i_b)
 
-    def mu(self, b: int) -> dict[tuple[int, int], Fraction]:
-        return self.mu1 if b else self.mu0
-
     def dense(self, b: int) -> np.ndarray:
-        out = np.zeros((self.k_a, self.k_b))
-        for (i, j), mass in self.mu(b).items():
-            out[i, j] = float(mass)
-        return out
-
-    def mass(self, b: int) -> Fraction:
-        return sum(self.mu(b).values(), Fraction(0))
-
-
-def validate_pair(pair: DistributionPair, g: InnerFunction) -> None:
-    """Check masses sum to 1, are non-negative, and sit inside g^{-1}(b)."""
-    for b in (0, 1):
-        total = pair.mass(b)
-        if total != 1:
-            raise ValueError(f"mu{b} mass is {total}, expected 1")
-        for (i, j), mass in pair.mu(b).items():
-            if mass < 0:
-                raise ValueError(f"negative mass at position ({i},{j}) in mu{b}")
-            x, y = pair.i_a[i], pair.i_b[j]
-            if g.value(x, y) != b:
-                raise ValueError(
-                    f"mu{b} puts mass on ({x},{y}) where g is {g.value(x, y)}")
+        """mu_b as a float matrix over the rectangle."""
+        cells = self.block == b
+        return cells / cells.sum()
 
 
 @dataclass(frozen=True)
@@ -122,8 +103,6 @@ class SpectralDiscrepancyCert:
     def qcc_bound_bits(self) -> float:
         """log2(1/rho): the discrepancy route's lower bound in bits, with no
         hidden constant applied."""
-        if self.rho == 0:
-            return math.inf
         return math.log2(1.0 / self.rho)
 
 
@@ -171,22 +150,11 @@ def family_bound(family: str, k: int,
 def uniform_pair(g: InnerFunction,
                  rows: tuple[int, ...] | None = None,
                  cols: tuple[int, ...] | None = None) -> DistributionPair:
-    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols.
-
-    Positions are (row index, col index) into rows x cols, in row-major
-    order; every cell of one side shares the mass 1/|g^{-1}(b)|."""
+    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols."""
     side = 1 << g.k
     i_a = tuple(rows) if rows is not None else tuple(range(side))
     i_b = tuple(cols) if cols is not None else tuple(range(side))
-    block = g.values[np.ix_(i_a, i_b)]
-    mus = []
-    for b in (0, 1):
-        pos_a, pos_b = np.nonzero(block == b)
-        if not pos_a.size:
-            raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
-        mus.append(dict.fromkeys(zip(pos_a.tolist(), pos_b.tolist()),
-                                 Fraction(1, pos_a.size)))
-    return DistributionPair(i_a, i_b, mus[0], mus[1])
+    return DistributionPair(i_a, i_b, g.values[np.ix_(i_a, i_b)])
 
 
 PAIR_SIDE_CAP = 512
@@ -210,8 +178,8 @@ def ip_pair(k: int) -> DistributionPair:
              (Fraction(0), size / c ** 2))
     # for K = 2 the single row has no eigenspace orthogonal to the ones vector
     spectrum = PairSpectrum(eigen[:1] if size == 2 else eigen, gram=True)
-    return replace(uniform_pair(ip_inner(k), rows=range(1, size)),
-                   spectrum=spectrum)
+    return DistributionPair(tuple(range(1, size)), tuple(range(size)),
+                            ip_inner(k).values[1:], spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +221,19 @@ def disj_weights(k: int) -> tuple[int, int, int]:
 
 
 def disj_pair(k: int) -> DistributionPair:
-    """Uniform pair of ``disj_le1_inner(k)`` on p-subsets (p = k/3):
-    mu_s = J_{k,p,s} / w_s, whose shared Johnson-scheme eigenspaces t = 0..p
-    carry eigenvalues disj_lambda(k, s, t).  The side cap is checked before
-    the 2^k x 2^k inner table is built."""
-    if k < 3 or k % 3:
-        raise ValueError("k must be a positive multiple of 3")
-    p = k // 3
+    """Uniform pair of ``disj_le1_inner(k)`` on its ``disj_block``
+    (p-subsets, p = k/3): mu_s = J_{k,p,s} / w_s, whose shared Johnson-scheme
+    eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t).  The side
+    cap is checked before the block is built."""
+    p = disj_p(k)
     m = math.comb(k, p)
     if m > PAIR_SIDE_CAP:
         raise SizeGuardExceeded(
             f"side size {m} exceeds the certifiable cap {PAIR_SIDE_CAP}")
-    subsets = weight_subsets(k, p)
+    subsets, block = disj_block(k)
     spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
                                   for t in range(p + 1)))
-    return replace(uniform_pair(disj_le1_inner(k), subsets, subsets),
-                   spectrum=spectrum)
+    return DistributionPair(subsets, subsets, block, spectrum)
 
 
 def disj_lambda(k: int, s: int, t: int) -> Fraction:

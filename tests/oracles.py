@@ -2,7 +2,8 @@
 
 Each one computes by enumeration or dense materialization what the library
 derives from structure: truth-table restrictions and block compositions,
-the restricted composition and an explicit-approximation trace-norm bound,
+the inner tables and the cell-by-cell masses of a distribution pair, the
+restricted composition and an explicit-approximation trace-norm bound,
 dense intersection matrices and closed-form spectra, and the padding
 identity point by point.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
 """
@@ -46,6 +47,36 @@ def random_inner(k: int, seed: int) -> InnerFunction:
     rng = np.random.default_rng(seed)
     side = 1 << k
     return InnerFunction(k, rng.integers(0, 2, size=(side, side), dtype=np.int8))
+
+
+def loop_disj_le1_inner(k: int) -> InnerFunction:
+    """``disj_le1_inner`` by a double loop over pairs of p-subsets."""
+    p = k // 3
+    side = 1 << k
+    values = np.full((side, side), UNDEF, dtype=np.int8)
+    masks = weight_subsets(k, p)
+    for x in masks:
+        for y in masks:
+            inter = (x & y).bit_count()
+            if inter <= 1:
+                values[x, y] = 1 if inter == 1 else 0
+    return InnerFunction(k, values)
+
+
+def pair_matches(pair: DistributionPair, g: InnerFunction) -> bool:
+    """Whether pair is the uniform pair of g on its rectangle, cell by cell
+    through ``g.value``: every block cell equals g there (UNDEF where g is
+    undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0 elsewhere."""
+    cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
+    block = pair.block.tolist()
+    if block != [[UNDEF if v is None else v for v in row] for row in cells]:
+        return False
+    for b in (0, 1):
+        mass = float(Fraction(1, sum(row.count(b) for row in cells)))
+        want = [[mass if v == b else 0.0 for v in row] for row in cells]
+        if pair.dense(b).tolist() != want:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,7 +135,7 @@ def test_criterion_5_mainlemma_chain():
         for f, (pair, g) in itertools.product(outers, inners):
             w = dual_witness(f, THIRD)
             h = build_witness_matrix(w, pair)
-            assert inner_product_with_composition(h, f, g) == 1
+            assert inner_product_with_composition(h, f) == 1
             assert h.h_l1 == w.l1()
             mat = require_materialized(h)
             exact = operator_norm(mat)

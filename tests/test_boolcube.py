@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from blockcomp import boolcube
 from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
-                                and_inner, constant_function, disj_le1_inner,
-                                ell0_of_profile, ell1_of_profile, evaluate,
+                                and_inner, constant_function, disj_block,
+                                disj_le1_inner, ell0_of_profile,
+                                ell1_of_profile, evaluate,
                                 fourier, from_profile, function_from_dict,
                                 function_to_dict, inner_from_dict,
                                 inner_to_dict, ip_inner, negate, or_function,
@@ -17,7 +18,8 @@ from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
                                 projection, restrict_rows, spectrum_of_values,
                                 symmetric_profile, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
-from oracles import ComposedFunction, block_compose, pad_restrict, random_inner
+from oracles import (ComposedFunction, block_compose, loop_disj_le1_inner,
+                     pad_restrict, random_inner)
 
 
 def random_function(n, seed):
@@ -202,6 +204,40 @@ class TestInnerFunctions:
                         assert v is None
                     else:
                         assert v == (1 if inter == 1 else 0)
+
+    @pytest.mark.parametrize("k", [3, 6, 9, 12])
+    def test_disj_le1_matches_loop(self, k):
+        assert np.array_equal(disj_le1_inner(k).values, loop_disj_le1_inner(k).values)
+
+    @pytest.mark.parametrize("k", [3, 6, 9])
+    def test_disj_block_is_table_block(self, k):
+        subsets, block = disj_block(k)
+        assert subsets == weight_subsets(k, k // 3)
+        assert block.dtype == np.int8
+        assert np.array_equal(block, disj_le1_inner(k).values[np.ix_(subsets, subsets)])
+
+    @pytest.mark.parametrize("k", [0, 2, 4, 14])
+    def test_disj_bad_k(self, k):
+        with pytest.raises(ValueError, match="multiple of 3"):
+            disj_block(k)
+        with pytest.raises(ValueError, match="multiple of 3"):
+            disj_le1_inner(k)
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_ip_is_parity_of_meet(self, k):
+        g = ip_inner(k)
+        assert all(g.value(x, y) == (x & y).bit_count() & 1
+                   for x in range(1 << k) for y in range(1 << k))
+
+    def test_table_size_guard(self, monkeypatch):
+        with pytest.raises(SizeGuardExceeded):
+            ip_inner(13)
+        with pytest.raises(SizeGuardExceeded):
+            disj_le1_inner(15)
+        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
+        assert ip_inner(3).values.shape == (8, 8)
+        with pytest.raises(SizeGuardExceeded):
+            ip_inner(4)
 
     def test_random_inner_deterministic(self):
         a = random_inner(3, seed=5)

@@ -430,6 +430,20 @@ class TestSimulateCommand:
                                   "--f", step4, "--trials", "0"])
         assert code == 2
 
+    def test_negative_g_cost_exits_2(self, capsys, parity2):
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g-cost", "-5", "--trials", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: g_protocol_cost")
+
+    @pytest.mark.parametrize("family,k", [("ip", 13), ("disj", 15)])
+    def test_oversized_inner_table_exits_2(self, capsys, parity2, family, k):
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g-family", family, "--k", str(k),
+                                      "--trials", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: inner table side")
+
     def test_injected_error_reported(self, capsys, step4):
         code, out, _ = run(capsys, ["simulate", "--protocol", "symand",
                                     "--f", step4, "--dense",
@@ -464,6 +478,20 @@ class TestBatchCommand:
         assert len(lines) == 3
         assert "SizeGuardExceeded" not in lines[1]
         assert "SizeGuardExceeded" in lines[2]
+
+    @pytest.mark.parametrize("grid", [
+        [1, 2],
+        {"f": [{}], "family": ["ip"], "k": [2]},
+        {"family": ["ip"], "k": ["2"]},
+        {"family": "ip", "k": [2]},
+        {"family": ["ip"], "k": [True]},
+    ], ids=("top_level_list", "f_not_str", "k_not_int", "family_not_list", "k_bool"))
+    def test_malformed_grid_exits_2(self, capsys, tmp_path, grid):
+        path = write_json(tmp_path, "grid.json", grid)
+        code, out, err = run(capsys, ["batch", "--grid", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_function_column(self, capsys, tmp_path, or4):
         grid = write_json(tmp_path, "grid.json",

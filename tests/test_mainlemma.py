@@ -6,11 +6,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from blockcomp import boolcube, mainlemma
+from blockcomp import boolcube
 from blockcomp.approxdeg import dual_witness
-from blockcomp.boolcube import (UNDEF, InnerFunction, and_function,
+from blockcomp.boolcube import (UNDEF, and_function,
                                 constant_function, disj_le1_inner, ip_inner,
-                                or_function, parity_function)
+                                or_function, parity_function, restrict_rows)
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
 from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
@@ -19,7 +19,7 @@ from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
                                  require_materialized,
                                  witness_matrix_from_values)
 from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
-                                spectral_certificate, validate_pair)
+                                spectral_certificate, uniform_pair)
 from oracles import restricted_composition, trace_norm_certificate
 
 THIRD = Fraction(1, 3)
@@ -29,15 +29,18 @@ OUTERS = [parity_function(2), and_function(2), or_function(3)]
 PAIRS = [(ip_pair(2), ip_inner(2)), (disj_pair(3), disj_le1_inner(3))]
 
 
+# a 2x2 block whose 0- and 1-cells are single diagonal cells
+TINY_BLOCK = np.array([[0, UNDEF], [UNDEF, 1]], dtype=np.int8)
+
+
 def tiny_pair():
     # k=1 rectangle with disjoint single-cell distributions
-    return DistributionPair((0, 1), (0, 1),
-                            {(0, 0): Fraction(1)}, {(1, 1): Fraction(1)})
+    return DistributionPair((0, 1), (0, 1), TINY_BLOCK)
 
 
 def hand_built(pair):
-    """The same distributions, built with the 4-argument constructor."""
-    return DistributionPair(pair.i_a, pair.i_b, pair.mu0, pair.mu1)
+    """The same distributions with no spectrum."""
+    return DistributionPair(pair.i_a, pair.i_b, pair.block)
 
 
 def fourier_materialize(h):
@@ -80,12 +83,6 @@ class TestWitnessMatrixAssembly:
         assert h.h_l1 == w.l1()
         assert np.abs(require_materialized(h)).sum() == pytest.approx(float(w.l1()), abs=1e-9)
 
-    def test_overlapping_support_rejected(self):
-        shared = {(0, 0): Fraction(1)}
-        pair = DistributionPair((0,), (0,), dict(shared), dict(shared))
-        with pytest.raises(ValueError, match="share support"):
-            witness_matrix_from_values({0: Fraction(1)}, 1, pair)
-
     def test_support_outside_cube_rejected(self):
         with pytest.raises(ArityMismatch):
             witness_matrix_from_values({4: Fraction(1)}, 2, tiny_pair())
@@ -114,40 +111,37 @@ class TestInnerProduct:
     @pytest.mark.parametrize("f", OUTERS)
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
     def test_unit_correlation(self, f, pair_g):
-        pair, g = pair_g
+        pair, _g = pair_g
         h = build_witness_matrix(dual_witness(f, THIRD), pair)
-        assert inner_product_with_composition(h, f, g) == 1
+        assert inner_product_with_composition(h, f) == 1
 
     def test_negation_flips_sign(self):
         from blockcomp.boolcube import negate
 
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         f = parity_function(2)
         h = build_witness_matrix(dual_witness(f, THIRD), pair)
-        assert inner_product_with_composition(h, negate(f), g) == -1
+        assert inner_product_with_composition(h, negate(f)) == -1
 
     def test_scaled_witness_scales(self):
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         f = parity_function(2)
         w = dual_witness(f, THIRD)
         doubled = {z: 2 * v for z, v in w.q.items()}
         h = witness_matrix_from_values(doubled, f.n, pair)
-        assert inner_product_with_composition(h, f, g) == 2
+        assert inner_product_with_composition(h, f) == 2
 
     def test_arity_mismatch(self):
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         h = build_witness_matrix(dual_witness(parity_function(2), THIRD), pair)
         with pytest.raises(ArityMismatch):
-            inner_product_with_composition(h, parity_function(3), g)
+            inner_product_with_composition(h, parity_function(3))
 
     def test_invalid_pair_rejected(self):
-        from blockcomp.boolcube import InnerFunction
-
-        pair, g = PAIRS[0]
-        h = build_witness_matrix(dual_witness(parity_function(2), THIRD), pair)
-        flipped = InnerFunction(2, 1 - g.values)
-        with pytest.raises(ValueError):
-            inner_product_with_composition(h, parity_function(2), flipped)
+        # a rectangle on which g is never 1 gives no pair to trace against
+        g = restrict_rows(ip_inner(2), (0,))
+        with pytest.raises(ValueError, match="no 1-inputs"):
+            uniform_pair(g)
 
     @pytest.mark.parametrize("f", OUTERS)
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
@@ -160,7 +154,7 @@ class TestInnerProduct:
         values, defined = restricted_composition(f, g, pair)
         assert defined.all() or not (np.abs(mat) * ~defined).any()
         literal = float(np.where(defined, mat * values, 0.0).sum())
-        collapsed = inner_product_with_composition(h, f, g)
+        collapsed = inner_product_with_composition(h, f)
         assert literal == pytest.approx(float(collapsed), abs=1e-9)
 
 
@@ -177,8 +171,6 @@ class TestRestrictedComposition:
                 assert values[r, c] == f.value(z)
 
     def test_undefined_cells_propagate(self):
-        from blockcomp.boolcube import restrict_rows
-
         g = restrict_rows(ip_inner(2), (1, 2))
         pair = ip_pair(2)  # row label 3 is outside g's domain
         values, defined = restricted_composition(or_function(2), g, pair)
@@ -194,8 +186,7 @@ class TestRestrictedComposition:
             restricted_composition(parity_function(2), ip_inner(2), ip_pair(2))
 
     def test_labels_outside_domain(self):
-        pair = DistributionPair((0, 5), (0, 1),
-                                {(0, 0): Fraction(1)}, {(1, 1): Fraction(1)})
+        pair = DistributionPair((0, 5), (0, 1), TINY_BLOCK)
         with pytest.raises(ArityMismatch):
             restricted_composition(parity_function(1), ip_inner(1), pair)
 
@@ -210,19 +201,8 @@ class TestOpnormBound:
         want = (1 + cert.rho) * cert.rho / (float(THIRD) * scale)
         assert b.bound_r == pytest.approx(want, rel=1e-12)
 
-    def test_zero_rho_zero_bound(self):
-        mass = {(i, j): Fraction(1, 4) for i in range(2) for j in range(2)}
-        cert = spectral_certificate(
-            DistributionPair((0, 1), (0, 1), dict(mass), dict(mass)))
-        assert cert.rho == 0
-        w = dual_witness(parity_function(2), THIRD)
-        assert opnorm_bound(w, cert).bound_r == 0.0
-
     def test_rho_at_least_one_rejected(self):
-        mass0 = {(0, 0): Fraction(1)}
-        mass1 = {(1, 1): Fraction(1)}
-        cert = spectral_certificate(
-            DistributionPair((0, 1), (0, 1), mass0, mass1))
+        cert = spectral_certificate(tiny_pair())
         assert cert.rho >= 1
         w = dual_witness(parity_function(2), THIRD)
         with pytest.raises(ValueError):
@@ -329,13 +309,13 @@ class TestTraceNormCertificate:
 
 class TestCertifyChain:
     def test_constant_outer_rejected(self):
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         with pytest.raises(WitnessNotApplicable):
-            mainlemma_certify(constant_function(2, 1), pair, g)
+            mainlemma_certify(constant_function(2, 1), pair)
 
     def test_report_consistency(self):
-        pair, g = PAIRS[0]
-        report = mainlemma_certify(parity_function(2), pair, g)
+        pair, _ = PAIRS[0]
+        report = mainlemma_certify(parity_function(2), pair)
         assert report.inner_product == 1
         assert report.norm_source == "exact_spectrum"
         assert report.h_opnorm_exact is not None
@@ -349,8 +329,7 @@ class TestCertifyChain:
 
     def test_closed_form_route(self):
         pair = ip_pair(9)
-        g = ip_inner(9)
-        report = mainlemma_certify(parity_function(2), pair, g)
+        report = mainlemma_certify(parity_function(2), pair)
         assert report.closed_form_valid
         assert report.closed_form_lb == pytest.approx(
             report.scale * math.exp(0.5 * report.degree) / 24.0)
@@ -358,42 +337,38 @@ class TestCertifyChain:
 
     def test_analytic_route_when_too_large(self, monkeypatch):
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
-        pair, g = hand_built(PAIRS[0][0]), PAIRS[0][1]
-        report = mainlemma_certify(parity_function(2), pair, g)
+        pair = hand_built(PAIRS[0][0])
+        report = mainlemma_certify(parity_function(2), pair)
         assert report.norm_source == "analytic_bound"
         assert report.h_opnorm_exact is None
         assert report.tracenorm_lb == pytest.approx(
             0.5 / report.h_opnorm_bound, rel=1e-12)
 
     def test_epsilon_ordering(self):
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         with pytest.raises(ValueError):
-            mainlemma_certify(parity_function(2), pair, g,
+            mainlemma_certify(parity_function(2), pair,
                               epsilon=THIRD, epsilon_prime=THIRD)
 
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
     def test_pair_validated_once(self, monkeypatch, pair_g):
-        pair, g = pair_g
+        # the pair is checked when it is built; the chain does not check it again
+        pair, _ = pair_g
         calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return validate_pair(*args)
-
-        monkeypatch.setattr(mainlemma, "validate_pair", counting)
-        mainlemma_certify(parity_function(2), pair, g)
+        check = DistributionPair.__post_init__
+        monkeypatch.setattr(DistributionPair, "__post_init__",
+                            lambda self: calls.append(self) or check(self))
+        assert mainlemma_certify(parity_function(2), pair).inner_product == 1
+        assert calls == []
+        hand_built(pair)
         assert len(calls) == 1
-        mismatched = InnerFunction(g.k, np.where(g.values == UNDEF, UNDEF, 1 - g.values))
-        with pytest.raises(ValueError, match="puts mass"):
-            mainlemma_certify(parity_function(2), pair, mismatched)
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])
     def test_epsilon_prime_range(self, eps_prime):
-        pair, g = PAIRS[0]
+        pair, _ = PAIRS[0]
         with pytest.raises(ValueError, match="epsilon_prime"):
-            mainlemma_certify(parity_function(2), pair, g,
+            mainlemma_certify(parity_function(2), pair,
                               epsilon=THIRD, epsilon_prime=eps_prime)
-        report = mainlemma_certify(parity_function(2), pair, g,
+        report = mainlemma_certify(parity_function(2), pair,
                                    epsilon=THIRD, epsilon_prime=Fraction(0))
         assert report.epsilon_prime == 0

@@ -87,6 +87,8 @@ class TestBcwCompiler:
         g = and_inner()
         with pytest.raises(ValueError):
             bcw_compile_and_run(tree, g, 1, 0, 0, 0)
+        with pytest.raises(ValueError, match="g_protocol_cost"):
+            bcw_compile_and_run(tree, g, -5, 1, 0, 0)
         with pytest.raises(ValueError):
             bcw_compile_and_run(tree, g, 1, 1, 0, 0, inject_error=0.5)
         with pytest.raises(ValueError):

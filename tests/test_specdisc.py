@@ -1,48 +1,31 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blockcomp.boolcube import (InnerFunction, and_inner, disj_le1_inner,
-                                ip_inner, restrict_rows, weight_subsets)
+from blockcomp.boolcube import (UNDEF, InnerFunction, and_inner,
+                                disj_le1_inner, ip_inner, restrict_rows,
+                                weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
 from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
                                 disj_pair, disj_weights, eigenspace_dimension,
                                 family_bound, ip_pair, knuth_eigenvalue,
                                 operator_norm, spectral_certificate,
-                                uniform_pair, validate_pair)
+                                uniform_pair)
 from oracles import (disj_lambda_diff_closed, ip_closed_forms, johnson_matrix,
-                     random_inner)
+                     pair_matches, random_inner)
 
 
 def hand_built(pair):
-    """The same distributions, built with the 4-argument constructor."""
-    return DistributionPair(pair.i_a, pair.i_b, pair.mu0, pair.mu1)
+    """The same distributions with no spectrum."""
+    return DistributionPair(pair.i_a, pair.i_b, pair.block)
 
 
-def loop_uniform_pair(g, rows=None, cols=None):
-    """Reference for uniform_pair: the literal double loop over g.value."""
-    side = 1 << g.k
-    i_a = tuple(rows) if rows is not None else tuple(range(side))
-    i_b = tuple(cols) if cols is not None else tuple(range(side))
-    cells = {0: [], 1: []}
-    for i, x in enumerate(i_a):
-        for j, y in enumerate(i_b):
-            v = g.value(x, y)
-            if v is not None:
-                cells[v].append((i, j))
-    mu0, mu1 = ({pos: Fraction(1, len(cells[b])) for pos in cells[b]}
-                for b in (0, 1))
-    return DistributionPair(i_a, i_b, mu0, mu1)
-
-
-def assert_same_pair(got, want):
-    """Equal labels, masses and spectrum, with mu0/mu1 in the same order."""
-    assert got == want
-    assert list(got.mu0.items()) == list(want.mu0.items())
-    assert list(got.mu1.items()) == list(want.mu1.items())
+def assert_same_block(got, want):
+    """Equal labels and blocks."""
+    assert (got.i_a, got.i_b) == (want.i_a, want.i_b)
+    assert np.array_equal(got.block, want.block)
 
 
 RECTANGLE_GUARD = 24
@@ -57,11 +40,12 @@ def rectangle_discrepancy(pair: DistributionPair, g: InnerFunction) -> float:
             f"|I_A| + |I_B| = {pair.k_a + pair.k_b} exceeds {RECTANGLE_GUARD}")
     signed = np.zeros((pair.k_a, pair.k_b))
     for b in (0, 1):
-        for (i, j), mass in pair.mu(b).items():
+        dense = pair.dense(b)
+        for i, j in zip(*np.nonzero(dense)):
             v = g.value(pair.i_a[i], pair.i_b[j])
             if v is None:
                 raise ValueError(f"mass on undefined point ({pair.i_a[i]},{pair.i_b[j]})")
-            signed[i, j] += float(mass) / 2.0 * (1 if v == 0 else -1)
+            signed[i, j] += dense[i, j] / 2.0 * (1 if v == 0 else -1)
     if pair.k_b <= pair.k_a:
         cols = signed
     else:
@@ -130,8 +114,8 @@ class TestPairsAndCertificates:
     def test_uniform_pair_validates(self):
         g = ip_inner(2)
         pair = uniform_pair(g)
-        validate_pair(pair, g)
-        assert pair.mass(0) == 1 and pair.mass(1) == 1
+        assert pair_matches(pair, g)
+        assert pair.dense(0).sum() == 1 and pair.dense(1).sum() == 1
 
     def test_uniform_pair_missing_value(self):
         with pytest.raises(ValueError):
@@ -147,66 +131,61 @@ class TestPairsAndCertificates:
         (restrict_rows(ip_inner(3), (2, 5, 6)), (2, 5, 6), (1, 3, 4)),
     ])
     def test_uniform_pair_matches_loop(self, g, rows, cols):
-        assert_same_pair(uniform_pair(g, rows, cols), loop_uniform_pair(g, rows, cols))
+        pair = uniform_pair(g, rows, cols)
+        side = range(1 << g.k)
+        assert pair.i_a == tuple(side if rows is None else rows)
+        assert pair.i_b == tuple(side if cols is None else cols)
+        assert pair_matches(pair, g)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_ip_pair_is_uniform_pair(self, k):
         pair = ip_pair(k)
-        rows = range(1, 1 << k)
-        assert_same_pair(pair, replace(loop_uniform_pair(ip_inner(k), rows),
-                                       spectrum=pair.spectrum))
+        assert_same_block(pair, uniform_pair(ip_inner(k), rows=range(1, 1 << k)))
         assert pair.spectrum.gram
 
     @pytest.mark.parametrize("k", [3, 6, 9])
     def test_disj_pair_is_uniform_pair(self, k):
         pair = disj_pair(k)
         subsets = weight_subsets(k, k // 3)
-        want = loop_uniform_pair(disj_le1_inner(k), subsets, subsets)
-        assert_same_pair(pair, replace(want, spectrum=pair.spectrum))
+        assert_same_block(pair, uniform_pair(disj_le1_inner(k), subsets, subsets))
         assert pair.spectrum.eigen == tuple(
             (disj_lambda(k, 0, t), disj_lambda(k, 1, t)) for t in range(k // 3 + 1))
 
-    def test_validate_mass_errors(self):
-        g = and_inner()
-        pair = uniform_pair(g)
-        halved = DistributionPair(
-            pair.i_a, pair.i_b,
-            {k: v / 2 for k, v in pair.mu0.items()}, pair.mu1)
-        with pytest.raises(ValueError, match="mass"):
-            validate_pair(halved, g)
+    @pytest.mark.parametrize("family,k", [("ip", k) for k in range(1, 10)]
+                             + [("disj", k) for k in range(3, 13, 3)])
+    def test_builtin_pair_matches_oracle(self, family, k):
+        pair, g = {"ip": (ip_pair, ip_inner),
+                   "disj": (disj_pair, disj_le1_inner)}[family]
+        assert pair_matches(pair(k), g(k))
 
     def test_validate_support_errors(self):
+        # the oracle flags a pair whose cells carry the other value of g
         g = and_inner()
-        # all of mu1's mass on a 0-cell
-        bad = DistributionPair((0, 1), (0, 1),
-                               {(1, 1): Fraction(1)}, {(0, 0): Fraction(1)})
-        with pytest.raises(ValueError, match="mu0"):
-            validate_pair(bad, g)
+        flipped = InnerFunction(1, 1 - g.values)
+        assert pair_matches(uniform_pair(g), g)
+        assert not pair_matches(uniform_pair(g), flipped)
 
     def test_validate_undefined_cell(self):
+        # the oracle flags a pair with mass where g is undefined
         g = restrict_rows(ip_inner(1), (1,))
-        bad = DistributionPair((0, 1), (0, 1),
-                               {(0, 0): Fraction(1)}, {(1, 1): Fraction(1)})
-        with pytest.raises(ValueError):
-            validate_pair(bad, g)
+        assert not pair_matches(uniform_pair(ip_inner(1)), g)
 
-    def test_equal_distributions_degenerate(self):
-        # mu0 = mu1 kills the difference term entirely
-        mass = {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
-        pair = DistributionPair((0, 1), (0, 1), dict(mass), dict(mass))
-        cert = spectral_certificate(pair)
-        assert cert.diff_scaled == pytest.approx(0.0, abs=1e-14)
-        assert cert.rho == pytest.approx(max(cert.sum_scaled - 1, 0.0), abs=1e-14)
+    def test_constructor_rejects_wrong_shape(self):
+        block = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        with pytest.raises(ValueError, match="shape"):
+            DistributionPair((0, 1, 2), (0, 1), block)
+        with pytest.raises(ValueError, match="shape"):
+            DistributionPair((0, 1), (0, 1), block[0])
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_constructor_rejects_missing_value(self, b):
+        block = np.array([[1 - b, UNDEF], [UNDEF, 1 - b]], dtype=np.int8)
+        with pytest.raises(ValueError, match=f"no {b}-inputs"):
+            DistributionPair((0, 1), (0, 1), block)
 
     def test_qcc_bound_bits(self):
         cert = spectral_certificate(ip_pair(3))
         assert cert.qcc_bound_bits() == pytest.approx(math.log2(1 / cert.rho))
-        # identical uniform distributions: diff vanishes and sum_scaled is 1
-        mass = {(i, j): Fraction(1, 4) for i in range(2) for j in range(2)}
-        flat = spectral_certificate(DistributionPair(
-            (0, 1), (0, 1), dict(mass), dict(mass)))
-        assert flat.rho == 0
-        assert flat.qcc_bound_bits() == math.inf
 
 
 class TestInnerProductPair:
@@ -224,7 +203,7 @@ class TestInnerProductPair:
         k = 2
         g = ip_inner(k)
         pair = ip_pair(k)
-        validate_pair(pair, g)
+        assert pair_matches(pair, g)
         assert pair.i_a == (1, 2, 3)
         assert pair.i_b == (0, 1, 2, 3)
 
@@ -351,10 +330,7 @@ class TestDisjointnessPair:
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_pair_masses_and_support(self, k):
-        from blockcomp.boolcube import disj_le1_inner
-
-        pair = disj_pair(k)
-        validate_pair(pair, disj_le1_inner(k))
+        assert pair_matches(disj_pair(k), disj_le1_inner(k))
 
     @pytest.mark.parametrize("k", [3, 6, 9, 12])
     def test_top_eigenvalue_normalization(self, k):
@@ -400,13 +376,6 @@ class TestRectangleDiscrepancy:
         with pytest.raises(SizeGuardExceeded):
             rectangle_discrepancy(ip_pair(4), ip_inner(4))
 
-    def test_constant_inner_maximal(self):
-        g = InnerFunction(1, np.zeros((2, 2), dtype=np.int8))
-        mass = Fraction(1, 4)
-        mu = {(i, j): mass for i in range(2) for j in range(2)}
-        pair = DistributionPair((0, 1), (0, 1), dict(mu), dict(mu))
-        assert rectangle_discrepancy(pair, g) == pytest.approx(1.0, abs=1e-12)
-
     def test_and_inner_half(self):
         g = and_inner()
         assert rectangle_discrepancy(uniform_pair(g), g) == pytest.approx(0.5, abs=1e-12)
@@ -424,33 +393,25 @@ class TestRectangleDiscrepancy:
             assert rd <= cert.diff_scaled + 1e-9
 
     def test_disj_bounded_by_diff_scaled(self):
-        from blockcomp.boolcube import disj_le1_inner
-
         pair = disj_pair(3)
         cert = spectral_certificate(pair)
         rd = rectangle_discrepancy(pair, disj_le1_inner(3))
         assert rd <= cert.diff_scaled + 1e-9
 
     def test_literal_double_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        g = InnerFunction(1, np.array([[0, 1], [1, 0]], dtype=np.int8))
-        raw0 = [Fraction(int(v), 16) for v in rng.integers(1, 8, size=2)]
-        raw1 = [Fraction(int(v), 16) for v in rng.integers(1, 8, size=2)]
-        mu0 = {(0, 1): raw0[0], (1, 0): raw0[1]}
-        mu1 = {(0, 0): raw1[0], (1, 1): raw1[1]}
-        s0, s1 = sum(mu0.values()), sum(mu1.values())
-        mu0 = {k: v / s0 for k, v in mu0.items()}
-        mu1 = {k: v / s1 for k, v in mu1.items()}
-        pair = DistributionPair((0, 1), (0, 1), mu0, mu1)
-
-        signed = np.zeros((2, 2))
-        for b, mu in ((0, mu0), (1, mu1)):
-            for (i, j), mass in mu.items():
-                signed[i, j] += float(mass) / 2 * (1 if g.value(i, j) == 0 else -1)
+        g = random_inner(2, 5)
+        pair = uniform_pair(g, rows=(0, 1, 2))
+        counts = {b: sum(g.value(x, y) == b for x in pair.i_a for y in pair.i_b)
+                  for b in (0, 1)}
+        signed = np.zeros((3, 4))
+        for i, x in enumerate(pair.i_a):
+            for j, y in enumerate(pair.i_b):
+                b = g.value(x, y)
+                signed[i, j] = (1 if b == 0 else -1) / (2 * counts[b])
         best = 0.0
-        for rmask in range(1, 4):
-            for cmask in range(1, 4):
-                rows = [i for i in range(2) if rmask >> i & 1]
-                cols = [j for j in range(2) if cmask >> j & 1]
+        for rmask in range(1, 8):
+            for cmask in range(1, 16):
+                rows = [i for i in range(3) if rmask >> i & 1]
+                cols = [j for j in range(4) if cmask >> j & 1]
                 best = max(best, abs(signed[np.ix_(rows, cols)].sum()))
         assert rectangle_discrepancy(pair, g) == pytest.approx(best, abs=1e-12)
