@@ -234,7 +234,7 @@ class InnerFunction:
         side = 1 << self.k
         if self.values.shape != (side, side):
             raise ValueError(f"value matrix must be {side}x{side}")
-        object.__setattr__(self, "values", self.values.astype(np.int8))
+        object.__setattr__(self, "values", self.values.astype(np.int8, copy=False))
 
     def value(self, x: int, y: int) -> int | None:
         v = int(self.values[x, y])
@@ -247,6 +247,10 @@ class InnerFunction:
     def domain(self) -> Iterator[tuple[int, int]]:
         xs, ys = np.nonzero(self.values != UNDEF)
         return zip(xs.tolist(), ys.tolist())
+
+    def defined_cells(self) -> np.ndarray:
+        """Row-major indices x * 2^k + y of the domain, in ``domain()`` order."""
+        return np.flatnonzero(self.values != UNDEF)
 
 
 def and_inner() -> InnerFunction:

@@ -88,6 +88,8 @@ def _inner_for(family: str, k: int) -> boolcube.InnerFunction:
     if family == "disj":
         return boolcube.disj_le1_inner(k)
     if family == "and":
+        if k != 1:
+            raise ValueError(f"the and inner function has k = 1, got k = {k}")
         return boolcube.and_inner()
     raise ValueError(f"unknown family {family!r}")
 
@@ -222,14 +224,16 @@ def cmd_simulate(args) -> int:
         f = load_function(args.f)
         g = load_inner(args.g) if args.g else _inner_for(args.g_family, args.k)
         tree = protocols.optimal_decision_tree(f)
-        # uniform on the composed domain: each block uniform on g's domain
-        cells = [(a, b, g.value(a, b)) for a, b in g.domain()]
-        if not cells:
+        # uniform on the composed domain: each block uniform on g's domain,
+        # drawn as a row-major index into g's defined cells
+        cells = g.defined_cells()
+        if not cells.size:
             raise ValueError("inner function is undefined everywhere")
         for t in range(args.trials):
             x = y = z = 0
             for i in range(f.n):
-                a, b, bit = rng.choice(cells)
+                a, b = divmod(cells.item(rng.randrange(cells.size)), 1 << g.k)
+                bit = g.values.item(a, b)
                 x |= a << (i * g.k)
                 y |= b << (i * g.k)
                 z |= bit << i
@@ -275,8 +279,8 @@ def _trial_line(t, x, y, out, expected, ledger) -> dict:
         "correct": out == expected,
         "bits_alice": ledger.bits_sent_alice,
         "bits_bob": ledger.bits_sent_bob,
-        "subprotocol_bits": sum(c for _, c in ledger.subprotocol_invocations),
-        "subprotocol_count": len(ledger.subprotocol_invocations),
+        "subprotocol_bits": sum(c * r for _, c, r in ledger.subprotocol_invocations),
+        "subprotocol_count": ledger.calls,
         "total_bits": ledger.total,
         "notes": list(ledger.notes),
     }

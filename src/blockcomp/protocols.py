@@ -110,18 +110,38 @@ def optimal_decision_tree(f: BooleanFunction) -> DecisionTree:
 
 @dataclass
 class CostLedger:
-    """Append-only record of everything a protocol run charged."""
+    """Append-only record of everything a protocol run charged.
+
+    One ``subprotocol_invocations`` entry is one majority-voted query,
+    ``(label, bits per call, calls)``: the query ran ``calls`` times at
+    ``bits per call`` each.
+    """
 
     bits_sent_alice: int = 0
     bits_sent_bob: int = 0
-    subprotocol_invocations: list[tuple[str, int]] = field(default_factory=list)
+    subprotocol_invocations: list[tuple[str, int, int]] = field(default_factory=list)
     rng_seed: int | None = None
     notes: list[str] = field(default_factory=list)
 
     @property
     def total(self) -> int:
         return (self.bits_sent_alice + self.bits_sent_bob
-                + sum(c for _, c in self.subprotocol_invocations))
+                + sum(c * r for _, c, r in self.subprotocol_invocations))
+
+    @property
+    def calls(self) -> int:
+        return sum(r for _, _, r in self.subprotocol_invocations)
+
+
+def _majority(truth: int, reps: int, error_prob: float,
+              rng: random.Random | None) -> bool:
+    """Majority of `reps` answers to a query whose true answer is `truth`,
+    each flipped independently with probability error_prob.  The answers
+    differ only by their flips, so only the flips are drawn, one draw per
+    call in call order, and none when error_prob is 0."""
+    flips = sum(rng.random() < error_prob for _ in range(reps)) if error_prob > 0.0 else 0
+    votes = reps - flips if truth else flips
+    return 2 * votes > reps
 
 
 @dataclass(frozen=True)
@@ -136,11 +156,14 @@ class HamOracleConfig:
     def __post_init__(self):
         if not 0.0 <= self.error_prob <= 1.0 / 3.0:
             raise ValueError("error_prob must lie in [0, 1/3]")
-        if self.c_ham < 0:
-            raise ValueError("c_ham must be non-negative")
+        if not 0.0 <= self.c_ham < math.inf:
+            raise ValueError("c_ham must be finite and non-negative")
 
     def cost(self, d: int) -> int:
-        return math.ceil(self.c_ham * d * math.log2(max(d, 2)))
+        bits = self.c_ham * d * math.log2(max(d, 2))
+        if not math.isfinite(bits):
+            raise ValueError(f"cost of a threshold-{d} call overflows (c_ham = {self.c_ham})")
+        return math.ceil(bits)
 
 
 def bcw_compile_and_run(tree: DecisionTree, g: InnerFunction,
@@ -160,7 +183,7 @@ def bcw_compile_and_run(tree: DecisionTree, g: InnerFunction,
     if not (0 <= x < side and 0 <= y < side):
         raise ValueError("input outside the composed cube")
     mask = (1 << k) - 1
-    rng = random.Random(seed)
+    rng = random.Random(seed) if inject_error > 0.0 else None
     ledger = CostLedger(rng_seed=seed)
     node = tree.root
     while isinstance(node, Node):
@@ -170,14 +193,8 @@ def bcw_compile_and_run(tree: DecisionTree, g: InnerFunction,
         true_bit = g.value(xi, yi)
         if true_bit is None:
             raise ValueError(f"block {i} falls outside the inner function's domain")
-        votes = 0
-        for _ in range(repetitions):
-            bit = true_bit
-            if inject_error > 0.0 and rng.random() < inject_error:
-                bit ^= 1
-            votes += bit
-            ledger.subprotocol_invocations.append((f"g@{i}", g_protocol_cost))
-        node = node.high if 2 * votes > repetitions else node.low
+        ledger.subprotocol_invocations.append((f"g@{i}", g_protocol_cost, repetitions))
+        node = node.high if _majority(true_bit, repetitions, inject_error, rng) else node.low
     return node.value, ledger
 
 
@@ -238,7 +255,7 @@ def symmetric_and_protocol(profile: SymmetricProfile, x: int, y: int,
     n = profile.n
     if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
         raise ValueError("input outside the cube")
-    rng = random.Random(seed)
+    rng = random.Random(seed) if cfg.error_prob > 0.0 else None
     ledger = CostLedger(rng_seed=seed)
     values = profile.values
     flip = values[0] == 1
@@ -274,14 +291,8 @@ def symmetric_and_protocol(profile: SymmetricProfile, x: int, y: int,
     lo, hi = 0, delta_cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        votes = 0
-        for _ in range(reps):
-            answer = 1 if true_delta >= mid else 0
-            if cfg.error_prob > 0.0 and rng.random() < cfg.error_prob:
-                answer ^= 1
-            votes += answer
-            ledger.subprotocol_invocations.append((f"ham_{mid}", cfg.cost(mid)))
-        if 2 * votes > reps:
+        ledger.subprotocol_invocations.append((f"ham_{mid}", cfg.cost(mid), reps))
+        if _majority(true_delta >= mid, reps, cfg.error_prob, rng):
             lo = mid
         else:
             hi = mid - 1

@@ -5,14 +5,16 @@ derives from structure: truth-table restrictions and block compositions,
 the inner tables and the cell-by-cell masses of a distribution pair, the
 restricted composition and an explicit-approximation trace-norm bound,
 dense intersection matrices and closed-form spectra, and the padding
-identity point by point.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
+identity point by point, and the protocol simulations one subprotocol call
+at a time.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,8 @@ from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import (WitnessMatrix, _check_epsilon_prime, h_opnorm,
                                  require_materialized)
+from blockcomp.protocols import (DecisionTree, HamOracleConfig, Node,
+                                 repetition_schedule, za_header_bits)
 from blockcomp.specdisc import DistributionPair, _check_kps
 
 # ---------------------------------------------------------------------------
@@ -289,3 +293,114 @@ def enumerated_identity_check(plan: ReductionPlan, profile: SymmetricProfile) ->
         if source[z.bit_count()] != values[(x & y).bit_count()]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# protocol simulations, one subprotocol call at a time
+
+
+@dataclass
+class PerCallLedger:
+    """A protocol run's charges with one ``(label, bits)`` entry per call."""
+
+    bits_sent_alice: int = 0
+    bits_sent_bob: int = 0
+    calls: list[tuple[str, int]] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    @property
+    def total(self) -> int:
+        return self.bits_sent_alice + self.bits_sent_bob + sum(c for _, c in self.calls)
+
+
+def per_call_bcw(tree: DecisionTree, g: InnerFunction, g_protocol_cost: int,
+                 repetitions: int, x: int, y: int, inject_error: float = 0.0,
+                 seed: int | None = None) -> tuple[int, PerCallLedger]:
+    """``bcw_compile_and_run`` on valid arguments, voting call by call."""
+    k = g.k
+    mask = (1 << k) - 1
+    rng = random.Random(seed)
+    ledger = PerCallLedger()
+    node = tree.root
+    while isinstance(node, Node):
+        i = node.var
+        true_bit = g.value((x >> ((i - 1) * k)) & mask, (y >> ((i - 1) * k)) & mask)
+        votes = 0
+        for _ in range(repetitions):
+            bit = true_bit
+            if inject_error > 0.0 and rng.random() < inject_error:
+                bit ^= 1
+            votes += bit
+            ledger.calls.append((f"g@{i}", g_protocol_cost))
+        node = node.high if 2 * votes > repetitions else node.low
+    return node.value, ledger
+
+
+def per_call_symand(profile: SymmetricProfile, x: int, y: int,
+                    cfg: HamOracleConfig = HamOracleConfig(),
+                    seed: int | None = None) -> tuple[int, PerCallLedger]:
+    """``symmetric_and_protocol`` on valid arguments, voting call by call."""
+    n = profile.n
+    rng = random.Random(seed)
+    ledger = PerCallLedger()
+    values = profile.values
+    flip = values[0] == 1
+    if flip:
+        values = tuple(1 - v for v in values)
+        ledger.notes.append("negated: f is 1 on the low plateau")
+    ell1 = profile.ell1
+
+    def out(bit: int) -> tuple[int, PerCallLedger]:
+        return (bit ^ 1 if flip else bit), ledger
+
+    if ell1 == 0:
+        ledger.notes.append("constant after orientation")
+        return out(values[0])
+    ledger.bits_sent_alice += 1
+    ledger.bits_sent_bob += 1
+    if n - x.bit_count() >= ell1 or n - y.bit_count() >= ell1:
+        ledger.notes.append("threshold early exit")
+        return out(0)
+    header = za_header_bits(ell1)
+    alt = math.ceil(math.log2(max(ell1, 2)))
+    if header != alt:
+        ledger.notes.append(f"header charged {header} bits (tight encoding {alt})")
+    ledger.bits_sent_alice += header
+    delta_cap = 2 * (ell1 - 1)
+    reps = repetition_schedule(delta_cap)
+    true_delta = (x ^ y).bit_count()
+    lo, hi = 0, delta_cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        votes = 0
+        for _ in range(reps):
+            answer = 1 if true_delta >= mid else 0
+            if cfg.error_prob > 0.0 and rng.random() < cfg.error_prob:
+                answer ^= 1
+            votes += answer
+            ledger.calls.append((f"ham_{mid}", cfg.cost(mid)))
+        if 2 * votes > reps:
+            lo = mid
+        else:
+            hi = mid - 1
+    weight = min(max((x.bit_count() + y.bit_count() - lo) // 2, 0), n)
+    ledger.bits_sent_bob += 1
+    return out(values[weight])
+
+
+def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
+                        seed: int) -> list[tuple[int, int, int]]:
+    """The ``(x, y, z)`` inputs ``simulate --protocol bcw`` draws for n blocks,
+    choosing each block from a list of g's defined cells."""
+    rng = random.Random(seed)
+    cells = [(a, b, g.value(a, b)) for a, b in g.domain()]
+    inputs = []
+    for _ in range(trials):
+        x = y = z = 0
+        for i in range(n):
+            a, b, bit = rng.choice(cells)
+            x |= a << (i * g.k)
+            y |= b << (i * g.k)
+            z |= bit << i
+        inputs.append((x, y, z))
+    return inputs

@@ -239,6 +239,20 @@ class TestInnerFunctions:
         with pytest.raises(SizeGuardExceeded):
             ip_inner(4)
 
+    @pytest.mark.parametrize("g", [restrict_rows(ip_inner(2), (1, 3)), disj_le1_inner(3)])
+    def test_defined_cells_follow_domain(self, g):
+        cells = [divmod(c, 1 << g.k) for c in g.defined_cells().tolist()]
+        assert cells == list(g.domain())
+
+    def test_int8_values_kept_without_copy(self):
+        values = np.array([[0, 1], [UNDEF, 1]], dtype=np.int8)
+        assert np.shares_memory(boolcube.InnerFunction(1, values).values, values)
+        wide = np.array([[0, 1], [UNDEF, 1]], dtype=np.int64)
+        g = boolcube.InnerFunction(1, wide)
+        assert g.values.dtype == np.int8
+        assert not np.shares_memory(g.values, wide)
+        assert g.values.tolist() == wide.tolist()
+
     def test_random_inner_deterministic(self):
         a = random_inner(3, seed=5)
         b = random_inner(3, seed=5)

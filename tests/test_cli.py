@@ -6,6 +6,7 @@ import pytest
 from blockcomp import boolcube
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
+from oracles import list_sampled_inputs
 
 
 def write_json(tmp_path, name, payload):
@@ -368,6 +369,20 @@ class TestBcwSampler:
         assert (code, out) == (2, "")
         assert err.startswith("error: rows must form a 2x2 matrix")
 
+    @pytest.mark.parametrize("family,k,n", [("and", 1, 3), ("ip", 3, 3), ("disj", 6, 2)])
+    def test_draws_match_list_sampler(self, capsys, tmp_path, family, k, n):
+        # the row-major index draw consumes the rng like a choice from the
+        # list of g's defined cells, so both give the same inputs
+        bits = "01101001" if n == 3 else "0110"
+        path = write_json(tmp_path, "f.json", {"n": n, "bits": bits})
+        trials = bcw_trials(capsys, ["--f", path, "--g-family", family, "--k", str(k),
+                                     "--trials", "150", "--seed", "11"])
+        g = {"and": lambda k: boolcube.and_inner(), "ip": boolcube.ip_inner,
+             "disj": boolcube.disj_le1_inner}[family](k)
+        want = list_sampled_inputs(g, n, 150, 11)
+        assert [(t["x"], t["y"]) for t in trials] == [(x, y) for x, y, _ in want]
+        assert [t["expected"] for t in trials] == [int(bits[z]) for _, _, z in want]
+
     def test_disj3_cells_uniform(self, capsys, tmp_path):
         # every block is uniform on the 9 cells of disj3's domain
         path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
@@ -443,6 +458,20 @@ class TestSimulateCommand:
                                       "--trials", "2"])
         assert (code, out) == (2, "")
         assert err.startswith("error: inner table side")
+
+    @pytest.mark.parametrize("c_ham,message", [("inf", "finite"), ("nan", "finite"),
+                                               ("1e308", "overflows")])
+    def test_unbounded_c_ham_exits_2(self, capsys, l1_toy, c_ham, message):
+        code, out, err = run(capsys, ["simulate", "--protocol", "symand", "--f", l1_toy,
+                                      "--dense", "--c-ham", c_ham, "--trials", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
+    def test_and_inner_other_k_exits_2(self, capsys, parity2):
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g-family", "and", "--k", "5", "--trials", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the and inner function has k = 1")
 
     def test_injected_error_reported(self, capsys, step4):
         code, out, _ = run(capsys, ["simulate", "--protocol", "symand",

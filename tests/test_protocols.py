@@ -1,13 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockcomp.boolcube import (and_function, and_inner, constant_function,
+from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
+                                constant_function, disj_le1_inner,
                                 from_profile, ip_inner, or_function,
-                                parity_function, projection, restrict_rows,
-                                symmetric_profile)
+                                parity_function, profile_from_values,
+                                projection, restrict_rows, symmetric_profile)
 from blockcomp.errors import ArityMismatch, NotSymmetric
-from oracles import block_compose
+from oracles import block_compose, per_call_bcw, per_call_symand
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
                                  optimal_decision_tree,
@@ -73,7 +76,7 @@ class TestBcwCompiler:
         for x in (0, 3, 7):
             _, ledger = bcw_compile_and_run(tree, g, cost, reps, x, x)
             assert ledger.bits_sent_alice == 0 and ledger.bits_sent_bob == 0
-            assert len(ledger.subprotocol_invocations) % reps == 0
+            assert all(r == reps for _, _, r in ledger.subprotocol_invocations)
             assert ledger.total <= tree.depth * reps * cost
 
     def test_undefined_block_rejected(self):
@@ -154,6 +157,15 @@ class TestHamOracleConfig:
             HamOracleConfig(error_prob=0.4)
         with pytest.raises(ValueError):
             HamOracleConfig(c_ham=-1.0)
+        for c_ham in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                HamOracleConfig(c_ham=c_ham)
+
+    def test_overflowing_cost_rejected(self):
+        cfg = HamOracleConfig(c_ham=1e308)
+        assert cfg.cost(1) == math.ceil(1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            cfg.cost(4)
 
     def test_costs(self):
         cfg = HamOracleConfig()
@@ -221,8 +233,8 @@ class TestSymmetricAndProtocol:
         out, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y, seed=1)
         assert out == STEP4.value(x & y) == 1
         reps = repetition_schedule(2)
-        names = [name for name, _ in ledger.subprotocol_invocations]
-        assert names == ["ham_1"] * reps  # single probe decides delta >= 1 is false
+        # single probe decides delta >= 1 is false
+        assert ledger.subprotocol_invocations == [("ham_1", HamOracleConfig().cost(1), reps)]
         assert ledger.bits_sent_alice == 1 + za_header_bits(2)
         assert ledger.bits_sent_bob == 2
 
@@ -276,3 +288,64 @@ class TestSymmetricAndProtocol:
             y = rng.randrange(64)
             out, _ = symmetric_and_protocol(profile, x, y, seed=t)
             assert out == f.value(x & y), (x, y)
+
+
+ERROR_PROBS = (0.0, 0.1, 1.0 / 3.0)
+INNERS = (and_inner(), ip_inner(2), disj_le1_inner(3))
+
+
+def assert_matches_per_call(got, want, seed):
+    (out, ledger), (want_out, want_ledger) = got, want
+    assert out == want_out
+    assert ledger.total == want_ledger.total
+    assert ledger.calls == len(want_ledger.calls)
+    assert ledger.bits_sent_alice == want_ledger.bits_sent_alice
+    assert ledger.bits_sent_bob == want_ledger.bits_sent_bob
+    assert ledger.notes == want_ledger.notes
+    assert ledger.rng_seed == seed
+    expanded = [(label, c) for label, c, r in ledger.subprotocol_invocations
+                for _ in range(r)]
+    assert expanded == want_ledger.calls
+
+
+class TestRunLengthLedger:
+    """Each protocol against its one-entry-per-call reference loop."""
+
+    @given(st.data(), st.integers(1, 3), st.sampled_from(INNERS),
+           st.integers(0, 5), st.integers(1, 9), st.sampled_from(ERROR_PROBS),
+           st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_bcw(self, data, n, g, cost, reps, p, seed):
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+        tree = optimal_decision_tree(BooleanFunction(n, tuple(bits)))
+        domain = list(g.domain())
+        x = y = 0
+        for i in range(n):
+            a, b = data.draw(st.sampled_from(domain))
+            x |= a << (i * g.k)
+            y |= b << (i * g.k)
+        assert_matches_per_call(
+            bcw_compile_and_run(tree, g, cost, reps, x, y, inject_error=p, seed=seed),
+            per_call_bcw(tree, g, cost, reps, x, y, inject_error=p, seed=seed), seed)
+
+    @given(st.data(), st.integers(2, 12), st.integers(0, 1),
+           st.sampled_from((0.5, 1.0, 2.0)), st.sampled_from(ERROR_PROBS),
+           st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_symand(self, data, n, low, c_ham, p, seed):
+        # a constant lower half keeps ell0 = 0
+        upper = data.draw(st.lists(st.integers(0, 1), min_size=n - n // 2,
+                                   max_size=n - n // 2))
+        profile = profile_from_values([low] * (n // 2 + 1) + upper)
+        full = (1 << n) - 1
+
+        def draw_input():
+            if data.draw(st.booleans()):  # few zeros, so the search runs
+                zeros = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+                return full & ~sum(1 << z for z in zeros)
+            return data.draw(st.integers(0, full))
+
+        x, y = draw_input(), draw_input()
+        cfg = HamOracleConfig(c_ham=c_ham, error_prob=p)
+        assert_matches_per_call(symmetric_and_protocol(profile, x, y, cfg, seed=seed),
+                                per_call_symand(profile, x, y, cfg, seed=seed), seed)
