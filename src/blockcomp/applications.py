@@ -140,8 +140,8 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
     non-negativity the argument needs "by direct inspection" lands in the
     checks dict instead of being assumed.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:  # also refuses NaN
+        raise ValueError(f"c must be positive and finite, got {c}")
     n, ell0, ell1 = profile.n, profile.ell0, profile.ell1
     alpha, beta = _constants(c)
     if ell0 == 0 and ell1 == 0:

@@ -41,9 +41,9 @@ def _check_epsilon(epsilon: Fraction) -> Fraction:
     return epsilon
 
 
-def _check_arity(f: BooleanFunction) -> None:
-    if f.n > LP_ARITY_CAP:
-        raise ValueError(f"LP operations support n <= {LP_ARITY_CAP}, got {f.n}")
+def _check_arity(n: int) -> None:
+    if n > LP_ARITY_CAP:
+        raise ValueError(f"LP operations support n <= {LP_ARITY_CAP}, got {n}")
 
 
 def _chi(w: int, x: int) -> int:
@@ -111,7 +111,7 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     the phase-1 solve.
     """
     epsilon = _check_epsilon(epsilon)
-    _check_arity(f)
+    _check_arity(f.n)
     if not 0 <= degree_cap <= f.n:
         raise ValueError(f"degree cap must lie in [0, {f.n}]")
     monos = monomials_up_to(f.n, degree_cap)
@@ -148,7 +148,7 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     exactly when the primal system at the same cap is feasible.
     """
     epsilon = _check_epsilon(epsilon)
-    _check_arity(f)
+    _check_arity(f.n)
     size = 1 << f.n
     monos = monomials_up_to(f.n, degree_cap)
     eq_rows = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,12 +244,8 @@ class InnerFunction:
     def is_total(self) -> bool:
         return not (self.values == UNDEF).any()
 
-    def domain(self) -> Iterator[tuple[int, int]]:
-        xs, ys = np.nonzero(self.values != UNDEF)
-        return zip(xs.tolist(), ys.tolist())
-
     def defined_cells(self) -> np.ndarray:
-        """Row-major indices x * 2^k + y of the domain, in ``domain()`` order."""
+        """Indices x * 2^k + y of the domain, in row-major order."""
         return np.flatnonzero(self.values != UNDEF)
 
 
@@ -272,14 +268,6 @@ def ip_inner(k: int) -> InnerFunction:
     for _ in range(k):  # one more bit: the value flips where both new bits are 1
         values = np.block([[values, values], [values, 1 - values]])
     return InnerFunction(k, values)
-
-
-def restrict_rows(g: InnerFunction, rows: Sequence[int]) -> InnerFunction:
-    """Partial function keeping only the given row inputs defined."""
-    values = np.full_like(g.values, UNDEF)
-    for x in rows:
-        values[x] = g.values[x]
-    return InnerFunction(g.k, values)
 
 
 def weight_subsets(k: int, p: int) -> tuple[int, ...]:

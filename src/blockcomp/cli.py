@@ -45,8 +45,12 @@ def _load_json(path: str) -> dict:
 
 
 def load_function(path: str) -> boolcube.BooleanFunction:
+    """Truth table of a function file; every caller caps n at
+    ``LP_ARITY_CAP``, so a profile past it is refused before its table is
+    built."""
     data = _load_json(path)
     if "profile" in data:
+        approxdeg._check_arity(boolcube.profile_from_values(data["profile"]).n)
         return boolcube.from_profile(data["profile"])
     return boolcube.function_from_dict(data)
 
@@ -183,9 +187,8 @@ def cmd_mainlemma(args) -> int:
         "qcc_constant_note": report.qcc_constant_note,
     }
     _emit(payload, args.out)
-    ok = report.inner_product == 1
-    if report.h_opnorm_exact is not None:
-        ok = ok and report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
+    ok = report.inner_product == 1 \
+        and report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
     return OK if ok else INVARIANT_FAILURE
 
 

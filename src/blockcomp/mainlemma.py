@@ -9,10 +9,9 @@ construction, so the chain takes no g.  The ratio of the first and last
 quantities lower-bounds the trace norm of every entrywise approximation of
 the composition, which in turn lower-bounds quantum communication.
 
-||h|| has one route per kind of pair (``h_opnorm``): exact from the pair's
-spectrum for the built-in inner-product and disjointness pairs, a dense SVD
-for other pairs within the materialization guard, and the analytic
-binomial-tail bound beyond it.
+||h|| has one route (``h_opnorm``): exact from the pair's per-block
+spectrum, without building h.  The analytic binomial-tail bound
+(``opnorm_bound``) is reported next to it.
 """
 
 from __future__ import annotations
@@ -20,16 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
-from . import boolcube
 from .approxdeg import DualWitness, dual_witness
 from .boolcube import BooleanFunction, spectrum_of_values
-from .errors import ArityMismatch, SizeGuardExceeded
+from .errors import ArityMismatch
 from .specdisc import (DistributionPair, SpectralDiscrepancyCert,
-                       operator_norm, spectral_certificate)
+                       spectral_certificate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +38,6 @@ class WitnessMatrix:
     pair: DistributionPair
     terms: tuple[tuple[int, Fraction], ...]
     h_l1: Fraction
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.pair.k_a ** self.n, self.pair.k_b ** self.n)
-
-    @property
-    def fits_guard(self) -> bool:
-        return max(self.shape) <= boolcube.MAX_MATERIALIZE
 
     def q_values(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -66,19 +55,6 @@ def witness_matrix_from_values(q: dict[int, Fraction], n: int,
 
 def build_witness_matrix(q: DualWitness, pair: DistributionPair) -> WitnessMatrix:
     return witness_matrix_from_values(q.q, q.n, pair)
-
-
-def require_materialized(h: WitnessMatrix) -> np.ndarray:
-    """Dense h, built on demand within the materialization guard."""
-    if not h.fits_guard:
-        raise SizeGuardExceeded(
-            f"witness matrix of shape {h.shape} exceeds the materialization guard")
-    dense = [h.pair.dense(0), h.pair.dense(1)]
-    mat = np.zeros(h.shape)
-    for z, coeff in h.terms:
-        factors = [dense[(z >> (i - 1)) & 1] for i in range(1, h.n + 1)]
-        mat += float(coeff) * reduce(np.kron, factors)
-    return mat
 
 
 def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
@@ -105,18 +81,9 @@ def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
     return max(v * v for v in values.flat)
 
 
-def h_opnorm(h: WitnessMatrix,
-             analytic_bound: float | None = None) -> tuple[float, str]:
-    """||h|| (or the analytic bound on it) and its source, with the route
-    read from the pair: "exact_spectrum" for a pair with a known spectrum,
-    "materialized_svd" within the guard, else "analytic_bound".  Without an
-    analytic bound, a pair past the guard raises SizeGuardExceeded.
-    """
-    if h.pair.spectrum is not None:
-        return math.sqrt(exact_opnorm_sq(h)), "exact_spectrum"
-    if analytic_bound is None or h.fits_guard:
-        return operator_norm(require_materialized(h)), "materialized_svd"
-    return analytic_bound, "analytic_bound"
+def h_opnorm(h: WitnessMatrix) -> float:
+    """||h||, the square root of the exact ``exact_opnorm_sq``."""
+    return math.sqrt(exact_opnorm_sq(h))
 
 
 def inner_product_with_composition(h: WitnessMatrix, f: BooleanFunction) -> Fraction:
@@ -182,14 +149,14 @@ class CertificateReport:
     scale: float
     h_l1: Fraction
     inner_product: Fraction
-    h_opnorm_exact: float | None
+    h_opnorm_exact: float
     h_opnorm_bound: float
-    norm_source: str
     tracenorm_lb: float
     closed_form_valid: bool
     closed_form_lb: float | None
     implied_degree_bound: float
     qcc_bits: float
+    norm_source: str = "exact_spectrum"
     qcc_constant_note: str = "no hidden constant applied"
 
 
@@ -205,8 +172,7 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
     h = build_witness_matrix(witness, pair)
     inner = inner_product_with_composition(h, f)
     bounds = opnorm_bound(witness, cert)
-    denom, source = h_opnorm(h, bounds.bound_r)
-    exact = None if source == "analytic_bound" else denom
+    denom = h_opnorm(h)
     numerator = 1.0 - float(epsilon_prime) / float(epsilon)
     route_lb = numerator / denom if denom > 0 else math.inf
     closed_lb = None
@@ -217,8 +183,8 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
     return CertificateReport(
         n=witness.n, degree=witness.degree, epsilon=epsilon,
         epsilon_prime=epsilon_prime, rho=cert.rho, scale=bounds.scale,
-        h_l1=h.h_l1, inner_product=inner, h_opnorm_exact=exact,
-        h_opnorm_bound=bounds.bound_r, norm_source=source,
+        h_l1=h.h_l1, inner_product=inner, h_opnorm_exact=denom,
+        h_opnorm_bound=bounds.bound_r,
         tracenorm_lb=best_lb, closed_form_valid=bounds.final_valid,
         closed_form_lb=closed_lb, implied_degree_bound=float(witness.degree),
         qcc_bits=qcc)

@@ -7,11 +7,11 @@ certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
 
 A pair is g's value block on the rectangle, uniform on each value, so the
-support condition holds by construction.  The built-in pairs add their
-per-block spectra (``PairSpectrum``): closed forms for inner product
-(``ip_pair``), Johnson-scheme eigenvalues for disjointness (``disj_pair``).
-Their certificates are exact, with rho^2 a rational, and so are the
-witness-matrix norms built on them.  Other pairs go through one dense SVD.
+support condition holds by construction.  Every pair carries its per-block
+spectrum (``PairSpectrum``): closed forms for inner product (``ip_pair``),
+Johnson-scheme eigenvalues for disjointness (``disj_pair``).  Its
+certificate is therefore exact, with rho^2 a rational, and so are the
+witness-matrix norms built on it.
 """
 
 from __future__ import annotations
@@ -22,18 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolcube import InnerFunction, disj_block, disj_p, ip_inner
+from .boolcube import disj_block, disj_p, ip_inner
 from .errors import SizeGuardExceeded
-
-
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, by a dense SVD."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.size == 0:
-        return 0.0
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +49,13 @@ class PairSpectrum:
 class DistributionPair:
     """g's values on the rectangle i_a x i_b (input labels), as the int8
     ``block`` with UNDEF where g is undefined.  mu_b puts mass 1/#(block == b)
-    on each b-cell.  spectrum, when known, gives every spectral quantity of
-    the pair exactly."""
+    on each b-cell.  spectrum gives every spectral quantity of the pair
+    exactly."""
 
     i_a: tuple[int, ...]
     i_b: tuple[int, ...]
     block: np.ndarray
-    spectrum: PairSpectrum | None = None
+    spectrum: PairSpectrum
 
     def __post_init__(self):
         shape = (self.k_a, self.k_b)
@@ -83,22 +73,17 @@ class DistributionPair:
     def k_b(self) -> int:
         return len(self.i_b)
 
-    def dense(self, b: int) -> np.ndarray:
-        """mu_b as a float matrix over the rectangle."""
-        cells = self.block == b
-        return cells / cells.sum()
-
 
 @dataclass(frozen=True)
 class SpectralDiscrepancyCert:
     """Scaled norms of a pair and the minimal r they certify; rho_sq is
-    rho^2 exactly when the pair carries its spectrum."""
+    rho^2 exactly."""
 
     pair: DistributionPair
     sum_scaled: float
     diff_scaled: float
     rho: float
-    rho_sq: Fraction | None = None
+    rho_sq: Fraction
 
     def qcc_bound_bits(self) -> float:
         """log2(1/rho): the discrepancy route's lower bound in bits, with no
@@ -107,17 +92,9 @@ class SpectralDiscrepancyCert:
 
 
 def spectral_certificate(pair: DistributionPair) -> SpectralDiscrepancyCert:
-    """Minimal r this pair certifies: max(diff_scaled, sum_scaled - 1, 0).
-
-    Exact from the pair's spectrum when it has one, by dense SVD otherwise.
-    """
+    """Minimal r this pair certifies: max(diff_scaled, sum_scaled - 1, 0),
+    exact from the pair's spectrum."""
     spec = pair.spectrum
-    if spec is None:
-        scale = math.sqrt(pair.k_a * pair.k_b)
-        sum_scaled = scale * operator_norm((pair.dense(0) + pair.dense(1)) / 2.0)
-        diff_scaled = scale * operator_norm((pair.dense(0) - pair.dense(1)) / 2.0)
-        rho = max(diff_scaled, sum_scaled - 1.0, 0.0)
-        return SpectralDiscrepancyCert(pair, sum_scaled, diff_scaled, rho)
     # squared scaled norms of (mu0 +- mu1)/2
     area = Fraction(pair.k_a * pair.k_b, 4)
     if spec.gram:
@@ -138,23 +115,11 @@ def family_bound(family: str, k: int,
     """The bound on rho for a built-in family (3/k for disj, 1/sqrt(K-1)
     for ip) and whether the certificate meets it.  Compared as squares of
     the exact rho: the ip certificate meets its bound with equality."""
-    if cert.rho_sq is None:
-        raise ValueError("family bounds apply to pairs with a known spectrum")
     if family == "disj":
         return 3.0 / k, cert.rho_sq <= Fraction(9, k * k)
     if family == "ip":
         return 1.0 / math.sqrt((1 << k) - 1), cert.rho_sq <= Fraction(1, (1 << k) - 1)
     raise ValueError(f"unknown family {family!r}")
-
-
-def uniform_pair(g: InnerFunction,
-                 rows: tuple[int, ...] | None = None,
-                 cols: tuple[int, ...] | None = None) -> DistributionPair:
-    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols."""
-    side = 1 << g.k
-    i_a = tuple(rows) if rows is not None else tuple(range(side))
-    i_b = tuple(cols) if cols is not None else tuple(range(side))
-    return DistributionPair(i_a, i_b, g.values[np.ix_(i_a, i_b)])
 
 
 PAIR_SIDE_CAP = 512

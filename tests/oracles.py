@@ -2,11 +2,13 @@
 
 Each one computes by enumeration or dense materialization what the library
 derives from structure: truth-table restrictions and block compositions,
-the inner tables and the cell-by-cell masses of a distribution pair, the
-restricted composition and an explicit-approximation trace-norm bound,
-dense intersection matrices and closed-form spectra, and the padding
-identity point by point, and the protocol simulations one subprotocol call
-at a time.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
+the inner tables, cells and row restrictions, uniform pairs on any
+rectangle and the cell-by-cell masses of a distribution pair, dense SVD
+norms of a pair and of its witness matrix, the restricted composition and
+an explicit-approximation trace-norm bound, dense intersection matrices and
+closed-form spectra, the padding identity point by point, and the protocol
+simulations one subprotocol call at a time.  Dense work honours
+``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,14 +28,13 @@ from blockcomp.applications import ReductionPlan
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
-from blockcomp.mainlemma import (WitnessMatrix, _check_epsilon_prime, h_opnorm,
-                                 require_materialized)
+from blockcomp.mainlemma import WitnessMatrix, _check_epsilon_prime, h_opnorm
 from blockcomp.protocols import (DecisionTree, HamOracleConfig, Node,
                                  repetition_schedule, za_header_bits)
 from blockcomp.specdisc import DistributionPair, _check_kps
 
 # ---------------------------------------------------------------------------
-# truth tables and block composition
+# truth tables, inner functions and block composition
 
 
 def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
@@ -44,6 +47,20 @@ def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
     suffix = ((1 << ones) - 1) << n_prime
     table = tuple(f.table[x | suffix] for x in range(1 << n_prime))
     return BooleanFunction(n_prime, table)
+
+
+def domain(g: InnerFunction) -> Iterator[tuple[int, int]]:
+    """g's defined cells (x, y) in row-major order."""
+    xs, ys = np.nonzero(g.values != UNDEF)
+    return zip(xs.tolist(), ys.tolist())
+
+
+def restrict_rows(g: InnerFunction, rows: Sequence[int]) -> InnerFunction:
+    """Partial function keeping only the given row inputs defined."""
+    values = np.full_like(g.values, UNDEF)
+    for x in rows:
+        values[x] = g.values[x]
+    return InnerFunction(g.k, values)
 
 
 def random_inner(k: int, seed: int) -> InnerFunction:
@@ -65,22 +82,6 @@ def loop_disj_le1_inner(k: int) -> InnerFunction:
             if inter <= 1:
                 values[x, y] = 1 if inter == 1 else 0
     return InnerFunction(k, values)
-
-
-def pair_matches(pair: DistributionPair, g: InnerFunction) -> bool:
-    """Whether pair is the uniform pair of g on its rectangle, cell by cell
-    through ``g.value``: every block cell equals g there (UNDEF where g is
-    undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0 elsewhere."""
-    cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
-    block = pair.block.tolist()
-    if block != [[UNDEF if v is None else v for v in row] for row in cells]:
-        return False
-    for b in (0, 1):
-        mass = float(Fraction(1, sum(row.count(b) for row in cells)))
-        want = [[mass if v == b else 0.0 for v in row] for row in cells]
-        if pair.dense(b).tolist() != want:
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +129,104 @@ def block_compose(f: BooleanFunction, g: InnerFunction) -> ComposedFunction:
 
 
 # ---------------------------------------------------------------------------
+# distribution pairs, dense
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPair:
+    """g's value block on the rectangle i_a x i_b with no spectrum: the
+    uniform pair of any g, for the block-only references below."""
+
+    i_a: tuple[int, ...]
+    i_b: tuple[int, ...]
+    block: np.ndarray
+
+    @property
+    def k_a(self) -> int:
+        return len(self.i_a)
+
+    @property
+    def k_b(self) -> int:
+        return len(self.i_b)
+
+
+def uniform_pair(g: InnerFunction,
+                 rows: Sequence[int] | None = None,
+                 cols: Sequence[int] | None = None) -> BlockPair:
+    """Uniform b-distributions on g^{-1}(b) restricted to rows x cols."""
+    side = 1 << g.k
+    i_a = tuple(rows) if rows is not None else tuple(range(side))
+    i_b = tuple(cols) if cols is not None else tuple(range(side))
+    block = g.values[np.ix_(i_a, i_b)]
+    for b in (0, 1):
+        if not (block == b).any():
+            raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
+    return BlockPair(i_a, i_b, block)
+
+
+def dense(pair: DistributionPair | BlockPair, b: int) -> np.ndarray:
+    """mu_b as a float matrix over the rectangle."""
+    cells = pair.block == b
+    return cells / cells.sum()
+
+
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value, by a dense SVD."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.size == 0:
+        return 0.0
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def dense_certificate(pair: DistributionPair | BlockPair) -> tuple[float, float, float]:
+    """(sum_scaled, diff_scaled, rho) of ``spectral_certificate``, by one
+    dense SVD of each of (mu0 +- mu1)/2."""
+    scale = math.sqrt(pair.k_a * pair.k_b)
+    mu0, mu1 = dense(pair, 0), dense(pair, 1)
+    sum_scaled = scale * operator_norm((mu0 + mu1) / 2.0)
+    diff_scaled = scale * operator_norm((mu0 - mu1) / 2.0)
+    return sum_scaled, diff_scaled, max(diff_scaled, sum_scaled - 1.0, 0.0)
+
+
+def witness_shape(h: WitnessMatrix) -> tuple[int, int]:
+    """Rows and columns of the dense h: I_A^n x I_B^n."""
+    return (h.pair.k_a ** h.n, h.pair.k_b ** h.n)
+
+
+def require_materialized(h: WitnessMatrix) -> np.ndarray:
+    """Dense h, with block 1 as the most significant kron factor, built
+    within the materialization guard."""
+    shape = witness_shape(h)
+    if max(shape) > boolcube.MAX_MATERIALIZE:
+        raise SizeGuardExceeded(
+            f"witness matrix of shape {shape} exceeds the materialization guard")
+    mus = [dense(h.pair, 0), dense(h.pair, 1)]
+    mat = np.zeros(shape)
+    for z, coeff in h.terms:
+        factors = [mus[(z >> (i - 1)) & 1] for i in range(1, h.n + 1)]
+        mat += float(coeff) * reduce(np.kron, factors)
+    return mat
+
+
+def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:
+    """Whether pair is the uniform pair of g on its rectangle, cell by cell
+    through ``g.value``: every block cell equals g there (UNDEF where g is
+    undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0 elsewhere."""
+    cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
+    block = pair.block.tolist()
+    if block != [[UNDEF if v is None else v for v in row] for row in cells]:
+        return False
+    for b in (0, 1):
+        mass = float(Fraction(1, sum(row.count(b) for row in cells)))
+        want = [[mass if v == b else 0.0 for v in row] for row in cells]
+        if dense(pair, b).tolist() != want:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # restricted composition and the explicit trace-norm bound
 
 
@@ -171,9 +270,8 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
     With an explicit F_tilde the numerator is evaluated directly (entries
     outside the composition's domain are ignored; h vanishes there anyway);
     without one it is replaced by the guaranteed 1 - eps'/eps, which needs
-    0 <= eps' < eps to lie in (0, 1].  The norm in
-    the denominator is exact (``h_opnorm`` without an analytic bound), so a
-    pair with no known spectrum must fit the materialization guard.
+    0 <= eps' < eps to lie in (0, 1].  The norm in the denominator is
+    ``h_opnorm``, exact from the pair's spectrum.
     """
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     if f_tilde is not None:
@@ -187,7 +285,7 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
         numerator = abs(float(np.where(defined, mat * f_tilde, 0.0).sum()))
     else:
         numerator = 1.0 - float(epsilon_prime) / float(epsilon)
-    return numerator / h_opnorm(h)[0]
+    return numerator / h_opnorm(h)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +491,7 @@ def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
     """The ``(x, y, z)`` inputs ``simulate --protocol bcw`` draws for n blocks,
     choosing each block from a list of g's defined cells."""
     rng = random.Random(seed)
-    cells = [(a, b, g.value(a, b)) for a, b in g.domain()]
+    cells = [(a, b, g.value(a, b)) for a, b in domain(g)]
     inputs = []
     for _ in range(trials):
         x = y = z = 0

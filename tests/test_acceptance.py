@@ -22,17 +22,16 @@ from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
                                 spectrum_of_values, symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
 from blockcomp.mainlemma import (build_witness_matrix,
-                                 inner_product_with_composition, opnorm_bound,
-                                 require_materialized)
+                                 inner_product_with_composition, opnorm_bound)
 from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
                                  dense_input, optimal_decision_tree,
                                  repetition_schedule, symmetric_and_protocol,
                                  za_header_bits)
 from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 ip_pair, knuth_eigenvalue,
-                                eigenspace_dimension, operator_norm,
-                                spectral_certificate)
-from oracles import (block_compose, disj_lambda_diff_closed, johnson_matrix,
+                                eigenspace_dimension, spectral_certificate)
+from oracles import (block_compose, dense, disj_lambda_diff_closed,
+                     johnson_matrix, operator_norm, require_materialized,
                      restricted_composition)
 
 THIRD = Fraction(1, 3)
@@ -58,8 +57,8 @@ def test_criterion_1_ip_closed_forms():
         for k in range(2, 6):
             pair = ip_pair(k)
             big_k = 1 << k
-            avg = operator_norm((pair.dense(0) + pair.dense(1)) / 2.0)
-            diff = operator_norm((pair.dense(0) - pair.dense(1)) / 2.0)
+            avg = operator_norm((dense(pair, 0) + dense(pair, 1)) / 2.0)
+            diff = operator_norm((dense(pair, 0) - dense(pair, 1)) / 2.0)
             assert abs(avg - 1.0 / math.sqrt(big_k * (big_k - 1))) <= 1e-10, k
             assert abs(diff - 1.0 / ((big_k - 1) * math.sqrt(big_k))) <= 1e-10, k
 

@@ -15,11 +15,12 @@ from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
                                 function_to_dict, inner_from_dict,
                                 inner_to_dict, ip_inner, negate, or_function,
                                 parity_function, profile_from_values,
-                                projection, restrict_rows, spectrum_of_values,
+                                projection, spectrum_of_values,
                                 symmetric_profile, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
-from oracles import (ComposedFunction, block_compose, loop_disj_le1_inner,
-                     pad_restrict, random_inner)
+from oracles import (ComposedFunction, block_compose, domain,
+                     loop_disj_le1_inner, pad_restrict, random_inner,
+                     restrict_rows)
 
 
 def random_function(n, seed):
@@ -242,7 +243,7 @@ class TestInnerFunctions:
     @pytest.mark.parametrize("g", [restrict_rows(ip_inner(2), (1, 3)), disj_le1_inner(3)])
     def test_defined_cells_follow_domain(self, g):
         cells = [divmod(c, 1 << g.k) for c in g.defined_cells().tolist()]
-        assert cells == list(g.domain())
+        assert cells == list(domain(g))
 
     def test_int8_values_kept_without_copy(self):
         values = np.array([[0, 1], [UNDEF, 1]], dtype=np.int8)

@@ -6,7 +6,7 @@ import pytest
 from blockcomp import boolcube
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
-from oracles import list_sampled_inputs
+from oracles import domain, list_sampled_inputs, restrict_rows
 
 
 def write_json(tmp_path, name, payload):
@@ -35,14 +35,28 @@ def l1_toy(tmp_path):
     return write_json(tmp_path, "l1toy.json", {"profile": [0] * 8 + [1] * 5})
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """json.loads without Python's NaN, Infinity and -Infinity extensions."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run(capsys, argv):
+    """Exit code, stdout and stderr of one CLI call; every JSON line on
+    stdout must parse as strict JSON."""
     code = main(argv)
     captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        if line.startswith("{"):
+            strict_json(line)
     return code, captured.out, captured.err
 
 
 def last_json(out):
-    return json.loads(out.strip().splitlines()[-1])
+    return strict_json(out.strip().splitlines()[-1])
 
 
 class TestApproxdegCommand:
@@ -81,6 +95,34 @@ class TestApproxdegCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: LP operations support n <= {LP_ARITY_CAP}, got {n}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["approxdeg"], ["witness"], ["mainlemma", "--family", "ip", "--k", "2"],
+        ["simulate", "--protocol", "bcw"]], ids=lambda argv: argv[0])
+    def test_profile_past_lp_cap_never_expanded(self, capsys, monkeypatch, tmp_path,
+                                                argv):
+        def refuse(profile):
+            raise AssertionError(f"expanded a {len(profile)}-entry profile")
+
+        monkeypatch.setattr(boolcube, "from_profile", refuse)
+        n = 30
+        path = write_json(tmp_path, "big.json", {"profile": [0] * 20 + [1] * (n - 19)})
+        code, out, err = run(capsys, argv[:1] + ["--f", path] + argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: LP operations support n <= {LP_ARITY_CAP}, got {n}\n"
+
+    def test_batch_profile_past_lp_cap_never_expanded(self, capsys, monkeypatch,
+                                                      tmp_path):
+        def refuse(profile):
+            raise AssertionError(f"expanded a {len(profile)}-entry profile")
+
+        monkeypatch.setattr(boolcube, "from_profile", refuse)
+        path = write_json(tmp_path, "big.json", {"profile": [0] * 12 + [1] * 12})
+        grid = write_json(tmp_path, "grid.json", {"f": [path], "family": ["ip"], "k": [2]})
+        code, out, _ = run(capsys, ["batch", "--grid", grid])
+        assert code == 0
+        row = out.strip().splitlines()[1]
+        assert row.endswith(f'"ValueError: LP operations support n <= {LP_ARITY_CAP}, got 23"')
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["approxdeg", "--f", str(tmp_path / "nope.json")])
@@ -240,6 +282,15 @@ class TestReduceCommand:
         code, _, _ = run(capsys, ["reduce", "--f", path])
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["inf", "-inf", "nan", "0"])
+    @pytest.mark.parametrize("profile", [[0, 0, 0, 1, 1, 1, 1, 1], [0] * 12 + [1] * 10],
+                             ids=("n7", "n21"))
+    def test_unusable_c_exits_2(self, capsys, tmp_path, c, profile):
+        path = write_json(tmp_path, "p.json", {"profile": profile})
+        code, out, err = run(capsys, ["reduce", "--f", path, f"--c={c}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: c must be positive and finite")
+
 
 BAD_PROFILES = ["0011", [0, 2, 1], [1], []]
 PROFILE_COMMANDS = {
@@ -348,7 +399,7 @@ class TestBcwSampler:
             assert t["expected"] == bits[0] ^ bits[1]
 
     def test_inner_from_file(self, capsys, tmp_path, parity2):
-        g = boolcube.restrict_rows(boolcube.ip_inner(2), [1, 2])
+        g = restrict_rows(boolcube.ip_inner(2), [1, 2])
         path = write_json(tmp_path, "g.json", boolcube.inner_to_dict(g))
         trials = bcw_trials(capsys, ["--f", parity2, "--g", path, "--trials", "100"])
         seen = {a for t in trials for a in blocks_of(t["x"], 2, 2)}
@@ -391,8 +442,8 @@ class TestBcwSampler:
         counts = Counter()
         for t in trials:
             counts.update(zip(blocks_of(t["x"], 3, 3), blocks_of(t["y"], 3, 3)))
-        domain = set(boolcube.disj_le1_inner(3).domain())
-        assert set(counts) == domain and len(domain) == 9
+        cells = set(domain(boolcube.disj_le1_inner(3)))
+        assert set(counts) == cells and len(cells) == 9
         draws, p = 3 * 600, 1 / 9
         slack = 5 * (draws * p * (1 - p)) ** 0.5
         assert all(abs(c - draws * p) <= slack for c in counts.values())

@@ -8,39 +8,26 @@ import pytest
 
 from blockcomp import boolcube
 from blockcomp.approxdeg import dual_witness
-from blockcomp.boolcube import (UNDEF, and_function,
-                                constant_function, disj_le1_inner, ip_inner,
-                                or_function, parity_function, restrict_rows)
+from blockcomp.boolcube import (and_function, constant_function,
+                                disj_le1_inner, ip_inner, or_function,
+                                parity_function)
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
 from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
                                  h_opnorm, inner_product_with_composition,
                                  mainlemma_certify, opnorm_bound,
-                                 require_materialized,
                                  witness_matrix_from_values)
 from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
-                                spectral_certificate, uniform_pair)
-from oracles import restricted_composition, trace_norm_certificate
+                                spectral_certificate)
+from oracles import (dense, operator_norm, require_materialized,
+                     restrict_rows, restricted_composition,
+                     trace_norm_certificate, witness_shape)
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
 
 OUTERS = [parity_function(2), and_function(2), or_function(3)]
 PAIRS = [(ip_pair(2), ip_inner(2)), (disj_pair(3), disj_le1_inner(3))]
-
-
-# a 2x2 block whose 0- and 1-cells are single diagonal cells
-TINY_BLOCK = np.array([[0, UNDEF], [UNDEF, 1]], dtype=np.int8)
-
-
-def tiny_pair():
-    # k=1 rectangle with disjoint single-cell distributions
-    return DistributionPair((0, 1), (0, 1), TINY_BLOCK)
-
-
-def hand_built(pair):
-    """The same distributions with no spectrum."""
-    return DistributionPair(pair.i_a, pair.i_b, pair.block)
 
 
 def fourier_materialize(h):
@@ -56,8 +43,8 @@ def fourier_materialize(h):
             acc += -coeff if (w & z).bit_count() & 1 else coeff
         if acc:
             q_hat[w] = acc / size
-    plus = h.pair.dense(0) + h.pair.dense(1)
-    minus = h.pair.dense(0) - h.pair.dense(1)
+    plus = dense(h.pair, 0) + dense(h.pair, 1)
+    minus = dense(h.pair, 0) - dense(h.pair, 1)
     out = np.zeros((h.pair.k_a ** n, h.pair.k_b ** n))
     for w, coeff in q_hat.items():
         factors = [minus if (w >> (i - 1)) & 1 else plus for i in range(1, n + 1)]
@@ -67,13 +54,11 @@ def fourier_materialize(h):
 
 class TestWitnessMatrixAssembly:
     def test_two_term_hand_example(self):
-        pair = tiny_pair()
+        pair = ip_pair(1)  # the 1x2 block [[0, 1]]: mu0 and mu1 are single cells
         q = {0: Fraction(1, 2), 1: Fraction(-1, 2)}
         h = witness_matrix_from_values(q, 1, pair)
         assert h.h_l1 == 1
-        want = np.zeros((2, 2))
-        want[0, 0] = 0.5   # q(0) * mu0
-        want[1, 1] = -0.5  # q(1) * mu1
+        want = np.array([[0.5, -0.5]])  # q(0) * mu0 + q(1) * mu1
         assert np.allclose(require_materialized(h), want)
 
     def test_l1_bookkeeping(self):
@@ -85,14 +70,14 @@ class TestWitnessMatrixAssembly:
 
     def test_support_outside_cube_rejected(self):
         with pytest.raises(ArityMismatch):
-            witness_matrix_from_values({4: Fraction(1)}, 2, tiny_pair())
+            witness_matrix_from_values({4: Fraction(1)}, 2, ip_pair(1))
 
     def test_materialization_guard(self, monkeypatch):
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair = ip_pair(2)  # sides 3 and 4, squared exceeds 8
         w = dual_witness(parity_function(2), THIRD)
         h = build_witness_matrix(w, pair)
-        assert not h.fits_guard
+        assert max(witness_shape(h)) > boolcube.MAX_MATERIALIZE
         with pytest.raises(SizeGuardExceeded):
             require_materialized(h)
 
@@ -138,10 +123,11 @@ class TestInnerProduct:
             inner_product_with_composition(h, parity_function(3))
 
     def test_invalid_pair_rejected(self):
-        # a rectangle on which g is never 1 gives no pair to trace against
-        g = restrict_rows(ip_inner(2), (0,))
+        # a rectangle on which g is never 1 (ip's zero row) gives no pair
+        # to trace against
+        zero_row = ip_inner(2).values[:1]
         with pytest.raises(ValueError, match="no 1-inputs"):
-            uniform_pair(g)
+            DistributionPair((0,), (0, 1, 2, 3), zero_row, ip_pair(2).spectrum)
 
     @pytest.mark.parametrize("f", OUTERS)
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
@@ -186,7 +172,8 @@ class TestRestrictedComposition:
             restricted_composition(parity_function(2), ip_inner(2), ip_pair(2))
 
     def test_labels_outside_domain(self):
-        pair = DistributionPair((0, 5), (0, 1), TINY_BLOCK)
+        one = ip_pair(1)
+        pair = DistributionPair((5,), one.i_b, one.block, one.spectrum)
         with pytest.raises(ArityMismatch):
             restricted_composition(parity_function(1), ip_inner(1), pair)
 
@@ -202,8 +189,8 @@ class TestOpnormBound:
         assert b.bound_r == pytest.approx(want, rel=1e-12)
 
     def test_rho_at_least_one_rejected(self):
-        cert = spectral_certificate(tiny_pair())
-        assert cert.rho >= 1
+        cert = spectral_certificate(ip_pair(1))
+        assert cert.rho_sq == 1 and cert.rho >= 1
         w = dual_witness(parity_function(2), THIRD)
         with pytest.raises(ValueError):
             opnorm_bound(w, cert)
@@ -218,9 +205,8 @@ class TestOpnormBound:
         pair, _ = pair_g
         w = dual_witness(f, THIRD)
         h = build_witness_matrix(w, pair)
-        exact, source = h_opnorm(h)
-        assert source == "exact_spectrum"
-        if max(h.shape) <= 1024:
+        exact = h_opnorm(h)
+        if max(witness_shape(h)) <= 1024:
             dense = np.linalg.norm(require_materialized(h), 2)
             assert exact == pytest.approx(dense, rel=1e-12)
         b = opnorm_bound(w, spectral_certificate(pair))
@@ -249,8 +235,6 @@ class TestTraceNormCertificate:
         h = build_witness_matrix(dual_witness(f, THIRD), pair)
         values, _present = restricted_composition(f, g, pair)
         lb = trace_norm_certificate(h, f, g, THIRD, Fraction(0), f_tilde=values)
-        from blockcomp.specdisc import operator_norm
-
         want = 1.0 / operator_norm(require_materialized(h))
         assert lb == pytest.approx(want, rel=1e-9)
 
@@ -293,7 +277,7 @@ class TestTraceNormCertificate:
         with pytest.raises(ValueError, match="epsilon_prime"):
             trace_norm_certificate(h, f, g, THIRD, eps_prime)
         assert trace_norm_certificate(h, f, g, THIRD, Fraction(0)) \
-            == pytest.approx(1.0 / h_opnorm(h)[0], rel=1e-15)
+            == pytest.approx(1.0 / h_opnorm(h), rel=1e-15)
 
     def test_norm_route_past_the_guard(self, monkeypatch):
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
@@ -302,9 +286,6 @@ class TestTraceNormCertificate:
         w = dual_witness(f, THIRD)
         exact = trace_norm_certificate(build_witness_matrix(w, pair), f, g, THIRD, SIXTH)
         assert exact > 0
-        h = build_witness_matrix(w, hand_built(pair))
-        with pytest.raises(SizeGuardExceeded):
-            trace_norm_certificate(h, f, g, THIRD, SIXTH)
 
 
 class TestCertifyChain:
@@ -335,15 +316,6 @@ class TestCertifyChain:
             report.scale * math.exp(0.5 * report.degree) / 24.0)
         assert report.tracenorm_lb >= report.closed_form_lb - 1e-9
 
-    def test_analytic_route_when_too_large(self, monkeypatch):
-        monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
-        pair = hand_built(PAIRS[0][0])
-        report = mainlemma_certify(parity_function(2), pair)
-        assert report.norm_source == "analytic_bound"
-        assert report.h_opnorm_exact is None
-        assert report.tracenorm_lb == pytest.approx(
-            0.5 / report.h_opnorm_bound, rel=1e-12)
-
     def test_epsilon_ordering(self):
         pair, _ = PAIRS[0]
         with pytest.raises(ValueError):
@@ -360,7 +332,7 @@ class TestCertifyChain:
                             lambda self: calls.append(self) or check(self))
         assert mainlemma_certify(parity_function(2), pair).inner_product == 1
         assert calls == []
-        hand_built(pair)
+        DistributionPair(pair.i_a, pair.i_b, pair.block, pair.spectrum)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])

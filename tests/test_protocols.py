@@ -8,9 +8,10 @@ from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
                                 constant_function, disj_le1_inner,
                                 from_profile, ip_inner, or_function,
                                 parity_function, profile_from_values,
-                                projection, restrict_rows, symmetric_profile)
+                                projection, symmetric_profile)
 from blockcomp.errors import ArityMismatch, NotSymmetric
-from oracles import block_compose, per_call_bcw, per_call_symand
+from oracles import (block_compose, domain, per_call_bcw, per_call_symand,
+                     restrict_rows)
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
                                  optimal_decision_tree,
@@ -318,10 +319,10 @@ class TestRunLengthLedger:
     def test_bcw(self, data, n, g, cost, reps, p, seed):
         bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
         tree = optimal_decision_tree(BooleanFunction(n, tuple(bits)))
-        domain = list(g.domain())
+        cells = list(domain(g))
         x = y = 0
         for i in range(n):
-            a, b = data.draw(st.sampled_from(domain))
+            a, b = data.draw(st.sampled_from(cells))
             x |= a << (i * g.k)
             y |= b << (i * g.k)
         assert_matches_per_call(

@@ -5,21 +5,15 @@ import numpy as np
 import pytest
 
 from blockcomp.boolcube import (UNDEF, InnerFunction, and_inner,
-                                disj_le1_inner, ip_inner, restrict_rows,
-                                weight_subsets)
+                                disj_le1_inner, ip_inner, weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
 from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
                                 disj_pair, disj_weights, eigenspace_dimension,
                                 family_bound, ip_pair, knuth_eigenvalue,
-                                operator_norm, spectral_certificate,
-                                uniform_pair)
-from oracles import (disj_lambda_diff_closed, ip_closed_forms, johnson_matrix,
-                     pair_matches, random_inner)
-
-
-def hand_built(pair):
-    """The same distributions with no spectrum."""
-    return DistributionPair(pair.i_a, pair.i_b, pair.block)
+                                spectral_certificate)
+from oracles import (dense, dense_certificate, disj_lambda_diff_closed,
+                     ip_closed_forms, johnson_matrix, operator_norm,
+                     pair_matches, random_inner, restrict_rows, uniform_pair)
 
 
 def assert_same_block(got, want):
@@ -31,7 +25,7 @@ def assert_same_block(got, want):
 RECTANGLE_GUARD = 24
 
 
-def rectangle_discrepancy(pair: DistributionPair, g: InnerFunction) -> float:
+def rectangle_discrepancy(pair, g: InnerFunction) -> float:
     """Max over all sub-rectangles of |sum mu(x,y) (-1)^g(x,y)| for the
     combined distribution mu = (mu0+mu1)/2.  Exhaustive over subsets of
     the smaller side."""
@@ -40,12 +34,12 @@ def rectangle_discrepancy(pair: DistributionPair, g: InnerFunction) -> float:
             f"|I_A| + |I_B| = {pair.k_a + pair.k_b} exceeds {RECTANGLE_GUARD}")
     signed = np.zeros((pair.k_a, pair.k_b))
     for b in (0, 1):
-        dense = pair.dense(b)
-        for i, j in zip(*np.nonzero(dense)):
+        mu = dense(pair, b)
+        for i, j in zip(*np.nonzero(mu)):
             v = g.value(pair.i_a[i], pair.i_b[j])
             if v is None:
                 raise ValueError(f"mass on undefined point ({pair.i_a[i]},{pair.i_b[j]})")
-            signed[i, j] += dense[i, j] / 2.0 * (1 if v == 0 else -1)
+            signed[i, j] += mu[i, j] / 2.0 * (1 if v == 0 else -1)
     if pair.k_b <= pair.k_a:
         cols = signed
     else:
@@ -115,7 +109,7 @@ class TestPairsAndCertificates:
         g = ip_inner(2)
         pair = uniform_pair(g)
         assert pair_matches(pair, g)
-        assert pair.dense(0).sum() == 1 and pair.dense(1).sum() == 1
+        assert dense(pair, 0).sum() == 1 and dense(pair, 1).sum() == 1
 
     def test_uniform_pair_missing_value(self):
         with pytest.raises(ValueError):
@@ -172,16 +166,17 @@ class TestPairsAndCertificates:
 
     def test_constructor_rejects_wrong_shape(self):
         block = np.array([[0, 1], [1, 0]], dtype=np.int8)
+        spectrum = ip_pair(2).spectrum
         with pytest.raises(ValueError, match="shape"):
-            DistributionPair((0, 1, 2), (0, 1), block)
+            DistributionPair((0, 1, 2), (0, 1), block, spectrum)
         with pytest.raises(ValueError, match="shape"):
-            DistributionPair((0, 1), (0, 1), block[0])
+            DistributionPair((0, 1), (0, 1), block[0], spectrum)
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_constructor_rejects_missing_value(self, b):
         block = np.array([[1 - b, UNDEF], [UNDEF, 1 - b]], dtype=np.int8)
         with pytest.raises(ValueError, match=f"no {b}-inputs"):
-            DistributionPair((0, 1), (0, 1), block)
+            DistributionPair((0, 1), (0, 1), block, ip_pair(2).spectrum)
 
     def test_qcc_bound_bits(self):
         cert = spectral_certificate(ip_pair(3))
@@ -215,11 +210,11 @@ class TestInnerProductPair:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_exact_certificate_matches_svd(self, k):
         pair = ip_pair(k)
-        exact, dense = spectral_certificate(pair), spectral_certificate(hand_built(pair))
+        exact = spectral_certificate(pair)
         assert exact.rho_sq == Fraction(1, (1 << k) - 1)
-        assert dense.rho_sq is None
-        for field in ("sum_scaled", "diff_scaled", "rho"):
-            assert getattr(exact, field) == pytest.approx(getattr(dense, field), rel=1e-12)
+        for got, ref in zip((exact.sum_scaled, exact.diff_scaled, exact.rho),
+                            dense_certificate(pair)):
+            assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_bound_met_with_equality(self, k):
@@ -228,8 +223,6 @@ class TestInnerProductPair:
         assert bound == 1.0 / math.sqrt((1 << k) - 1)
 
     def test_family_bound_needs_exact_certificate(self):
-        with pytest.raises(ValueError):
-            family_bound("ip", 2, spectral_certificate(hand_built(ip_pair(2))))
         with pytest.raises(ValueError):
             family_bound("and", 2, spectral_certificate(ip_pair(2)))
 
@@ -367,8 +360,7 @@ class TestDisjointnessPair:
         assert cert.rho_sq == Fraction(9, 4 * k) ** 2
         assert family_bound("disj", k, cert) == (3.0 / k, True)
         if k <= 6:
-            dense = spectral_certificate(hand_built(pair))
-            assert cert.rho == pytest.approx(dense.rho, rel=1e-12)
+            assert cert.rho == pytest.approx(dense_certificate(pair)[2], rel=1e-12)
 
 
 class TestRectangleDiscrepancy:
