@@ -142,6 +142,8 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
     """
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"c must be positive and finite, got {c}")
+    if k_override is not None and k_override < 1:
+        raise ValueError(f"k_override must be >= 1, got {k_override}")
     n, ell0, ell1 = profile.n, profile.ell0, profile.ell1
     alpha, beta = _constants(c)
     if ell0 == 0 and ell1 == 0:
@@ -178,7 +180,13 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
         # the l1 and large-l0 cases share k and the source shape: 2n'
         # inputs, then `ones` ones and the rest zeros
         case = "l1" if ell0 == 0 else "large-l0"
-        k = k_override if k_override is not None else math.ceil(6.0 * math.sqrt(2.0) * math.e / c)
+        if k_override is not None:
+            k = k_override
+        else:
+            quotient = 6.0 * math.sqrt(2.0) * math.e / c
+            if not math.isfinite(quotient):
+                raise ValueError(f"c = {c} is too small: 6*sqrt(2)*e/c overflows")
+            k = math.ceil(quotient)
         if n_prime_override is not None:
             n_prime = n_prime_override
         elif ell0 == 0:

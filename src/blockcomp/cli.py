@@ -221,8 +221,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
-    lines: list[dict] = []
-    errors = 0
+    lines: list[str] = []
+    errors = max_total_bits = 0
     if args.protocol == "bcw":
         f = load_function(args.f)
         g = load_inner(args.g) if args.g else _inner_for(args.g_family, args.k)
@@ -244,8 +244,11 @@ def cmd_simulate(args) -> int:
             out, ledger = protocols.bcw_compile_and_run(
                 tree, g, args.g_cost, args.repetitions, x, y,
                 inject_error=args.inject_error, seed=args.seed * 1_000_003 + t)
-            lines.append(_trial_line(t, x, y, out, expected, ledger))
+            line, total = _trial_line(t, x, y, out, expected, ledger)
+            lines.append(line)
             errors += out != expected
+            if total > max_total_bits:
+                max_total_bits = total
     else:
         profile = load_profile(args.f)
         cfg = protocols.HamOracleConfig(c_ham=args.c_ham,
@@ -259,13 +262,15 @@ def cmd_simulate(args) -> int:
             expected = profile.values[(x & y).bit_count()]
             out, ledger = protocols.symmetric_and_protocol(
                 profile, x, y, cfg, seed=args.seed * 1_000_003 + t)
-            lines.append(_trial_line(t, x, y, out, expected, ledger))
+            line, total = _trial_line(t, x, y, out, expected, ledger)
+            lines.append(line)
             errors += out != expected
+            if total > max_total_bits:
+                max_total_bits = total
     summary = {"summary": True, "trials": args.trials, "errors": errors,
-               "error_rate": errors / args.trials,
-               "max_total_bits": max((ln["total_bits"] for ln in lines), default=0)}
-    text = "".join(json.dumps(ln, sort_keys=True) + "\n" for ln in lines)
-    text += json.dumps(summary, sort_keys=True) + "\n"
+               "error_rate": errors / args.trials, "max_total_bits": max_total_bits}
+    lines.append(json.dumps(summary, sort_keys=True) + "\n")
+    text = "".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -276,17 +281,27 @@ def cmd_simulate(args) -> int:
     return OK
 
 
-def _trial_line(t, x, y, out, expected, ledger) -> dict:
-    return {
-        "trial": t, "x": x, "y": y, "output": out, "expected": expected,
-        "correct": out == expected,
-        "bits_alice": ledger.bits_sent_alice,
-        "bits_bob": ledger.bits_sent_bob,
-        "subprotocol_bits": sum(c * r for _, c, r in ledger.subprotocol_invocations),
-        "subprotocol_count": ledger.calls,
-        "total_bits": ledger.total,
-        "notes": list(ledger.notes),
-    }
+# One trial as a JSON object, keys in the sorted order json.dumps(sort_keys=True)
+# writes them; the values other than correct and notes are ints, whose str()
+# is their JSON.
+_TRIAL_LINE = (
+    '{{"bits_alice": {}, "bits_bob": {}, "correct": {}, "expected": {}, '
+    '"notes": {}, "output": {}, "subprotocol_bits": {}, "subprotocol_count": {}, '
+    '"total_bits": {}, "trial": {}, "x": {}, "y": {}}}\n').format
+
+
+def _trial_line(t, x, y, out, expected, ledger) -> tuple[str, int]:
+    """A trial's output line and its total bits."""
+    sub_bits = calls = 0
+    for _, cost, reps in ledger.subprotocol_invocations:
+        sub_bits += cost * reps
+        calls += reps
+    alice, bob = ledger.bits_sent_alice, ledger.bits_sent_bob
+    total = alice + bob + sub_bits
+    notes = json.dumps(ledger.notes) if ledger.notes else "[]"
+    line = _TRIAL_LINE(alice, bob, "true" if out == expected else "false", expected,
+                       notes, out, sub_bits, calls, total, t, x, y)
+    return line, total
 
 
 BATCH_COLUMNS = ["f", "family", "k", "n", "degree", "rho", "sum_scaled",

@@ -6,14 +6,16 @@ the inner tables, cells and row restrictions, uniform pairs on any
 rectangle and the cell-by-cell masses of a distribution pair, dense SVD
 norms of a pair and of its witness matrix, the restricted composition and
 an explicit-approximation trace-norm bound, dense intersection matrices and
-closed-form spectra, the padding identity point by point, and the protocol
-simulations one subprotocol call at a time.  Dense work honours
+closed-form spectra, the padding identity point by point, the protocol
+simulations one subprotocol call at a time, and ``simulate``'s output with
+one dict per trial line.  Dense work honours
 ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,14 +25,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from blockcomp import boolcube
+from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import WitnessMatrix, _check_epsilon_prime, h_opnorm
-from blockcomp.protocols import (DecisionTree, HamOracleConfig, Node,
-                                 repetition_schedule, za_header_bits)
+from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node,
+                                 bcw_compile_and_run, dense_input,
+                                 optimal_decision_tree, repetition_schedule,
+                                 symmetric_and_protocol, za_header_bits)
 from blockcomp.specdisc import DistributionPair, _check_kps
 
 # ---------------------------------------------------------------------------
@@ -502,3 +506,60 @@ def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
             z |= bit << i
         inputs.append((x, y, z))
     return inputs
+
+
+# ---------------------------------------------------------------------------
+# simulate output, one dict per trial line
+
+
+def dict_trial_line(t: int, x: int, y: int, out: int, expected: int,
+                    ledger: CostLedger) -> str:
+    """One trial line of ``simulate``: a dict serialised with sorted keys."""
+    return json.dumps({
+        "trial": t, "x": x, "y": y, "output": out, "expected": expected,
+        "correct": out == expected,
+        "bits_alice": ledger.bits_sent_alice,
+        "bits_bob": ledger.bits_sent_bob,
+        "subprotocol_bits": sum(c * r for _, c, r in ledger.subprotocol_invocations),
+        "subprotocol_count": ledger.calls,
+        "total_bits": ledger.total,
+        "notes": list(ledger.notes),
+    }, sort_keys=True) + "\n"
+
+
+def dict_simulate_text(argv: list[str]) -> str:
+    """Stdout of ``blockcomp simulate`` with the arguments ``argv``: the same
+    trials through the library protocols, bcw inputs drawn by
+    ``list_sampled_inputs``, and every line a dict serialised with sorted
+    keys."""
+    args = cli.build_parser().parse_args(["simulate", *argv])
+    trials = []
+    if args.protocol == "bcw":
+        f = cli.load_function(args.f)
+        g = cli.load_inner(args.g) if args.g else cli._inner_for(args.g_family, args.k)
+        tree = optimal_decision_tree(f)
+        inputs = list_sampled_inputs(g, f.n, args.trials, args.seed)
+        for t, (x, y, z) in enumerate(inputs):
+            out, ledger = bcw_compile_and_run(
+                tree, g, args.g_cost, args.repetitions, x, y,
+                inject_error=args.inject_error, seed=args.seed * 1_000_003 + t)
+            trials.append((t, x, y, out, f.value(z), ledger))
+    else:
+        profile = cli.load_profile(args.f)
+        cfg = HamOracleConfig(c_ham=args.c_ham, error_prob=args.inject_error)
+        rng = random.Random(args.seed)
+        for t in range(args.trials):
+            if args.dense:
+                x = dense_input(rng, profile.n, profile.ell1)
+                y = dense_input(rng, profile.n, profile.ell1)
+            else:
+                x, y = rng.randrange(1 << profile.n), rng.randrange(1 << profile.n)
+            out, ledger = symmetric_and_protocol(profile, x, y, cfg,
+                                                 seed=args.seed * 1_000_003 + t)
+            trials.append((t, x, y, out, profile.values[(x & y).bit_count()], ledger))
+    errors = sum(out != expected for _, _, _, out, expected, _ in trials)
+    summary = {"summary": True, "trials": args.trials, "errors": errors,
+               "error_rate": errors / args.trials,
+               "max_total_bits": max(ledger.total for *_, ledger in trials)}
+    return "".join(dict_trial_line(*trial) for trial in trials) \
+        + json.dumps(summary, sort_keys=True) + "\n"

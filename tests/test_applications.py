@@ -112,6 +112,17 @@ class TestReductionPlanSelection:
         with pytest.raises(ValueError):
             reduction_plan(symmetric_profile(or_function(4)), c=0.0)
 
+    def test_c_too_small_for_k(self):
+        # 6*sqrt(2)*e/c overflows to inf, whose ceiling has no int value
+        with pytest.raises(ValueError, match="too small"):
+            reduction_plan(symmetric_profile(L1_TOY), c=1e-320)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_override_below_one(self, k):
+        for f in (L1_TOY, LARGE_L0_TOY):
+            with pytest.raises(ValueError, match="k_override must be >= 1"):
+                reduction_plan(symmetric_profile(f), k_override=k)
+
     def test_case_selection(self):
         assert reduction_plan(symmetric_profile(L1_TOY), k_override=3).case == "l1"
         # at c=1 alpha*n < 1 for small n, so any flip below the middle

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from blockcomp import boolcube
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
-from oracles import domain, list_sampled_inputs, restrict_rows
+from oracles import dict_simulate_text, domain, list_sampled_inputs, restrict_rows
 
 
 def write_json(tmp_path, name, payload):
@@ -291,6 +292,19 @@ class TestReduceCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: c must be positive and finite")
 
+    def test_c_overflowing_k_exits_2(self, capsys, tmp_path):
+        path = write_json(tmp_path, "p.json", {"profile": [0, 0, 0, 1, 1, 1, 1, 1]})
+        code, out, err = run(capsys, ["reduce", "--f", path, "--c", "1e-320"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: c = 1e-320 is too small")
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_override_below_one_exits_2(self, capsys, tmp_path, k):
+        path = write_json(tmp_path, "p.json", {"profile": [0, 0, 0, 1, 1, 1, 1, 1]})
+        code, out, err = run(capsys, ["reduce", "--f", path, f"--k-override={k}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: k_override must be >= 1")
+
 
 BAD_PROFILES = ["0011", [0, 2, 1], [1], []]
 PROFILE_COMMANDS = {
@@ -531,6 +545,80 @@ class TestSimulateCommand:
                                     "--trials", "300", "--seed", "2"])
         assert code == 0  # nonzero injection never maps errors to exit 1
         assert last_json(out)["error_rate"] <= 1.0 / 3.0 + 0.02
+
+
+# simulate runs whose stdout the dict-per-line oracle must reproduce, as
+# (protocol, function, arguments); together they give every ledger note and,
+# through injected errors, false lines
+SIMULATE_CASES = {
+    "bcw-and": ("bcw", "parity2", ["--g-family", "and", "--trials", "50", "--seed", "4"]),
+    "bcw-ip": ("bcw", "parity2", ["--g-family", "ip", "--k", "2", "--inject-error", "0.3",
+                                  "--trials", "80", "--seed", "2"]),
+    "bcw-disj": ("bcw", "parity2", ["--g-family", "disj", "--k", "3", "--repetitions", "3",
+                                    "--inject-error", "0.2", "--trials", "60", "--seed", "5"]),
+    "symand-dense": ("symand", "neg_header", ["--dense", "--inject-error", "0.33",
+                                              "--trials", "150", "--seed", "1"]),
+    "symand-uniform": ("symand", "step4", ["--inject-error", "0.2", "--trials", "120",
+                                           "--seed", "3"]),
+    "symand-constant": ("symand", "ones", ["--trials", "5"]),
+}
+SIMULATE_FUNCTIONS = {
+    "parity2": {"n": 2, "bits": "0110"},
+    "neg_header": {"profile": [1] * 7 + [0] * 4},  # f(0) = 1 and ell1 = 4
+    "step4": {"profile": [0, 0, 0, 1, 1]},
+    "ones": {"profile": [1, 1, 1, 1]},
+}
+
+
+def simulate_argv(tmp_path, case):
+    protocol, name, rest = SIMULATE_CASES[case]
+    path = write_json(tmp_path, f"{name}.json", SIMULATE_FUNCTIONS[name])
+    return ["--protocol", protocol, "--f", path, *rest]
+
+
+class TestSimulateOutput:
+    @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+    def test_matches_dict_oracle(self, capsys, tmp_path, case):
+        argv = simulate_argv(tmp_path, case)
+        code, out, _ = run(capsys, ["simulate", *argv])
+        assert code == 0
+        # line lists, so a mismatch reports its first differing line quickly
+        assert out.splitlines(keepends=True) \
+            == dict_simulate_text(argv).splitlines(keepends=True)
+
+    def test_cases_cover_notes_and_errors(self, capsys, tmp_path):
+        text = "".join(run(capsys, ["simulate", *simulate_argv(tmp_path, case)])[1]
+                       for case in SIMULATE_CASES)
+        for note in ("negated: f is 1 on the low plateau", "threshold early exit",
+                     "header charged 3 bits (tight encoding 2)",
+                     "constant after orientation"):
+            assert f'"{note}"' in text
+        assert '"correct": false' in text and '"correct": true' in text
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = simulate_argv(tmp_path, "bcw-disj")
+        _, out, _ = run(capsys, ["simulate", *argv])
+        path = tmp_path / "trials.jsonl"
+        code, printed, _ = run(capsys, ["simulate", *argv, "--out", str(path)])
+        assert (code, printed) == (0, "")
+        assert path.read_bytes() == out.encode()
+
+    # sha256 of stdout, recorded from the dict-per-line emitter; pins the
+    # bytes, key order included, independently of the oracle
+    @pytest.mark.parametrize("name,argv,digest", [
+        ("neg_header", ["--protocol", "symand", "--dense", "--inject-error", "0.33",
+                        "--trials", "100", "--seed", "1"],
+         "e47ce8fe8d6be44b94c427453c63bdf99dfbd0168d5ab96b90c3dfbafcc8d67c"),
+        ("parity2", ["--protocol", "bcw", "--g-family", "disj", "--k", "3",
+                     "--repetitions", "3", "--inject-error", "0.2", "--trials", "50",
+                     "--seed", "5"],
+         "85b01deeb7cbd20a77ed233f2ffea6de28f32f9913876e23a09fe92c92f3fb58"),
+    ], ids=("symand-dense", "bcw-disj"))
+    def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
+        path = write_json(tmp_path, "f.json", SIMULATE_FUNCTIONS[name])
+        code, out, _ = run(capsys, ["simulate", "--f", path, *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBatchCommand:
