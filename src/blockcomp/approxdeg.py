@@ -9,25 +9,31 @@ measure q on the cube with
     (d) q^_w = 0 for |w| < d,
 
 which this module extracts and verifies in exact rational arithmetic.
+
+Two sweeps over D = 0, 1, ... find the degree d, one per side of the
+Farkas alternative.  `approx_degree` sweeps the primal system and returns
+the coefficients at d.  `dual_witness` sweeps the alternative system alone:
+d is the first D at which it has no solution, and its solution at d-1 is
+the raw witness, so the witness path never solves the primal.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolcube import BooleanFunction, FourierSpectrum, spectrum_of_values, symmetric_profile
+from .boolcube import BooleanFunction, FourierSpectrum, spectrum_of_values
 from .errors import EpsilonOutOfRange, WitnessNotApplicable
 from .simplex import solve_feasibility
 
 # Largest n at which `blockcomp witness` (eps = 1/3) finished within 60 s on
 # OR_n, MAJ_n (weight > n/2) and a seeded random table, one process on a
-# shared 2-vCPU Xeon guest:
+# shared 2-vCPU Xeon guest.  At n = 7 over 90% of the time goes to the one
+# infeasible Farkas solve at D = d, which the degree sweep cannot skip:
 #   n   OR_n     MAJ_n     seeded
-#   6   0.5 s    1.3 s     2.1 s
-#   7   2.7 s    26.6 s    51.2 s
-#   8   64 s     > 300 s   (not run)
+#   6   0.08 s   0.35 s    0.29 s
+#   7   2.1 s    23 s      16 s
+#   8   44 s     > 300 s   (not run)
 LP_ARITY_CAP = 7
 
 
@@ -172,15 +178,25 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
 
 
 def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
-    """Extract, normalize (q.f = 1) and verify the dual witness for f."""
+    """Find deg~_eps(f) = d and its witness by sweeping the alternative
+    system alone over D = 0, 1, ..., then normalize (q.f = 1) and verify.
+
+    By the theorem of alternatives (Farkas' lemma), dual_system_witness at
+    cap D has a solution exactly when lp_feasible at cap D has none, so d is
+    the first D without one and the solution at D = d-1 is the raw witness.
+    At D = n the equality rows force q = 0 and the certificate row reads
+    0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.
+    """
     epsilon = _check_epsilon(epsilon)
-    degree = approx_degree(f, epsilon).degree
+    degree, raw = 0, None
+    while degree < f.n:
+        certificate = dual_system_witness(f, epsilon, degree)
+        if certificate is None:
+            break
+        degree, raw = degree + 1, certificate
     if degree == 0:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")
-    raw = dual_system_witness(f, epsilon, degree - 1)
-    if raw is None:
-        raise RuntimeError("primal infeasible at degree-1 but no Farkas certificate")
     scale = sum((v for x, v in raw.items() if f.table[x]), Fraction(0))
     if scale <= 0:
         # cannot occur: the certificate row forces q.f >= 1 + eps*||q||_1
@@ -219,13 +235,3 @@ def verify_witness(witness: DualWitness, f: BooleanFunction) -> WitnessReport:
         check_c=max_abs <= coeff_bound,
         check_d=min_deg is None or min_deg >= witness.degree,
     )
-
-
-def paturi_check(f: BooleanFunction, epsilon: Fraction) -> float:
-    """Ratio deg~_eps(f) / sqrt(n*(ell0+ell1)) for symmetric f."""
-    profile = symmetric_profile(f)
-    flips = profile.ell0 + profile.ell1
-    if flips == 0:
-        raise ValueError("degenerate profile: ell0 + ell1 = 0")
-    degree = approx_degree(f, epsilon).degree
-    return degree / math.sqrt(f.n * flips)

@@ -128,10 +128,6 @@ class CostLedger:
         return (self.bits_sent_alice + self.bits_sent_bob
                 + sum(c * r for _, c, r in self.subprotocol_invocations))
 
-    @property
-    def calls(self) -> int:
-        return sum(r for _, _, r in self.subprotocol_invocations)
-
 
 def _majority(truth: int, reps: int, error_prob: float,
               rng: random.Random | None) -> bool:

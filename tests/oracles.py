@@ -6,10 +6,10 @@ the inner tables, cells and row restrictions, uniform pairs on any
 rectangle and the cell-by-cell masses of a distribution pair, dense SVD
 norms of a pair and of its witness matrix, the restricted composition and
 an explicit-approximation trace-norm bound, dense intersection matrices and
-closed-form spectra, the padding identity point by point, the protocol
-simulations one subprotocol call at a time, and ``simulate``'s output with
-one dict per trial line.  Dense work honours
-``boolcube.MAX_MATERIALIZE``.
+closed-form spectra, the Paturi ratio of a symmetric function, the padding
+identity point by point, the protocol simulations one subprotocol call at a
+time, and ``simulate``'s output with one dict per trial line.  Dense work
+honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
+from blockcomp.approxdeg import approx_degree
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
@@ -338,6 +339,20 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the Paturi ratio of a symmetric function
+
+
+def paturi_check(f: BooleanFunction, epsilon: Fraction) -> float:
+    """Ratio deg~_eps(f) / sqrt(n*(ell0+ell1)) for symmetric f."""
+    profile = boolcube.symmetric_profile(f)
+    flips = profile.ell0 + profile.ell1
+    if flips == 0:
+        raise ValueError("degenerate profile: ell0 + ell1 = 0")
+    degree = approx_degree(f, epsilon).degree
+    return degree / math.sqrt(f.n * flips)
+
+
+# ---------------------------------------------------------------------------
 # the padding identity, point by point
 
 
@@ -521,7 +536,7 @@ def dict_trial_line(t: int, x: int, y: int, out: int, expected: int,
         "bits_alice": ledger.bits_sent_alice,
         "bits_bob": ledger.bits_sent_bob,
         "subprotocol_bits": sum(c * r for _, c, r in ledger.subprotocol_invocations),
-        "subprotocol_count": ledger.calls,
+        "subprotocol_count": sum(r for _, _, r in ledger.subprotocol_invocations),
         "total_bits": ledger.total,
         "notes": list(ledger.notes),
     }, sort_keys=True) + "\n"

@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcomp import approxdeg
 from blockcomp.approxdeg import (DualWitness, approx_degree, dual_system_witness,
                                  dual_witness, lp_feasible, monomials_up_to,
-                                 paturi_check, verify_witness)
+                                 verify_witness)
 from blockcomp.boolcube import (BooleanFunction, and_function, constant_function,
-                                or_function, parity_function, projection,
-                                spectrum_of_values)
+                                from_profile, or_function, parity_function,
+                                projection, spectrum_of_values)
 from blockcomp.errors import EpsilonOutOfRange, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
+from oracles import paturi_check
 
 THIRD = Fraction(1, 3)
 
@@ -205,6 +208,66 @@ class TestDualWitness:
             return
         assert w.report.all_pass
         assert w.dot(f) == 1
+
+
+def all_functions(n):
+    for bits in range(1 << (1 << n)):
+        yield BooleanFunction(n, tuple((bits >> x) & 1 for x in range(1 << n)))
+
+
+def seeded_table(n, seed):
+    rng = random.Random(f"table:{n}:{seed}")
+    return BooleanFunction(n, tuple(rng.getrandbits(1) for _ in range(1 << n)))
+
+
+SWEEP_FUNCTIONS = ([f for n in (1, 2, 3) for f in all_functions(n)]
+                   + [seeded_table(n, seed) for n in (4, 5) for seed in range(3)])
+
+
+class TestFarkasSweep:
+    """dual_witness reads the degree off the alternative system alone; it
+    must agree with the primal sweep and never solve the primal."""
+
+    @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
+    def test_matches_primal_sweep(self, epsilon):
+        for f in SWEEP_FUNCTIONS:
+            degree = approx_degree(f, epsilon).degree
+            if degree == 0:
+                with pytest.raises(WitnessNotApplicable):
+                    dual_witness(f, epsilon)
+                continue
+            w = dual_witness(f, epsilon)
+            assert w.degree == degree, f.table
+            raw = dual_system_witness(f, epsilon, degree - 1)
+            scale = sum(v for x, v in raw.items() if f.table[x])
+            assert w.q == {x: v / scale for x, v in raw.items()}, f.table
+
+    def test_no_primal_solve(self, monkeypatch):
+        def refuse_primal(*args, **kwargs):
+            raise AssertionError("the witness path solved the primal system")
+
+        monkeypatch.setattr(approxdeg, "lp_feasible", refuse_primal)
+        for f in (or_function(4), from_profile([0, 0, 0, 1, 1, 1]),
+                  parity_function(3), seeded_table(5, 0)):
+            assert dual_witness(f, THIRD).report.all_pass
+        for n in (1, 2, 3, 4):
+            for value in (0, 1):
+                with pytest.raises(WitnessNotApplicable):
+                    dual_witness(constant_function(n, value), THIRD)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_parity_skips_full_degree_solve(self, monkeypatch, n):
+        caps = []
+        real = approxdeg.dual_system_witness
+
+        def recording(f, epsilon, degree_cap):
+            caps.append(degree_cap)
+            return real(f, epsilon, degree_cap)
+
+        monkeypatch.setattr(approxdeg, "dual_system_witness", recording)
+        w = dual_witness(parity_function(n), THIRD)
+        assert w.degree == n
+        assert caps == list(range(n))
 
 
 class TestPaturi:

@@ -256,6 +256,40 @@ class TestMainlemmaCommand:
         assert 0 < payload["h_opnorm_exact"] <= payload["h_opnorm_bound"]
 
 
+# functions whose witness and mainlemma stdout is pinned below; MAJ_5's best
+# degree-1 error is exactly 1/3
+DIGEST_FUNCTIONS = {
+    "or3": {"n": 3, "bits": "0" + "1" * 7},
+    "or4": {"n": 4, "bits": "0" + "1" * 15},
+    "maj5": {"profile": [0, 0, 0, 1, 1, 1]},
+    "table6": {"n": 6, "bits": "01100011101101001011011110010001"
+                               "10010111000011011000000011111101"},
+}
+
+
+class TestLowerBoundDigests:
+    # sha256 of stdout, recorded when the witness degree came from the primal
+    # sweep; the Farkas sweep must reproduce every byte
+    @pytest.mark.parametrize("name,argv,digest", [
+        ("or4", ["witness"],
+         "2b03d859869dc4edcd2b384c48906dfca456dc612e42becb415d8d6089c8a1a4"),
+        ("maj5", ["witness"],
+         "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
+        ("table6", ["witness"],
+         "c82d7b735697d42bf1dd123b071db9cd03c4cced594995386d639472453fd6c1"),
+        ("or3", ["mainlemma", "--family", "ip", "--k", "3"],
+         "36d7288d23be283148476b908e4ba7930aee27e4b4fa0831bd00a633ce691545"),
+        ("or4", ["mainlemma", "--family", "disj", "--k", "6"],
+         "930c09a9cebcbbcbd98a7e25ab96ad5a8dc0661c37c8fe0d8b3b8766bb44b1b5"),
+    ], ids=("witness-or4", "witness-maj5", "witness-table6", "mainlemma-or3-ip3",
+            "mainlemma-or4-disj6"))
+    def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
+        path = write_json(tmp_path, f"{name}.json", DIGEST_FUNCTIONS[name])
+        code, out, _ = run(capsys, [*argv, "--f", path])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestReduceCommand:
     def test_plan_with_identity(self, capsys, l1_toy):
         code, out, _ = run(capsys, ["reduce", "--f", l1_toy,
