@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approxdeg import LP_ARITY_CAP, approx_degree
+from .approxdeg import LP_ARITY_CAP, farkas_sweep
 from .boolcube import (BooleanFunction, SymmetricProfile, ell1_of_profile,
                        from_profile)
 from .errors import DegeneratePlan
@@ -122,7 +122,7 @@ def _source_degree(values: tuple[int, ...], arity: int, ones: int, zeros: int,
     source = values[ones:ones + arity + 1]
     if skip or arity > LP_ARITY_CAP:
         return None, source
-    return approx_degree(from_profile(source), Fraction(1, 3)).degree, source
+    return farkas_sweep(from_profile(source), Fraction(1, 3))[0], source
 
 
 def reduction_plan(profile: SymmetricProfile, c: float = 1.0,

@@ -12,9 +12,11 @@ which this module extracts and verifies in exact rational arithmetic.
 
 Two sweeps over D = 0, 1, ... find the degree d, one per side of the
 Farkas alternative.  `approx_degree` sweeps the primal system and returns
-the coefficients at d.  `dual_witness` sweeps the alternative system alone:
-d is the first D at which it has no solution, and its solution at d-1 is
-the raw witness, so the witness path never solves the primal.
+the coefficients at d; only `blockcomp approxdeg`, which prints them, takes
+it.  `farkas_sweep` sweeps the alternative system alone: d is the first D
+at which it has no solution, and its solution at d-1 is the raw witness.
+`dual_witness` (`witness`, `mainlemma`) and every caller that needs only d
+(`batch`, `reduce`) take this sweep and never solve the primal.
 """
 
 from __future__ import annotations
@@ -177,9 +179,11 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return q
 
 
-def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
-    """Find deg~_eps(f) = d and its witness by sweeping the alternative
-    system alone over D = 0, 1, ..., then normalize (q.f = 1) and verify.
+def farkas_sweep(f: BooleanFunction, epsilon: Fraction
+                 ) -> tuple[int, dict[int, Fraction] | None]:
+    """deg~_eps(f) = d and the raw (unnormalized) witness, by sweeping the
+    alternative system alone over D = 0, 1, ...; the witness is None when
+    d = 0.
 
     By the theorem of alternatives (Farkas' lemma), dual_system_witness at
     cap D has a solution exactly when lp_feasible at cap D has none, so d is
@@ -194,6 +198,14 @@ def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
         if certificate is None:
             break
         degree, raw = degree + 1, certificate
+    return degree, raw
+
+
+def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
+    """Find deg~_eps(f) = d and its raw witness by ``farkas_sweep``, then
+    normalize (q.f = 1) and verify."""
+    epsilon = _check_epsilon(epsilon)
+    degree, raw = farkas_sweep(f, epsilon)
     if degree == 0:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -323,7 +324,7 @@ def _function_cells(path: str | None) -> tuple[dict, str]:
     try:
         f = load_function(path)
         cells["n"] = f.n
-        cells["degree"] = approxdeg.approx_degree(f, Fraction(1, 3)).degree
+        cells["degree"] = approxdeg.farkas_sweep(f, Fraction(1, 3))[0]
     except BATCH_ERRORS as exc:
         return cells, _error_cell(exc)
     return cells, ""
@@ -390,7 +391,12 @@ def cmd_batch(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards:
+    ``parse_args`` returns a fresh namespace each time and every default is
+    immutable, so ``main`` may be called any number of times in one
+    process.  Nothing builds it at import."""
     parser = argparse.ArgumentParser(
         prog="blockcomp",
         description="certified lower bounds for block-composed functions")

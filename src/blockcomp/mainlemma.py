@@ -57,13 +57,22 @@ def build_witness_matrix(q: DualWitness, pair: DistributionPair) -> WitnessMatri
     return witness_matrix_from_values(q.q, q.n, pair)
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integers v * den for each v, den the lcm of the values' denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
     """||h||^2 exactly, from the pair's per-block spectrum.
 
     On the eigen-tuple (t_1..t_n) of the n-fold product, sum_z c(z)
     prod_i e[t_i][z_i] is an eigenvalue of h for a commuting pair (c = q),
     and of h h^T for a Gram pair (c = q_hat^2: the cross terms of h h^T
-    vanish since plus minus^T = 0).  One block axis is contracted at a time.
+    vanish since plus minus^T = 0).  The contraction runs over integers:
+    c is scaled by the lcm den_c of its denominators and the eigen table by
+    the lcm den_e of its own, one block axis is contracted at a time, and
+    every eigenvalue is the resulting integer over den_c * den_e^n.
     """
     spec = h.pair.spectrum
     q = h.q_values()
@@ -72,13 +81,17 @@ def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
         coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << h.n)]
     else:
         coeffs = [q.get(z, Fraction(0)) for z in range(1 << h.n)]
-    values = np.array(coeffs, dtype=object).reshape((2,) * h.n)
-    table = np.array(spec.eigen, dtype=object)
+    ints, den_c = _over_common_denominator(coeffs)
+    eigen, den_e = _over_common_denominator([e for row in spec.eigen for e in row])
+    values = np.array(ints, dtype=object).reshape((2,) * h.n)
+    table = np.array(eigen, dtype=object).reshape(len(spec.eigen), 2)
     for _ in range(h.n):
         values = np.tensordot(table, values, axes=([1], [values.ndim - 1]))
+    den = den_c * den_e ** h.n
     if spec.gram:
-        return max(values.flat)
-    return max(v * v for v in values.flat)
+        return Fraction(max(values.flat), den)
+    top = max(abs(v) for v in values.flat)
+    return Fraction(top * top, den * den)
 
 
 def h_opnorm(h: WitnessMatrix) -> float:

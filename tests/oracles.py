@@ -4,12 +4,13 @@ Each one computes by enumeration or dense materialization what the library
 derives from structure: truth-table restrictions and block compositions,
 the inner tables, cells and row restrictions, uniform pairs on any
 rectangle and the cell-by-cell masses of a distribution pair, dense SVD
-norms of a pair and of its witness matrix, the restricted composition and
-an explicit-approximation trace-norm bound, dense intersection matrices and
-closed-form spectra, the Paturi ratio of a symmetric function, the padding
-identity point by point, the protocol simulations one subprotocol call at a
-time, and ``simulate``'s output with one dict per trial line.  Dense work
-honours ``boolcube.MAX_MATERIALIZE``.
+norms of a pair and of its witness matrix, ||h||^2 contracted over
+Fractions, the restricted composition and an explicit-approximation
+trace-norm bound, dense intersection matrices and closed-form spectra, the
+Paturi ratio of a symmetric function, the padding identity point by point,
+the protocol simulations one subprotocol call at a time, and ``simulate``'s
+output with one dict per trial line.  Dense work honours
+``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
     suffix = ((1 << ones) - 1) << n_prime
     table = tuple(f.table[x | suffix] for x in range(1 << n_prime))
     return BooleanFunction(n_prime, table)
+
+
+def all_functions(n: int) -> Iterator[BooleanFunction]:
+    """Every truth table of arity n, in order of its bits read as an integer."""
+    for bits in range(1 << (1 << n)):
+        yield BooleanFunction(n, tuple((bits >> x) & 1 for x in range(1 << n)))
+
+
+def seeded_table(n: int, seed: int) -> BooleanFunction:
+    rng = random.Random(f"table:{n}:{seed}")
+    return BooleanFunction(n, tuple(rng.getrandbits(1) for _ in range(1 << n)))
+
+
+# every function of arity <= 3 and three seeded tables each of arity 4 and 5:
+# the grid on which the exact routes are checked against their references
+SWEEP_FUNCTIONS = ([f for n in (1, 2, 3) for f in all_functions(n)]
+                   + [seeded_table(n, seed) for n in (4, 5) for seed in range(3)])
 
 
 def domain(g: InnerFunction) -> Iterator[tuple[int, int]]:
@@ -213,6 +231,28 @@ def require_materialized(h: WitnessMatrix) -> np.ndarray:
         factors = [mus[(z >> (i - 1)) & 1] for i in range(1, h.n + 1)]
         mat += float(coeff) * reduce(np.kron, factors)
     return mat
+
+
+def fraction_opnorm_sq(h: WitnessMatrix) -> Fraction:
+    """||h||^2 from the pair's per-block spectrum, contracting Fractions:
+    on each eigen-tuple of the n-fold product, sum_z c(z) prod_i e[t_i][z_i]
+    with c = q (an eigenvalue of h, to be squared) or, for a Gram pair,
+    c = q_hat^2 (an eigenvalue of h h^T), one block axis at a time through
+    an object-dtype tensordot."""
+    spec = h.pair.spectrum
+    q = h.q_values()
+    if spec.gram:
+        q_hat = boolcube.spectrum_of_values(h.n, q).coeffs
+        coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << h.n)]
+    else:
+        coeffs = [q.get(z, Fraction(0)) for z in range(1 << h.n)]
+    values = np.array(coeffs, dtype=object).reshape((2,) * h.n)
+    table = np.array(spec.eigen, dtype=object)
+    for _ in range(h.n):
+        values = np.tensordot(table, values, axes=([1], [values.ndim - 1]))
+    if spec.gram:
+        return max(values.flat)
+    return max(v * v for v in values.flat)
 
 
 def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from blockcomp.boolcube import (BooleanFunction, and_function, constant_function
                                 projection, spectrum_of_values)
 from blockcomp.errors import EpsilonOutOfRange, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
-from oracles import paturi_check
+from oracles import SWEEP_FUNCTIONS, paturi_check, seeded_table
 
 THIRD = Fraction(1, 3)
 
@@ -208,20 +207,6 @@ class TestDualWitness:
             return
         assert w.report.all_pass
         assert w.dot(f) == 1
-
-
-def all_functions(n):
-    for bits in range(1 << (1 << n)):
-        yield BooleanFunction(n, tuple((bits >> x) & 1 for x in range(1 << n)))
-
-
-def seeded_table(n, seed):
-    rng = random.Random(f"table:{n}:{seed}")
-    return BooleanFunction(n, tuple(rng.getrandbits(1) for _ in range(1 << n)))
-
-
-SWEEP_FUNCTIONS = ([f for n in (1, 2, 3) for f in all_functions(n)]
-                   + [seeded_table(n, seed) for n in (4, 5) for seed in range(3)])
 
 
 class TestFarkasSweep:

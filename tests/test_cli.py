@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from blockcomp import boolcube
-from blockcomp.approxdeg import LP_ARITY_CAP
+from blockcomp import approxdeg, boolcube, cli
+from blockcomp.approxdeg import LP_ARITY_CAP, approx_degree
 from blockcomp.cli import main
-from oracles import dict_simulate_text, domain, list_sampled_inputs, restrict_rows
+from oracles import (dict_simulate_text, domain, list_sampled_inputs, restrict_rows,
+                     seeded_table)
 
 
 def write_json(tmp_path, name, payload):
@@ -709,8 +715,8 @@ class TestBatchCommand:
         from blockcomp import approxdeg, cli
 
         degrees, certificates = [], []
-        real_degree, real_cert = approxdeg.approx_degree, cli._cert_payload
-        monkeypatch.setattr(approxdeg, "approx_degree",
+        real_degree, real_cert = approxdeg.farkas_sweep, cli._cert_payload
+        monkeypatch.setattr(approxdeg, "farkas_sweep",
                             lambda *a: degrees.append(a) or real_degree(*a))
         monkeypatch.setattr(cli, "_cert_payload",
                             lambda *a: certificates.append(a) or real_cert(*a))
@@ -730,6 +736,130 @@ class TestBatchCommand:
         assert errors[5].startswith("SizeGuardExceeded: side size 1024")
         assert all(row[3:-1] == [""] * 7 and row[-1].startswith("FileNotFoundError")
                    for row in rows[6:12])
+
+
+# functions of arity <= 6 whose degree batch reads off the Farkas sweep
+DEGREE_FUNCTIONS = {
+    "or2": {"profile": [0, 1, 1]},
+    "or4": {"n": 4, "bits": "0" + "1" * 15},
+    "or6": {"profile": [0] + [1] * 6},
+    "maj5": {"profile": [0, 0, 0, 1, 1, 1]},
+    "parity3": {"n": 3, "bits": "01101001"},
+    "const3": {"profile": [1, 1, 1, 1]},
+    **{f"table{n}": {"n": n, "bits": "".join(map(str, seeded_table(n, 0).table))}
+       for n in (4, 5)},
+}
+
+# (profile, c) whose reduction plan computes a source degree, source arity 2..6
+REDUCE_PROFILES = [
+    ("1100001", 8.0), ("10100011", 8.0), ("00100000010001", 8.0),
+    ("111111110101000", 8.0), ("100000000110011001", 8.0),
+    ("1011111111111101000001110110", 8.0), ("11010001100100", 16.0),
+    ("000100000111011001", 16.0),
+]
+
+
+def refuse_primal(*args, **kwargs):
+    raise AssertionError("the primal system was solved")
+
+
+class TestDegreeFromFarkasSweep:
+    """batch and reduce read only the degree, which the Farkas sweep gives
+    without the primal; it must be the degree approx_degree finds."""
+
+    def test_batch_degrees(self, capsys, monkeypatch, tmp_path):
+        paths = {name: write_json(tmp_path, f"{name}.json", payload)
+                 for name, payload in DEGREE_FUNCTIONS.items()}
+        grid = write_json(tmp_path, "grid.json", {"f": list(paths.values()),
+                                                  "family": ["ip"], "k": [2]})
+        with monkeypatch.context() as m:
+            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            code, out, _ = run(capsys, ["batch", "--grid", grid])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == list(paths.values())
+        for row in rows:
+            assert row[-1] == ""
+            want = approx_degree(cli.load_function(row[0]), Fraction(1, 3)).degree
+            assert int(row[4]) == want, row[0]
+
+    @pytest.mark.parametrize("bits,c", REDUCE_PROFILES)
+    def test_reduce_degree(self, capsys, monkeypatch, tmp_path, bits, c):
+        values = [int(b) for b in bits]
+        path = write_json(tmp_path, "p.json", {"profile": values})
+        with monkeypatch.context() as m:
+            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            code, out, _ = run(capsys, ["reduce", "--f", path, "--c", str(c)])
+        assert code == 0
+        plan = json.loads(out)
+        ones, arity = plan["ones_pad"], plan["source_arity"]
+        assert 2 <= arity <= 6
+        source = boolcube.from_profile(values[ones:ones + arity + 1])
+        assert plan["degree"] == approx_degree(source, Fraction(1, 3)).degree
+
+
+def parser_state(parser):
+    """Every action and default of the parser and of each subcommand parser."""
+    parsers = {"": parser, **parser._subparsers._group_actions[0].choices}
+    return {name: (dict(p._defaults),
+                   [(a.option_strings, a.dest, a.default, a.required, a.choices,
+                     a.type, a.nargs) for a in p._actions])
+            for name, p in parsers.items()}
+
+
+class TestParserReuse:
+    """main builds the parser on its first call and reuses it afterwards."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sequence_matches_calls_on_their_own(self, capsys, tmp_path, parity2,
+                                                 step4):
+        argvs = [
+            ["simulate", "--protocol", "bcw", "--f", parity2, "--g-family", "disj",
+             "--k", "3", "--trials", "30", "--seed", "5"],
+            ["specdisc", "--family", "disj", "--k", "6"],
+            ["specdisc", "--family", "nope", "--k", "6"],
+            ["mainlemma", "--f", parity2, "--family", "ip", "--k", "3"],
+            ["simulate", "--protocol", "symand", "--f", step4, "--dense",
+             "--trials", "30", "--seed", "5"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            alone.append(call(argv))
+        cli.build_parser.cache_clear()
+        together = [call(argv) for argv in argvs]
+        assert cli.build_parser.cache_info().misses == 1
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 0, "SystemExit(2)", 0, 0]
+        assert together[2][1] == "" and "invalid choice" in together[2][2]
+
+    def test_oracle_shares_parser_without_mutating_it(self, step4):
+        parser = cli.build_parser()
+        before = parser_state(parser)
+        dict_simulate_text(["--protocol", "symand", "--f", step4, "--trials", "10",
+                            "--seed", "2"])
+        assert cli.build_parser() is parser
+        assert parser_state(parser) == before
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import blockcomp.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
 
 
 class TestInternalErrors:

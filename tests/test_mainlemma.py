@@ -19,9 +19,10 @@ from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
                                  witness_matrix_from_values)
 from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
                                 spectral_certificate)
-from oracles import (dense, operator_norm, require_materialized,
-                     restrict_rows, restricted_composition,
-                     trace_norm_certificate, witness_shape)
+from oracles import (SWEEP_FUNCTIONS, dense, fraction_opnorm_sq,
+                     operator_norm, require_materialized, restrict_rows,
+                     restricted_composition, trace_norm_certificate,
+                     witness_shape)
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -226,6 +227,26 @@ class TestOpnormBound:
         b = opnorm_bound(w, spectral_certificate(pair))
         if b.final_valid:
             assert b.bound_r <= b.bound_final + 1e-12
+
+
+class TestIntegerContraction:
+    """exact_opnorm_sq contracts integers over common denominators; it must
+    equal the Fraction contraction exactly, on Gram (ip) and commuting
+    (disj) pairs alike."""
+
+    @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
+    def test_matches_fraction_route(self, epsilon):
+        pairs = [ip_pair(k) for k in range(1, 10)] + [disj_pair(k) for k in (3, 6, 9, 12)]
+        for f in SWEEP_FUNCTIONS:
+            try:
+                w = dual_witness(f, epsilon)
+            except WitnessNotApplicable:
+                continue
+            for pair in pairs:
+                h = build_witness_matrix(w, pair)
+                norm_sq = exact_opnorm_sq(h)
+                assert type(norm_sq) is Fraction
+                assert norm_sq == fraction_opnorm_sq(h), (f.table, pair.spectrum)
 
 
 class TestTraceNormCertificate:
