@@ -8,12 +8,12 @@ block i of an nk-bit input occupies bits (i-1)k .. ik-1 of the integer.
 
 from __future__ import annotations
 
+import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 
@@ -220,38 +220,49 @@ def ell1_of_profile(values: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # inner two-party functions (possibly partial)
 
-UNDEF = -1  # sentinel in value matrices
+UNDEF = -1  # sentinel cell value
+_UNDEF_BYTE = b"\xff"  # UNDEF as an array('b') byte
+_DEFINED = re.compile(rb"[^\xff]")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True, eq=False)
 class InnerFunction:
-    """Two-party function on {0,1}^k x {0,1}^k; entry -1 marks undefined."""
+    """Two-party function on {0,1}^k x {0,1}^k.  values holds its 2^k x 2^k
+    table row-major as one flat array('b'): cell x * 2^k + y is g(x, y), or
+    UNDEF where g is undefined."""
 
     k: int
-    values: np.ndarray
+    values: array
 
     def __post_init__(self):
         side = 1 << self.k
-        if self.values.shape != (side, side):
-            raise ValueError(f"value matrix must be {side}x{side}")
-        object.__setattr__(self, "values", self.values.astype(np.int8, copy=False))
+        if len(self.values) != side * side:
+            raise ValueError(f"value table must hold {side}x{side} cells")
 
     def value(self, x: int, y: int) -> int | None:
-        v = int(self.values[x, y])
+        v = self.values[(x << self.k) | y]
         return None if v == UNDEF else v
 
-    @property
-    def is_total(self) -> bool:
-        return not (self.values == UNDEF).any()
-
-    def defined_cells(self) -> np.ndarray:
-        """Indices x * 2^k + y of the domain, in row-major order."""
-        return np.flatnonzero(self.values != UNDEF)
+    def defined_cells(self) -> Sequence[int]:
+        """Indices x * 2^k + y of the domain, in row-major order: a range
+        when g is total, else an index array built from the rows that hold
+        a defined cell."""
+        raw = self.values.tobytes()
+        if _UNDEF_BYTE not in raw:
+            return range(len(raw))
+        side = 1 << self.k
+        undefined_row = _UNDEF_BYTE * side
+        cells = array("q")
+        for start in range(0, len(raw), side):
+            if raw[start:start + side] != undefined_row:
+                cells.extend(m.start() for m in _DEFINED.finditer(raw, start, start + side))
+        return cells
 
 
 def and_inner() -> InnerFunction:
     """Binary AND as a k=1 inner function."""
-    return InnerFunction(1, np.array([[0, 0], [0, 1]], dtype=np.int8))
+    return InnerFunction(1, array("b", [0, 0, 0, 1]))
 
 
 def _check_table_side(k: int) -> None:
@@ -264,10 +275,10 @@ def _check_table_side(k: int) -> None:
 def ip_inner(k: int) -> InnerFunction:
     """Inner product mod 2 on k-bit strings (total)."""
     _check_table_side(k)
-    values = np.zeros((1, 1), dtype=np.int8)
-    for _ in range(k):  # one more bit: the value flips where both new bits are 1
-        values = np.block([[values, values], [values, 1 - values]])
-    return InnerFunction(k, values)
+    rows = [b"\x00"]
+    for _ in range(k):  # one more top bit: the value flips where both are 1
+        rows = [r + r for r in rows] + [r + r.translate(_FLIP) for r in rows]
+    return InnerFunction(k, array("b", b"".join(rows)))
 
 
 def weight_subsets(k: int, p: int) -> tuple[int, ...]:
@@ -290,26 +301,21 @@ def disj_p(k: int) -> int:
     return k // 3
 
 
-def disj_block(k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The p-subsets of [k] (p = k/3, ``weight_subsets`` order) and the
-    disjointness block on them: 0 for disjoint, 1 for meeting in exactly one
-    element, UNDEF for meeting in two or more."""
-    subsets = weight_subsets(k, disj_p(k))
-    s = np.array(subsets)
-    meet = s[:, None] & s[None, :]
-    return subsets, np.where(meet & (meet - 1), UNDEF, meet != 0).astype(np.int8)
-
-
 def disj_le1_inner(k: int) -> InnerFunction:
     """Set disjointness on p-subsets of [k] (p = k/3), restricted to pairs
     intersecting in at most one element; 1 means intersecting."""
-    disj_p(k)  # a bad k is reported before the size guard
+    p = disj_p(k)  # a bad k is reported before the size guard
     _check_table_side(k)
-    subsets, block = disj_block(k)
+    subsets = weight_subsets(k, p)
     side = 1 << k
-    values = np.full((side, side), UNDEF, dtype=np.int8)
-    values[np.ix_(subsets, subsets)] = block
-    return InnerFunction(k, values)
+    values = bytearray(_UNDEF_BYTE * (side * side))
+    for x in subsets:
+        row = x * side
+        for y in subsets:
+            meet = x & y
+            if not meet & (meet - 1):
+                values[row + y] = meet != 0
+    return InnerFunction(k, array("b", values))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +335,9 @@ def function_from_dict(obj: dict) -> BooleanFunction:
 
 
 def inner_to_dict(g: InnerFunction) -> dict:
-    rows = [["u" if v == UNDEF else str(v) for v in row] for row in g.values.tolist()]
-    return {"k": g.k, "rows": rows}
+    side = 1 << g.k
+    cells = ["u" if v == UNDEF else str(v) for v in g.values]
+    return {"k": g.k, "rows": [cells[i:i + side] for i in range(0, len(cells), side)]}
 
 
 def inner_from_dict(obj: dict) -> InnerFunction:
@@ -340,12 +347,13 @@ def inner_from_dict(obj: dict) -> InnerFunction:
     if not isinstance(rows, list) or len(rows) != side \
             or any(not isinstance(r, list) or len(r) != side for r in rows):
         raise ValueError(f"rows must form a {side}x{side} matrix")
-    values = np.full((side, side), UNDEF, dtype=np.int8)
+    values = array("b")
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if cell == "u":
-                continue
-            if cell not in ("0", "1"):
+                values.append(UNDEF)
+            elif cell in ("0", "1"):
+                values.append(int(cell))
+            else:
                 raise ValueError(f"cell ({i},{j}) must be '0', '1' or 'u'")
-            values[i, j] = int(cell)
     return InnerFunction(k, values)

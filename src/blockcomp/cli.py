@@ -230,14 +230,15 @@ def cmd_simulate(args) -> int:
         tree = protocols.optimal_decision_tree(f)
         # uniform on the composed domain: each block uniform on g's domain,
         # drawn as a row-major index into g's defined cells
-        cells = g.defined_cells()
-        if not cells.size:
+        cells, values, side = g.defined_cells(), g.values, 1 << g.k
+        if not cells:
             raise ValueError("inner function is undefined everywhere")
         for t in range(args.trials):
             x = y = z = 0
             for i in range(f.n):
-                a, b = divmod(cells.item(rng.randrange(cells.size)), 1 << g.k)
-                bit = g.values.item(a, b)
+                cell = cells[rng.randrange(len(cells))]
+                a, b = divmod(cell, side)
+                bit = values[cell]
                 x |= a << (i * g.k)
                 y |= b << (i * g.k)
                 z |= bit << i

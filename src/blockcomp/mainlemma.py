@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .approxdeg import DualWitness, dual_witness
 from .boolcube import BooleanFunction, spectrum_of_values
 from .errors import ArityMismatch
@@ -71,8 +69,9 @@ def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
     and of h h^T for a Gram pair (c = q_hat^2: the cross terms of h h^T
     vanish since plus minus^T = 0).  The contraction runs over integers:
     c is scaled by the lcm den_c of its denominators and the eigen table by
-    the lcm den_e of its own, one block axis is contracted at a time, and
-    every eigenvalue is the resulting integer over den_c * den_e^n.
+    the lcm den_e of its own, and one block is contracted at a time: the
+    lowest remaining bit of the flat row-major list, whose eigen index goes
+    on top.  Every eigenvalue is the resulting integer over den_c * den_e^n.
     """
     spec = h.pair.spectrum
     q = h.q_values()
@@ -81,16 +80,16 @@ def exact_opnorm_sq(h: WitnessMatrix) -> Fraction:
         coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << h.n)]
     else:
         coeffs = [q.get(z, Fraction(0)) for z in range(1 << h.n)]
-    ints, den_c = _over_common_denominator(coeffs)
+    values, den_c = _over_common_denominator(coeffs)
     eigen, den_e = _over_common_denominator([e for row in spec.eigen for e in row])
-    values = np.array(ints, dtype=object).reshape((2,) * h.n)
-    table = np.array(eigen, dtype=object).reshape(len(spec.eigen), 2)
+    table = list(zip(eigen[0::2], eigen[1::2]))
     for _ in range(h.n):
-        values = np.tensordot(table, values, axes=([1], [values.ndim - 1]))
+        low0, low1 = values[0::2], values[1::2]
+        values = [e0 * u + e1 * v for e0, e1 in table for u, v in zip(low0, low1)]
     den = den_c * den_e ** h.n
     if spec.gram:
-        return Fraction(max(values.flat), den)
-    top = max(abs(v) for v in values.flat)
+        return Fraction(max(values), den)
+    top = max(map(abs, values))
     return Fraction(top * top, den * den)
 
 

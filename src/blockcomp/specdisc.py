@@ -6,12 +6,12 @@ of their average and half-difference by sqrt(|I_A|*|I_B|) yields the
 certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
 
-A pair is g's value block on the rectangle, uniform on each value, so the
-support condition holds by construction.  Every pair carries its per-block
-spectrum (``PairSpectrum``): closed forms for inner product (``ip_pair``),
-Johnson-scheme eigenvalues for disjointness (``disj_pair``).  Its
-certificate is therefore exact, with rho^2 a rational, and so are the
-witness-matrix norms built on it.
+A pair is the uniform pair of g on a rectangle, given by the rectangle's
+labels, so the support condition holds by construction; its cells are never
+built.  Every pair carries its per-block spectrum (``PairSpectrum``): closed
+forms for inner product (``ip_pair``), Johnson-scheme eigenvalues for
+disjointness (``disj_pair``).  Its certificate is therefore exact, with rho^2
+a rational, and so are the witness-matrix norms built on it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .boolcube import disj_block, disj_p, ip_inner
+from .boolcube import disj_p, weight_subsets
 from .errors import SizeGuardExceeded
 
 
@@ -47,23 +45,14 @@ class PairSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class DistributionPair:
-    """g's values on the rectangle i_a x i_b (input labels), as the int8
-    ``block`` with UNDEF where g is undefined.  mu_b puts mass 1/#(block == b)
-    on each b-cell.  spectrum gives every spectral quantity of the pair
-    exactly."""
+    """The uniform pair of g on the rectangle i_a x i_b (input labels): mu_b
+    puts mass 1/#(g^{-1}(b) on the rectangle) on each b-cell.  spectrum gives
+    every spectral quantity of the pair exactly.  Each family's constructor
+    picks a rectangle on which g takes both values."""
 
     i_a: tuple[int, ...]
     i_b: tuple[int, ...]
-    block: np.ndarray
     spectrum: PairSpectrum
-
-    def __post_init__(self):
-        shape = (self.k_a, self.k_b)
-        if self.block.shape != shape:
-            raise ValueError(f"block shape {self.block.shape} != {shape}")
-        for b in (0, 1):
-            if not (self.block == b).any():
-                raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
 
     @property
     def k_a(self) -> int:
@@ -122,6 +111,9 @@ def family_bound(family: str, k: int,
     raise ValueError(f"unknown family {family!r}")
 
 
+# Largest pair side accepted.  A pair builds no cells, so the cap guards no
+# memory: it marks the frontier the certified figures are checked to (ip k <= 9,
+# disj k <= 12), and raising it is a frontier change.
 PAIR_SIDE_CAP = 512
 
 
@@ -143,8 +135,7 @@ def ip_pair(k: int) -> DistributionPair:
              (Fraction(0), size / c ** 2))
     # for K = 2 the single row has no eigenspace orthogonal to the ones vector
     spectrum = PairSpectrum(eigen[:1] if size == 2 else eigen, gram=True)
-    return DistributionPair(tuple(range(1, size)), tuple(range(size)),
-                            ip_inner(k).values[1:], spectrum)
+    return DistributionPair(tuple(range(1, size)), tuple(range(size)), spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +177,18 @@ def disj_weights(k: int) -> tuple[int, int, int]:
 
 
 def disj_pair(k: int) -> DistributionPair:
-    """Uniform pair of ``disj_le1_inner(k)`` on its ``disj_block``
-    (p-subsets, p = k/3): mu_s = J_{k,p,s} / w_s, whose shared Johnson-scheme
-    eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t).  The side
-    cap is checked before the block is built."""
+    """Uniform pair of ``disj_le1_inner(k)`` on the p-subsets (p = k/3, in
+    ``weight_subsets`` order): mu_s = J_{k,p,s} / w_s, whose shared
+    Johnson-scheme eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
     p = disj_p(k)
     m = math.comb(k, p)
     if m > PAIR_SIDE_CAP:
         raise SizeGuardExceeded(
             f"side size {m} exceeds the certifiable cap {PAIR_SIDE_CAP}")
-    subsets, block = disj_block(k)
+    subsets = weight_subsets(k, p)
     spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
                                   for t in range(p + 1)))
-    return DistributionPair(subsets, subsets, block, spectrum)
+    return DistributionPair(subsets, subsets, spectrum)
 
 
 def disj_lambda(k: int, s: int, t: int) -> Fraction:

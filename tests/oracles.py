@@ -2,8 +2,9 @@
 
 Each one computes by enumeration or dense materialization what the library
 derives from structure: truth-table restrictions and block compositions,
-the inner tables, cells and row restrictions, uniform pairs on any
-rectangle and the cell-by-cell masses of a distribution pair, dense SVD
+the inner tables as matrices, cells and row restrictions, uniform pairs on
+any rectangle, the block of a built-in pair materialized from its family's
+inner function and its cell-by-cell masses, dense SVD
 norms of a pair and of its witness matrix, ||h||^2 contracted over
 Fractions, the restricted composition and an explicit-approximation
 trace-norm bound, dense intersection matrices and closed-form spectra, the
@@ -19,6 +20,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -30,7 +32,8 @@ from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
 from blockcomp.approxdeg import approx_degree
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
-                                SymmetricProfile, weight_subsets)
+                                SymmetricProfile, disj_le1_inner, ip_inner,
+                                weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import WitnessMatrix, _check_epsilon_prime, h_opnorm
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node,
@@ -72,17 +75,34 @@ SWEEP_FUNCTIONS = ([f for n in (1, 2, 3) for f in all_functions(n)]
                    + [seeded_table(n, seed) for n in (4, 5) for seed in range(3)])
 
 
+def value_matrix(g: InnerFunction) -> np.ndarray:
+    """g's table as a 2^k x 2^k int8 matrix (a view of the flat values)."""
+    side = 1 << g.k
+    return np.frombuffer(g.values, dtype=np.int8).reshape(side, side)
+
+
+def is_total(g: InnerFunction) -> bool:
+    """Whether g is defined on every cell."""
+    return UNDEF not in g.values
+
+
+def inner_of_rows(k: int, rows: Sequence[Sequence[int]]) -> InnerFunction:
+    """Inner function from a list of 2^k rows of cell values."""
+    return InnerFunction(k, array("b", [v for row in rows for v in row]))
+
+
 def domain(g: InnerFunction) -> Iterator[tuple[int, int]]:
     """g's defined cells (x, y) in row-major order."""
-    xs, ys = np.nonzero(g.values != UNDEF)
+    xs, ys = np.nonzero(value_matrix(g) != UNDEF)
     return zip(xs.tolist(), ys.tolist())
 
 
 def restrict_rows(g: InnerFunction, rows: Sequence[int]) -> InnerFunction:
     """Partial function keeping only the given row inputs defined."""
-    values = np.full_like(g.values, UNDEF)
+    side = 1 << g.k
+    values = array("b", [UNDEF]) * (side * side)
     for x in rows:
-        values[x] = g.values[x]
+        values[x * side:(x + 1) * side] = g.values[x * side:(x + 1) * side]
     return InnerFunction(g.k, values)
 
 
@@ -90,21 +110,22 @@ def random_inner(k: int, seed: int) -> InnerFunction:
     """Seeded uniformly random total inner function."""
     rng = np.random.default_rng(seed)
     side = 1 << k
-    return InnerFunction(k, rng.integers(0, 2, size=(side, side), dtype=np.int8))
+    table = rng.integers(0, 2, size=(side, side), dtype=np.int8)
+    return InnerFunction(k, array("b", table.tobytes()))
 
 
 def loop_disj_le1_inner(k: int) -> InnerFunction:
     """``disj_le1_inner`` by a double loop over pairs of p-subsets."""
     p = k // 3
     side = 1 << k
-    values = np.full((side, side), UNDEF, dtype=np.int8)
+    values = [[UNDEF] * side for _ in range(side)]
     masks = weight_subsets(k, p)
     for x in masks:
         for y in masks:
             inter = (x & y).bit_count()
             if inter <= 1:
-                values[x, y] = 1 if inter == 1 else 0
-    return InnerFunction(k, values)
+                values[x][y] = 1 if inter == 1 else 0
+    return inner_of_rows(k, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +158,13 @@ def block_compose(f: BooleanFunction, g: InnerFunction) -> ComposedFunction:
         raise SizeGuardExceeded(f"2^(nk) = {side} exceeds limit {limit}")
     mask = (1 << k) - 1
     coords = np.arange(side)
+    table = value_matrix(g)
     z_index = np.zeros((side, side), dtype=np.int16)
     undefined = np.zeros((side, side), dtype=bool)
     for i in range(n):
         xi = (coords >> (i * k)) & mask
         yi = xi
-        block = g.values[np.ix_(xi, yi)]
+        block = table[np.ix_(xi, yi)]
         undefined |= block == UNDEF
         z_index |= (block == 1).astype(np.int16) << i
     f_table = np.array(f.table, dtype=np.int8)
@@ -180,16 +202,32 @@ def uniform_pair(g: InnerFunction,
     side = 1 << g.k
     i_a = tuple(rows) if rows is not None else tuple(range(side))
     i_b = tuple(cols) if cols is not None else tuple(range(side))
-    block = g.values[np.ix_(i_a, i_b)]
+    block = value_matrix(g)[np.ix_(i_a, i_b)]
     for b in (0, 1):
         if not (block == b).any():
             raise ValueError(f"g has no {b}-inputs on the chosen rectangle")
     return BlockPair(i_a, i_b, block)
 
 
+def family_inner(pair: DistributionPair) -> InnerFunction:
+    """The inner function a built-in pair is the uniform pair of: ip for a
+    Gram pair (side 2^k), disj otherwise (p + 1 eigenspaces, k = 3p)."""
+    if pair.spectrum.gram:
+        return ip_inner(pair.k_b.bit_length() - 1)
+    return disj_le1_inner(3 * (len(pair.spectrum.eigen) - 1))
+
+
+def pair_block(pair: DistributionPair | BlockPair) -> np.ndarray:
+    """The pair's value block: a BlockPair's own; for a built-in pair, its
+    family's inner table on the rectangle, which must hold both values."""
+    if isinstance(pair, BlockPair):
+        return pair.block
+    return uniform_pair(family_inner(pair), pair.i_a, pair.i_b).block
+
+
 def dense(pair: DistributionPair | BlockPair, b: int) -> np.ndarray:
     """mu_b as a float matrix over the rectangle."""
-    cells = pair.block == b
+    cells = pair_block(pair) == b
     return cells / cells.sum()
 
 
@@ -257,10 +295,11 @@ def fraction_opnorm_sq(h: WitnessMatrix) -> Fraction:
 
 def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:
     """Whether pair is the uniform pair of g on its rectangle, cell by cell
-    through ``g.value``: every block cell equals g there (UNDEF where g is
-    undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0 elsewhere."""
+    through ``g.value``: every cell of ``pair_block`` equals g there (UNDEF
+    where g is undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0
+    elsewhere."""
     cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
-    block = pair.block.tolist()
+    block = pair_block(pair).tolist()
     if block != [[UNDEF if v is None else v for v in row] for row in cells]:
         return False
     for b in (0, 1):
@@ -550,12 +589,14 @@ def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
     """The ``(x, y, z)`` inputs ``simulate --protocol bcw`` draws for n blocks,
     choosing each block from a list of g's defined cells."""
     rng = random.Random(seed)
-    cells = [(a, b, g.value(a, b)) for a, b in domain(g)]
+    side = 1 << g.k
+    cells = [a * side + b for a, b in domain(g)]
     inputs = []
     for _ in range(trials):
         x = y = z = 0
         for i in range(n):
-            a, b, bit = rng.choice(cells)
+            a, b = divmod(rng.choice(cells), side)
+            bit = g.value(a, b)
             x |= a << (i * g.k)
             y |= b << (i * g.k)
             z |= bit << i

@@ -1,4 +1,5 @@
 import json
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 
 from blockcomp import boolcube
 from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
-                                and_inner, constant_function, disj_block,
-                                disj_le1_inner, ell0_of_profile,
+                                and_inner, constant_function, disj_le1_inner, ell0_of_profile,
                                 ell1_of_profile, evaluate,
                                 fourier, from_profile, function_from_dict,
                                 function_to_dict, inner_from_dict,
@@ -18,9 +18,15 @@ from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
                                 projection, spectrum_of_values,
                                 symmetric_profile, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
-from oracles import (ComposedFunction, block_compose, domain,
-                     loop_disj_le1_inner, pad_restrict, random_inner,
-                     restrict_rows)
+from blockcomp.specdisc import disj_pair
+from oracles import (ComposedFunction, block_compose, domain, inner_of_rows,
+                     is_total, loop_disj_le1_inner, pad_restrict, pair_block,
+                     random_inner, restrict_rows)
+
+
+# a k = 2 table with undefined cells in the middle of rows
+MID_ROW_ROWS = [[0, UNDEF, 1, UNDEF], [UNDEF, UNDEF, UNDEF, UNDEF],
+                [1, 1, UNDEF, 0], [UNDEF, 0, 1, UNDEF]]
 
 
 def random_function(n, seed):
@@ -183,7 +189,8 @@ class TestInnerFunctions:
         g = restrict_rows(ip_inner(2), tuple(range(1, 4)))
         assert g.value(0, 1) is None
         assert g.value(1, 1) == 1
-        assert not g.is_total
+        assert not is_total(g)
+        assert is_total(ip_inner(2))
 
     def test_weight_subsets_lex(self):
         subs = weight_subsets(4, 2)
@@ -208,19 +215,23 @@ class TestInnerFunctions:
 
     @pytest.mark.parametrize("k", [3, 6, 9, 12])
     def test_disj_le1_matches_loop(self, k):
-        assert np.array_equal(disj_le1_inner(k).values, loop_disj_le1_inner(k).values)
+        assert disj_le1_inner(k).values == loop_disj_le1_inner(k).values
 
     @pytest.mark.parametrize("k", [3, 6, 9])
     def test_disj_block_is_table_block(self, k):
-        subsets, block = disj_block(k)
-        assert subsets == weight_subsets(k, k // 3)
-        assert block.dtype == np.int8
-        assert np.array_equal(block, disj_le1_inner(k).values[np.ix_(subsets, subsets)])
+        # the disj pair's rectangle is the p-subsets, on which the table is 0
+        # for disjoint, 1 for meeting once and UNDEF for meeting more often
+        pair = disj_pair(k)
+        subsets = weight_subsets(k, k // 3)
+        assert pair.i_a == pair.i_b == subsets
+        meets = [[(x & y).bit_count() for y in subsets] for x in subsets]
+        assert pair_block(pair).tolist() == [[m if m <= 1 else UNDEF for m in row]
+                                             for row in meets]
 
     @pytest.mark.parametrize("k", [0, 2, 4, 14])
     def test_disj_bad_k(self, k):
         with pytest.raises(ValueError, match="multiple of 3"):
-            disj_block(k)
+            disj_pair(k)
         with pytest.raises(ValueError, match="multiple of 3"):
             disj_le1_inner(k)
 
@@ -236,30 +247,44 @@ class TestInnerFunctions:
         with pytest.raises(SizeGuardExceeded):
             disj_le1_inner(15)
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
-        assert ip_inner(3).values.shape == (8, 8)
+        assert len(ip_inner(3).values) == 64
         with pytest.raises(SizeGuardExceeded):
             ip_inner(4)
 
-    @pytest.mark.parametrize("g", [restrict_rows(ip_inner(2), (1, 3)), disj_le1_inner(3)])
+    @pytest.mark.parametrize("g", [restrict_rows(ip_inner(2), (1, 3)), disj_le1_inner(3),
+                                   ip_inner(2), inner_of_rows(2, MID_ROW_ROWS)])
     def test_defined_cells_follow_domain(self, g):
-        cells = [divmod(c, 1 << g.k) for c in g.defined_cells().tolist()]
+        cells = [divmod(c, 1 << g.k) for c in g.defined_cells()]
         assert cells == list(domain(g))
 
-    def test_int8_values_kept_without_copy(self):
-        values = np.array([[0, 1], [UNDEF, 1]], dtype=np.int8)
-        assert np.shares_memory(boolcube.InnerFunction(1, values).values, values)
-        wide = np.array([[0, 1], [UNDEF, 1]], dtype=np.int64)
-        g = boolcube.InnerFunction(1, wide)
-        assert g.values.dtype == np.int8
-        assert not np.shares_memory(g.values, wide)
-        assert g.values.tolist() == wide.tolist()
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_total_cells_are_a_range(self, k):
+        assert ip_inner(k).defined_cells() == range(1 << (2 * k))
+        partial = restrict_rows(ip_inner(k), (1,))
+        assert isinstance(partial.defined_cells(), array)
+
+    def test_values_are_flat_row_major(self):
+        for g in (and_inner(), ip_inner(3), disj_le1_inner(6), random_inner(3, 9),
+                  restrict_rows(ip_inner(2), (1, 3)), inner_of_rows(2, MID_ROW_ROWS)):
+            side = 1 << g.k
+            assert isinstance(g.values, array) and g.values.typecode == "b"
+            assert len(g.values) == side * side
+            for x in range(side):
+                for y in range(side):
+                    v = g.values[x * side + y]
+                    assert g.value(x, y) == (None if v == UNDEF else v)
+            assert inner_from_dict(inner_to_dict(g)).values == g.values
+
+    def test_wrong_cell_count_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            boolcube.InnerFunction(1, array("b", [0, 1, 1]))
 
     def test_random_inner_deterministic(self):
         a = random_inner(3, seed=5)
         b = random_inner(3, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert a.values == b.values
         c = random_inner(3, seed=6)
-        assert not np.array_equal(a.values, c.values)
+        assert a.values != c.values
 
 
 class TestBlockCompose:
@@ -339,7 +364,7 @@ class TestJsonIO:
         d = inner_to_dict(g)
         assert any("u" in row for row in d["rows"])
         back = inner_from_dict(d)
-        assert np.array_equal(back.values, g.values)
+        assert back.values == g.values
         assert json.dumps(d)  # serializable
 
     def test_composed_function_shape(self):

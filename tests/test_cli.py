@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,8 +13,18 @@ import pytest
 from blockcomp import approxdeg, boolcube, cli
 from blockcomp.approxdeg import LP_ARITY_CAP, approx_degree
 from blockcomp.cli import main
-from oracles import (dict_simulate_text, domain, list_sampled_inputs, restrict_rows,
-                     seeded_table)
+from oracles import (dict_simulate_text, domain, inner_of_rows, list_sampled_inputs,
+                     restrict_rows, seeded_table)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+UNDEF = boolcube.UNDEF
+
+
+def src_env():
+    """The environment with ``src`` first on PYTHONPATH, for a subprocess."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def write_json(tmp_path, name, payload):
@@ -488,6 +499,31 @@ class TestBcwSampler:
         assert [(t["x"], t["y"]) for t in trials] == [(x, y) for x, y, _ in want]
         assert [t["expected"] for t in trials] == [int(bits[z]) for _, _, z in want]
 
+    def test_total_range_layout_matches_list_sampler(self, capsys, parity2):
+        # a total g draws from range(side^2) without listing its cells
+        g = boolcube.ip_inner(10)
+        assert g.defined_cells() == range(1 << 20)
+        trials = bcw_trials(capsys, ["--f", parity2, "--g-family", "ip", "--k", "10",
+                                     "--trials", "40", "--seed", "4"])
+        want = list_sampled_inputs(g, 2, 40, 4)
+        assert [(t["x"], t["y"], t["expected"]) for t in trials] == \
+            [(x, y, z.bit_count() & 1) for x, y, z in want]
+
+    def test_partial_index_layout_matches_list_sampler(self, capsys, tmp_path):
+        # undefined cells in the middle of rows: the sampler draws from an
+        # index array that skips them
+        g = inner_of_rows(2, [[0, UNDEF, 1, UNDEF], [UNDEF, UNDEF, UNDEF, UNDEF],
+                              [1, 1, UNDEF, 0], [UNDEF, 0, 1, UNDEF]])
+        assert isinstance(g.defined_cells(), array)
+        assert list(g.defined_cells()) == [0, 2, 8, 9, 11, 13, 14]
+        g_path = write_json(tmp_path, "g.json", boolcube.inner_to_dict(g))
+        f_path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
+        trials = bcw_trials(capsys, ["--f", f_path, "--g", g_path, "--trials", "120",
+                                     "--seed", "6"])
+        want = list_sampled_inputs(g, 3, 120, 6)
+        assert [(t["x"], t["y"], t["expected"]) for t in trials] == \
+            [(x, y, z.bit_count() & 1) for x, y, z in want]
+
     def test_disj3_cells_uniform(self, capsys, tmp_path):
         # every block is uniform on the 9 cells of disj3's domain
         path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
@@ -853,13 +889,50 @@ class TestParserReuse:
         assert parser_state(parser) == before
 
     def test_import_builds_no_parser(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = "import blockcomp.cli as cli; print(cli.build_parser.cache_info().currsize)"
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
+        done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout == "0\n"
+
+
+# Runs main once per argv (a JSON list on argv[1]), silencing stdout, and
+# prints the exit codes and whether numpy was ever imported.
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import blockcomp.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(blockcomp.cli.main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestStdlibOnly:
+    def test_no_subcommand_imports_numpy(self, tmp_path, or4, parity2, step4, l1_toy):
+        g = write_json(tmp_path, "g.json",
+                       boolcube.inner_to_dict(restrict_rows(boolcube.ip_inner(2), [1, 2])))
+        grid = write_json(tmp_path, "grid.json", {"f": [parity2], "family": ["ip", "disj"],
+                                                  "k": [3]})
+        bcw = ["simulate", "--protocol", "bcw", "--f", parity2, "--trials", "5"]
+        argvs = [
+            ["approxdeg", "--f", or4],
+            ["witness", "--f", parity2],
+            ["specdisc", "--family", "ip", "--k", "3"],
+            ["specdisc", "--family", "disj", "--k", "6"],
+            ["knuth", "--k", "6", "--p", "2", "--s", "1"],
+            ["mainlemma", "--f", parity2, "--family", "ip", "--k", "3"],
+            ["mainlemma", "--f", parity2, "--family", "disj", "--k", "3"],
+            ["reduce", "--f", l1_toy, "--k-override", "3", "--check-identity"],
+            ["batch", "--grid", grid],
+            bcw + ["--g-family", "ip", "--k", "3"],
+            bcw + ["--g-family", "disj", "--k", "3"],
+            bcw + ["--g", g],
+            ["simulate", "--protocol", "symand", "--f", step4, "--trials", "5"],
+        ]
+        done = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(argvs)],
+                              env=src_env(), capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == {"codes": [0] * len(argvs), "numpy": False}
 
 
 class TestInternalErrors:

@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +8,20 @@ import pytest
 from blockcomp.boolcube import (UNDEF, InnerFunction, and_inner,
                                 disj_le1_inner, ip_inner, weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
-from blockcomp.specdisc import (DistributionPair, PAIR_SIDE_CAP, disj_lambda,
+from blockcomp.specdisc import (PAIR_SIDE_CAP, disj_lambda,
                                 disj_pair, disj_weights, eigenspace_dimension,
                                 family_bound, ip_pair, knuth_eigenvalue,
                                 spectral_certificate)
 from oracles import (dense, dense_certificate, disj_lambda_diff_closed,
-                     ip_closed_forms, johnson_matrix, operator_norm,
-                     pair_matches, random_inner, restrict_rows, uniform_pair)
+                     inner_of_rows, ip_closed_forms, johnson_matrix, operator_norm,
+                     pair_block, pair_matches, random_inner, restrict_rows,
+                     uniform_pair)
 
 
 def assert_same_block(got, want):
     """Equal labels and blocks."""
     assert (got.i_a, got.i_b) == (want.i_a, want.i_b)
-    assert np.array_equal(got.block, want.block)
+    assert np.array_equal(pair_block(got), want.block)
 
 
 RECTANGLE_GUARD = 24
@@ -148,14 +150,20 @@ class TestPairsAndCertificates:
     @pytest.mark.parametrize("family,k", [("ip", k) for k in range(1, 10)]
                              + [("disj", k) for k in range(3, 13, 3)])
     def test_builtin_pair_matches_oracle(self, family, k):
+        # no constructor checks that g takes both values on the rectangle:
+        # it is a property of each family, checked on the block materialized
+        # from the family's inner function
         pair, g = {"ip": (ip_pair, ip_inner),
                    "disj": (disj_pair, disj_le1_inner)}[family]
-        assert pair_matches(pair(k), g(k))
+        pair, g = pair(k), g(k)
+        block = pair_block(pair)
+        assert (block == 0).any() and (block == 1).any()
+        assert pair_matches(pair, g)
 
     def test_validate_support_errors(self):
         # the oracle flags a pair whose cells carry the other value of g
         g = and_inner()
-        flipped = InnerFunction(1, 1 - g.values)
+        flipped = InnerFunction(1, array("b", [1 - v for v in g.values]))
         assert pair_matches(uniform_pair(g), g)
         assert not pair_matches(uniform_pair(g), flipped)
 
@@ -164,19 +172,11 @@ class TestPairsAndCertificates:
         g = restrict_rows(ip_inner(1), (1,))
         assert not pair_matches(uniform_pair(ip_inner(1)), g)
 
-    def test_constructor_rejects_wrong_shape(self):
-        block = np.array([[0, 1], [1, 0]], dtype=np.int8)
-        spectrum = ip_pair(2).spectrum
-        with pytest.raises(ValueError, match="shape"):
-            DistributionPair((0, 1, 2), (0, 1), block, spectrum)
-        with pytest.raises(ValueError, match="shape"):
-            DistributionPair((0, 1), (0, 1), block[0], spectrum)
-
     @pytest.mark.parametrize("b", [0, 1])
-    def test_constructor_rejects_missing_value(self, b):
-        block = np.array([[1 - b, UNDEF], [UNDEF, 1 - b]], dtype=np.int8)
+    def test_materialized_block_needs_both_values(self, b):
+        g = inner_of_rows(1, [[1 - b, UNDEF], [UNDEF, 1 - b]])
         with pytest.raises(ValueError, match=f"no {b}-inputs"):
-            DistributionPair((0, 1), (0, 1), block, ip_pair(2).spectrum)
+            uniform_pair(g)
 
     def test_qcc_bound_bits(self):
         cert = spectral_certificate(ip_pair(3))
