@@ -2,7 +2,7 @@
 
 Submodules: boolcube (cube/Fourier basics), approxdeg (exact LP degree and
 dual witnesses), specdisc (spectral discrepancy), mainlemma (witness-matrix
-certificates), applications (drivers and padding reductions), protocols
+certificates), applications (padding reductions), protocols
 (classical upper-bound simulations), cli (command line).
 """
 

@@ -1,6 +1,5 @@
-"""Drivers that turn the certificate machinery into concrete lower-bound
-artifacts: inner-product and disjointness instantiations, and the padding
-reductions from AND-composition to restricted-disjointness composition.
+"""The padding reductions from AND-composition to restricted-disjointness
+composition.
 
 The reductions concern a symmetric outer function, which they take as its
 weight profile: padding a symmetric f with ones shifts its profile, so
@@ -14,63 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .approxdeg import LP_ARITY_CAP, farkas_sweep
-from .boolcube import (BooleanFunction, SymmetricProfile, ell1_of_profile,
-                       from_profile)
+from .boolcube import SymmetricProfile, ell1_of_profile, from_profile
 from .errors import DegeneratePlan
-from .mainlemma import CertificateReport, mainlemma_certify
-from .specdisc import disj_pair, family_bound, ip_pair, spectral_certificate
-
-
-@dataclass(frozen=True)
-class DriverResult:
-    """A certificate report plus the driver-level arithmetic checks."""
-
-    report: CertificateReport
-    checks: dict[str, bool]
-
-
-def ip_corollary_driver(f: BooleanFunction, k: int) -> DriverResult:
-    """Certify f composed with inner product on k bits per side.
-
-    Also evaluates the sufficient condition k >= 2*log2(n) + 5, which
-    forces rho <= 1/(2en) and hence the closed-form regime whenever the
-    witness degree is at least 1.
-    """
-    n = f.n
-    pair = ip_pair(k)
-    report = mainlemma_certify(f, pair)
-    threshold = 2.0 * math.log2(n) + 5.0 if n >= 1 else 5.0
-    condition = k >= threshold
-    rho_small = report.rho <= 1.0 / (2.0 * math.e * n)
-    checks = {
-        "k_ge_2log2n_plus_5": condition,
-        "rho_le_1_over_2en": rho_small,
-        "condition_implies_rho_small": (not condition) or rho_small,
-        "rho_le_closed_form": family_bound("ip", k, spectral_certificate(pair))[1],
-    }
-    return DriverResult(report, checks)
-
-
-def disj_lemma_driver(f: BooleanFunction, k: int) -> DriverResult:
-    """Certify f composed with at-most-one-intersection disjointness."""
-    n = f.n
-    pair = disj_pair(k)
-    cert = spectral_certificate(pair)
-    if not family_bound("disj", k, cert)[1]:
-        raise ValueError(f"disjointness certificate rho={cert.rho} exceeds 3/k")
-    report = mainlemma_certify(f, pair)
-    d = report.degree
-    cond_k = k >= 6.0 * math.e * n / d
-    checks = {
-        "rho_le_3_over_k": True,
-        "k_ge_6en_over_d": cond_k,
-        "condition_implies_flag": (not cond_k) or report.closed_form_valid,
-    }
-    return DriverResult(report, checks)
-
-
-# ---------------------------------------------------------------------------
-# padding reductions
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,6 @@ class WitnessReport:
     q_dot_f: Fraction
     l1: Fraction
     l1_bound: Fraction
-    l1_at_bound: bool
     max_abs_coeff: Fraction
     coeff_bound: Fraction
     min_support_degree: int | None
@@ -238,7 +237,6 @@ def verify_witness(witness: DualWitness, f: BooleanFunction) -> WitnessReport:
         q_dot_f=q_dot_f,
         l1=l1,
         l1_bound=l1_bound,
-        l1_at_bound=l1 == l1_bound,
         max_abs_coeff=max_abs,
         coeff_bound=coeff_bound,
         min_support_degree=min_deg,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
+from .errors import NotSymmetric, SizeGuardExceeded
 
 MAX_MATERIALIZE = 4096  # per-side dimension cap for dense materializations
 
@@ -41,17 +41,6 @@ class BooleanFunction:
 
     def value(self, index: int) -> int:
         return self.table[index]
-
-
-def evaluate(f: BooleanFunction, x: Sequence[int]) -> int:
-    """Evaluate f at a bit vector (x_1 first)."""
-    if len(x) != f.n:
-        raise ArityMismatch(f"expected {f.n} bits, got {len(x)}")
-    index = 0
-    for i, bit in enumerate(x):
-        if bit:
-            index |= 1 << i
-    return f.table[index]
 
 
 def from_predicate(n: int, pred) -> BooleanFunction:
@@ -100,22 +89,12 @@ def from_profile(profile: Sequence[int]) -> BooleanFunction:
 class FourierSpectrum:
     """Exact Fourier coefficients, keyed by the frequency bitmask w.
 
-    Only nonzero coefficients are stored; coefficient() returns 0 for
-    absent frequencies.
+    Only nonzero coefficients are stored: an absent frequency has
+    coefficient 0.
     """
 
     n: int
     coeffs: dict[int, Fraction]
-
-    def coefficient(self, w: int) -> Fraction:
-        return self.coeffs.get(w, Fraction(0))
-
-    def evaluate(self, x: int) -> Fraction:
-        """Invert the transform at the point with index x."""
-        total = Fraction(0)
-        for w, c in self.coeffs.items():
-            total += c if (w & x).bit_count() % 2 == 0 else -c
-        return total
 
     def min_degree(self) -> int | None:
         """Smallest |w| carrying a nonzero coefficient, or None if identically 0."""
@@ -139,11 +118,6 @@ def walsh_transform(values: Sequence) -> list:
                 out[j], out[j + h] = a + b, a - b
         h <<= 1
     return out
-
-
-def fourier(f: BooleanFunction) -> FourierSpectrum:
-    """Exact Fourier spectrum of a 0/1-valued function."""
-    return spectrum_of_values(f.n, dict(enumerate(f.table)))
 
 
 def spectrum_of_values(n: int, values: dict[int, Fraction]) -> FourierSpectrum:
@@ -320,10 +294,6 @@ def disj_le1_inner(k: int) -> InnerFunction:
 
 # ---------------------------------------------------------------------------
 # JSON wire formats
-
-
-def function_to_dict(f: BooleanFunction) -> dict:
-    return {"n": f.n, "bits": "".join(str(b) for b in f.table)}
 
 
 def function_from_dict(obj: dict) -> BooleanFunction:

@@ -28,13 +28,17 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write text to --out if given, else to stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True) + "\n", out_path)
 
 
 def _load_json(path: str) -> dict:
@@ -272,12 +276,7 @@ def cmd_simulate(args) -> int:
     summary = {"summary": True, "trials": args.trials, "errors": errors,
                "error_rate": errors / args.trials, "max_total_bits": max_total_bits}
     lines.append(json.dumps(summary, sort_keys=True) + "\n")
-    text = "".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("".join(lines), args.out)
     if args.inject_error == 0.0 and errors:
         return INVARIANT_FAILURE
     return OK
@@ -383,12 +382,7 @@ def batch_table(grid: dict) -> str:
 
 
 def cmd_batch(args) -> int:
-    text = batch_table(_load_json(args.grid))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(batch_table(_load_json(args.grid)), args.out)
     return OK
 
 

@@ -11,7 +11,9 @@ the composition, which in turn lower-bounds quantum communication.
 
 ||h|| has one route (``h_opnorm``): exact from the pair's per-block
 spectrum, without building h.  The analytic binomial-tail bound
-(``opnorm_bound``) is reported next to it.
+(``opnorm_bound``) is reported next to it.  The trace-norm bound comes from
+the exact ||h|| alone; the paper's closed form scale * e^(d/2) / 24 is
+reported as ``closed_form_lb`` for comparison and never feeds it.
 """
 
 from __future__ import annotations
@@ -110,9 +112,9 @@ def inner_product_with_composition(h: WitnessMatrix, f: BooleanFunction) -> Frac
 
 @dataclass(frozen=True)
 class OpnormBound:
-    """Analytic bounds on ||h||.  bound_r is the binomial-tail form;
-    bound_final is its closed weakening 2/(eps * scale) * exp(-d/2),
-    valid only when rho <= d/(2en)."""
+    """Analytic bound bound_r on ||h||, the binomial-tail form.  final_valid
+    marks the regime rho <= d/(2en) of the paper's closed weakening
+    2/(eps * scale) * exp(-d/2)."""
 
     n: int
     degree: int
@@ -120,7 +122,6 @@ class OpnormBound:
     epsilon: float
     scale: float
     bound_r: float
-    bound_final: float
     final_valid: bool
 
 
@@ -133,9 +134,8 @@ def opnorm_bound(q: DualWitness, cert: SpectralDiscrepancyCert) -> OpnormBound:
     scale = math.sqrt(cert.pair.k_a * cert.pair.k_b) ** n
     tail = sum(math.comb(n, ell) * rho ** ell for ell in range(d, n + 1))
     bound_r = (1.0 + rho) ** n / (eps * scale) * tail
-    bound_final = 2.0 / (eps * scale) * math.exp(-0.5 * d)
     final_valid = bool(rho <= d / (2.0 * math.e * n))
-    return OpnormBound(n, d, rho, eps, scale, bound_r, bound_final, final_valid)
+    return OpnormBound(n, d, rho, eps, scale, bound_r, final_valid)
 
 
 def _check_epsilon_prime(epsilon_prime: Fraction, epsilon: Fraction) -> Fraction:
@@ -177,7 +177,9 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
                       epsilon_prime: Fraction = Fraction(1, 6)
                       ) -> CertificateReport:
     """Run the full chain: dual witness, witness matrix, norm bounds,
-    trace-norm lower bound, and the implied communication bound in bits."""
+    trace-norm lower bound, and the implied communication bound in bits.
+    The trace-norm bound is (1 - eps'/eps) / ||h|| from the exact ||h||;
+    closed_form_lb is reported beside it, only inside its regime."""
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     witness = dual_witness(f, epsilon)
     cert = spectral_certificate(pair)
@@ -190,13 +192,12 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
     closed_lb = None
     if bounds.final_valid:
         closed_lb = bounds.scale * math.exp(0.5 * witness.degree) / 24.0
-    best_lb = max(route_lb, closed_lb) if closed_lb is not None else route_lb
-    qcc = math.log2(best_lb / bounds.scale) if math.isfinite(best_lb) else math.inf
+    qcc = math.log2(route_lb / bounds.scale) if math.isfinite(route_lb) else math.inf
     return CertificateReport(
         n=witness.n, degree=witness.degree, epsilon=epsilon,
         epsilon_prime=epsilon_prime, rho=cert.rho, scale=bounds.scale,
         h_l1=h.h_l1, inner_product=inner, h_opnorm_exact=denom,
         h_opnorm_bound=bounds.bound_r,
-        tracenorm_lb=best_lb, closed_form_valid=bounds.final_valid,
+        tracenorm_lb=route_lb, closed_form_valid=bounds.final_valid,
         closed_form_lb=closed_lb, implied_degree_bound=float(witness.degree),
         qcc_bits=qcc)

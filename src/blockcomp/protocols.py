@@ -80,16 +80,10 @@ def _min_depth(n: int, table: tuple[int, ...], memo: dict) -> int:
     return best
 
 
-def optimal_decision_tree_depth(f: BooleanFunction) -> int:
-    """Exact minimal query depth, by exhaustive restriction search."""
-    if f.n > TREE_ARITY_CAP:
-        raise ArityMismatch(f"arity {f.n} exceeds the exhaustive-search cap {TREE_ARITY_CAP}")
-    return _min_depth(f.n, f.table, {})
-
-
 def optimal_decision_tree(f: BooleanFunction) -> DecisionTree:
-    """A tree achieving the minimal depth; variable labels refer to f's
-    original variables even inside restricted subtrees."""
+    """A tree achieving the minimal query depth (exhaustive restriction
+    search); variable labels refer to f's original variables even inside
+    restricted subtrees."""
     if f.n > TREE_ARITY_CAP:
         raise ArityMismatch(f"arity {f.n} exceeds the exhaustive-search cap {TREE_ARITY_CAP}")
     memo: dict = {}

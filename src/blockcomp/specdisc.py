@@ -74,11 +74,6 @@ class SpectralDiscrepancyCert:
     rho: float
     rho_sq: Fraction
 
-    def qcc_bound_bits(self) -> float:
-        """log2(1/rho): the discrepancy route's lower bound in bits, with no
-        hidden constant applied."""
-        return math.log2(1.0 / self.rho)
-
 
 def spectral_certificate(pair: DistributionPair) -> SpectralDiscrepancyCert:
     """Minimal r this pair certifies: max(diff_scaled, sum_scaled - 1, 0),
@@ -117,6 +112,22 @@ def family_bound(family: str, k: int,
 PAIR_SIDE_CAP = 512
 
 
+# The largest k each family admits under the cap: ip 9 (side 2^k), disj 12
+# (side C(k, k/3) >= 3^(k/3), so no k past 3 * IP_K_CAP fits).  A
+# constructor compares k with these before it forms a side count, which for
+# a k of a few thousand would cost more than the refusal and be too long to
+# format.
+IP_K_CAP = PAIR_SIDE_CAP.bit_length() - 1
+DISJ_K_CAP = max(k for k in range(3, 3 * IP_K_CAP + 1, 3)
+                 if math.comb(k, k // 3) <= PAIR_SIDE_CAP)
+
+
+def _check_k_cap(family: str, k: int, cap: int) -> None:
+    if k > cap:
+        raise SizeGuardExceeded(f"{family} k = {k} exceeds the certifiable cap "
+                                f"k <= {cap} (pair side <= {PAIR_SIDE_CAP})")
+
+
 def ip_pair(k: int) -> DistributionPair:
     """Uniform pair of ``ip_inner(k)`` with the zero row removed from
     Alice's side (the zero row is constant and would break condition (2)).
@@ -126,10 +137,8 @@ def ip_pair(k: int) -> DistributionPair:
     = K J/c^2 (eigenvalues K(K-1)/c^2 and 0) and minus minus^T = K I/c^2."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_k_cap("ip", k, IP_K_CAP)
     size = 1 << k
-    if size > PAIR_SIDE_CAP:
-        raise SizeGuardExceeded(
-            f"side size {size} exceeds the certifiable cap {PAIR_SIDE_CAP}")
     c = Fraction(size * (size - 1), 2)
     eigen = ((size * (size - 1) / c ** 2, size / c ** 2),
              (Fraction(0), size / c ** 2))
@@ -181,10 +190,7 @@ def disj_pair(k: int) -> DistributionPair:
     ``weight_subsets`` order): mu_s = J_{k,p,s} / w_s, whose shared
     Johnson-scheme eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
     p = disj_p(k)
-    m = math.comb(k, p)
-    if m > PAIR_SIDE_CAP:
-        raise SizeGuardExceeded(
-            f"side size {m} exceeds the certifiable cap {PAIR_SIDE_CAP}")
+    _check_k_cap("disj", k, DISJ_K_CAP)
     subsets = weight_subsets(k, p)
     spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
                                   for t in range(p + 1)))

@@ -4,14 +4,15 @@ import math
 
 import pytest
 
-from blockcomp.applications import (DriverResult, disj_lemma_driver,
-                                    ip_corollary_driver,
-                                    padding_identity_check, reduction_plan)
+from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.boolcube import (constant_function, from_profile, or_function,
-                                profile_from_values, projection,
-                                symmetric_profile, weight_subsets)
+                                parity_function, profile_from_values,
+                                projection, symmetric_profile, weight_subsets)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, WitnessNotApplicable
+from blockcomp.mainlemma import mainlemma_certify
+from blockcomp.specdisc import (disj_pair, family_bound, ip_pair,
+                                spectral_certificate)
 from oracles import enumerated_identity_check, pad_restrict
 
 
@@ -48,27 +49,35 @@ SMALL_L0_TOY = or_function(8)                           # ell0=1, alpha*8 > 1 at
 L1_TOY = profile_fn(*([0] * 8 + [1] * 5))               # n=12, ell1=5
 
 
+def ip_condition(n, k):
+    """The IP corollary's sufficient condition k >= 2*log2(n) + 5, which
+    forces rho <= 1/(2en) and hence the closed-form regime."""
+    return k >= 2 * math.log2(n) + 5
+
+
 class TestIpDriver:
+    """f composed with inner product, certified by mainlemma_certify on
+    ip_pair(k); family_bound checks rho against 1/sqrt(K-1)."""
+
     def test_small_n_all_conditions_hold(self):
-        res = ip_corollary_driver(projection(1, 1), 5)
-        assert isinstance(res, DriverResult)
-        assert res.checks["k_ge_2log2n_plus_5"]
-        assert res.checks["rho_le_1_over_2en"]
-        assert res.checks["condition_implies_rho_small"]
-        assert res.checks["rho_le_closed_form"]
-        assert res.report.inner_product == 1
+        f, pair = projection(1, 1), ip_pair(5)
+        report = mainlemma_certify(f, pair)
+        assert ip_condition(f.n, 5)
+        assert report.rho <= 1.0 / (2.0 * math.e * f.n)
+        assert family_bound("ip", 5, spectral_certificate(pair))[1]
+        assert report.inner_product == 1
 
     def test_condition_fails_but_certificate_emitted(self):
-        res = ip_corollary_driver(or_function(4), 5)
-        assert not res.checks["k_ge_2log2n_plus_5"]
-        assert res.checks["condition_implies_rho_small"]
-        assert res.checks["rho_le_closed_form"]
-        assert res.report.inner_product == 1
-        assert math.isfinite(res.report.qcc_bits)
+        f, pair = or_function(4), ip_pair(5)
+        report = mainlemma_certify(f, pair)
+        assert not ip_condition(f.n, 5)
+        assert family_bound("ip", 5, spectral_certificate(pair))[1]
+        assert report.inner_product == 1
+        assert math.isfinite(report.qcc_bits)
 
     def test_constant_rejected(self):
         with pytest.raises(WitnessNotApplicable):
-            ip_corollary_driver(constant_function(2, 1), 5)
+            mainlemma_certify(constant_function(2, 1), ip_pair(5))
 
     def test_condition_arithmetic(self):
         # whenever k >= 2*log2(n) + 5, the closed form 1/sqrt(2^k - 1)
@@ -79,24 +88,31 @@ class TestIpDriver:
 
 
 class TestDisjDriver:
+    """f composed with at-most-one-intersection disjointness, certified by
+    mainlemma_certify on disj_pair(k); family_bound checks rho <= 3/k."""
+
     def test_divisibility(self):
         with pytest.raises(ValueError):
-            disj_lemma_driver(or_function(2), 4)
+            disj_pair(4)
 
     def test_k3_emits_with_vacuous_condition(self):
-        from blockcomp.boolcube import parity_function
-
-        res = disj_lemma_driver(parity_function(2), 3)
-        assert res.checks["rho_le_3_over_k"]
-        assert not res.checks["k_ge_6en_over_d"]
-        assert res.checks["condition_implies_flag"]
-        assert res.report.inner_product == 1
+        f, pair = parity_function(2), disj_pair(3)
+        report = mainlemma_certify(f, pair)
+        assert family_bound("disj", 3, spectral_certificate(pair))[1]
+        assert not 3 >= 6.0 * math.e * f.n / report.degree
+        assert report.inner_product == 1
 
     def test_k6_rho_bound_holds(self):
-        from blockcomp.boolcube import parity_function
+        report = mainlemma_certify(parity_function(2), disj_pair(6))
+        assert report.rho <= 3.0 / 6 + 1e-9
 
-        res = disj_lemma_driver(parity_function(2), 6)
-        assert res.report.rho <= 3.0 / 6 + 1e-9
+    def test_condition_arithmetic(self):
+        # k >= 6en/d puts the exact rho = 9/(4k) (TestJohnson) below
+        # d/(2en), the closed-form regime; past the side cap, so by arithmetic
+        for n in range(1, 65):
+            for d in range(1, n + 1):
+                k = 3 * math.ceil(2.0 * math.e * n / d)
+                assert 9.0 / (4 * k) <= d / (2.0 * math.e * n)
 
 
 class TestReductionPlanSelection:

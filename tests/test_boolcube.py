@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from blockcomp import boolcube
 from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
                                 and_inner, constant_function, disj_le1_inner, ell0_of_profile,
-                                ell1_of_profile, evaluate,
-                                fourier, from_profile, function_from_dict,
-                                function_to_dict, inner_from_dict,
+                                ell1_of_profile, from_profile,
+                                function_from_dict, inner_from_dict,
                                 inner_to_dict, ip_inner, negate, or_function,
                                 parity_function, profile_from_values,
                                 projection, spectrum_of_values,
-                                symmetric_profile, weight_subsets)
+                                symmetric_profile, walsh_transform,
+                                weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 from blockcomp.specdisc import disj_pair
 from oracles import (ComposedFunction, block_compose, domain, inner_of_rows,
@@ -40,13 +40,9 @@ class TestBooleanFunction:
             BooleanFunction(2, (0, 1, 0))
 
     def test_evaluate_examples(self):
-        assert evaluate(or_function(2), [0, 0]) == 0
-        assert evaluate(or_function(2), [1, 0]) == 1
-        assert evaluate(parity_function(3), [1, 1, 1]) == 1
-
-    def test_evaluate_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            evaluate(or_function(2), [0, 1, 1])
+        assert or_function(2).value(0b00) == 0
+        assert or_function(2).value(0b01) == 1
+        assert parity_function(3).value(0b111) == 1
 
     def test_bit_convention(self):
         # x_1 is the least-significant bit of the index
@@ -60,25 +56,29 @@ class TestBooleanFunction:
 
 
 class TestFourier:
+    """spectrum_of_values on the truth table of a 0/1-valued function."""
+
     def test_constant_zero_empty(self):
-        assert fourier(constant_function(3, 0)).coeffs == {}
+        f = constant_function(3, 0)
+        assert spectrum_of_values(3, dict(enumerate(f.table))).coeffs == {}
 
     def test_single_variable(self):
-        sp = fourier(projection(1, 1))
+        sp = spectrum_of_values(1, dict(enumerate(projection(1, 1).table)))
         assert sp.coeffs == {0: Fraction(1, 2), 1: Fraction(-1, 2)}
 
     def test_parity_two(self):
-        sp = fourier(parity_function(2))
+        sp = spectrum_of_values(2, dict(enumerate(parity_function(2).table)))
         assert sp.coeffs == {0: Fraction(1, 2), 3: Fraction(-1, 2)}
 
     @given(st.integers(1, 5), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
     def test_inversion_and_parseval(self, n, seed):
-        """Transform and evaluate round-trip exactly in rationals."""
+        """The transform inverts exactly in rationals: the unnormalized
+        Walsh transform of the coefficients is the table."""
         f = random_function(n, seed)
-        sp = fourier(f)
-        for x in range(1 << n):
-            assert sp.evaluate(x) == f.value(x)
+        sp = spectrum_of_values(n, dict(enumerate(f.table)))
+        dense = [sp.coeffs.get(w, Fraction(0)) for w in range(1 << n)]
+        assert walsh_transform(dense) == list(f.table)
         lhs = sum((c * c for c in sp.coeffs.values()), Fraction(0))
         rhs = Fraction(sum(f.table), 1 << n)
         assert lhs == rhs
@@ -86,8 +86,8 @@ class TestFourier:
     def test_min_degree(self):
         chi = {x: Fraction((-1) ** x.bit_count()) for x in range(8)}
         assert spectrum_of_values(3, chi).min_degree() == 3
-        assert fourier(constant_function(2, 1)).min_degree() == 0
-        assert fourier(constant_function(2, 0)).min_degree() is None
+        assert spectrum_of_values(2, {x: 1 for x in range(4)}).min_degree() == 0
+        assert spectrum_of_values(2, {}).min_degree() is None
 
 
 class TestSymmetricProfile:
@@ -351,8 +351,7 @@ class TestBlockCompose:
 class TestJsonIO:
     def test_function_roundtrip(self):
         f = random_function(3, 11)
-        d = function_to_dict(f)
-        assert d["n"] == 3 and len(d["bits"]) == 8
+        d = {"n": 3, "bits": "".join(str(b) for b in f.table)}
         assert function_from_dict(d).table == f.table
 
     def test_function_bad_bits(self):

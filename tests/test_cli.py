@@ -194,9 +194,14 @@ class TestSpecdiscCommand:
             main(["specdisc", "--family", "xor", "--k", "3"])
 
     def test_oversized_k(self, capsys):
-        code, _, err = run(capsys, ["specdisc", "--family", "ip", "--k", "10"])
-        assert code == 2
-        assert "cap" in err
+        # k is checked before the side count is formed, so a k whose side
+        # has thousands of digits is refused at once, naming k and the cap
+        for family, k, cap in (("ip", 10, 9), ("ip", 20000, 9), ("disj", 15, 12),
+                               ("disj", 30000, 12), ("disj", 3000000, 12)):
+            code, out, err = run(capsys, ["specdisc", "--family", family, "--k", str(k)])
+            assert (code, out) == (2, "")
+            assert err == (f"error: {family} k = {k} exceeds the certifiable cap "
+                           f"k <= {cap} (pair side <= 512)\n")
 
     def test_disj_bad_k(self, capsys):
         code, _, err = run(capsys, ["specdisc", "--family", "disj", "--k", "4"])
@@ -298,8 +303,18 @@ class TestLowerBoundDigests:
          "36d7288d23be283148476b908e4ba7930aee27e4b4fa0831bd00a633ce691545"),
         ("or4", ["mainlemma", "--family", "disj", "--k", "6"],
          "930c09a9cebcbbcbd98a7e25ab96ad5a8dc0661c37c8fe0d8b3b8766bb44b1b5"),
+        # closed_form_valid cells, recorded while tracenorm_lb was the larger
+        # of the exact route and closed_form_lb: the exact route alone must
+        # reproduce every byte
+        ("or4", ["mainlemma", "--family", "ip", "--k", "9"],
+         "f534dbcc3d7ea982f63641525e3661edddfc888e85bb723eafc9790ebe09356d"),
+        ("or4", ["mainlemma", "--family", "ip", "--k", "9", "--epsilon-prime", "3/10"],
+         "e0eb07b47a7ab9c6cdf2ca35b03f4ef4f50b7b2f5461c069fe91a904f02c31e7"),
+        ("table6", ["mainlemma", "--family", "ip", "--k", "9"],
+         "50ee58b945ee2669d3d65a62ee67b409e608549dbc9f94569d0d2a20ceebd825"),
     ], ids=("witness-or4", "witness-maj5", "witness-table6", "mainlemma-or3-ip3",
-            "mainlemma-or4-disj6"))
+            "mainlemma-or4-disj6", "mainlemma-or4-ip9", "mainlemma-or4-ip9-eps3/10",
+            "mainlemma-table6-ip9"))
     def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
         path = write_json(tmp_path, f"{name}.json", DIGEST_FUNCTIONS[name])
         code, out, _ = run(capsys, [*argv, "--f", path])
@@ -769,7 +784,7 @@ class TestBatchCommand:
         errors = [row[-1] for row in rows[:6]]
         assert errors[0] == errors[3] == errors[4] == ""
         assert errors[1] == errors[2] == "ValueError: k must be a positive multiple of 3"
-        assert errors[5].startswith("SizeGuardExceeded: side size 1024")
+        assert errors[5].startswith("SizeGuardExceeded: ip k = 10 exceeds")
         assert all(row[3:-1] == [""] * 7 and row[-1].startswith("FileNotFoundError")
                    for row in rows[6:12])
 

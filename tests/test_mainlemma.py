@@ -225,7 +225,9 @@ class TestOpnormBound:
         w = dual_witness(parity_function(2), THIRD)
         b = opnorm_bound(w, spectral_certificate(pair))
         if b.final_valid:
-            assert b.bound_r <= b.bound_final + 1e-12
+            # the paper's closed weakening of the binomial tail
+            final = 2.0 / (b.epsilon * b.scale) * math.exp(-0.5 * b.degree)
+            assert b.bound_r <= final + 1e-12
 
 
 class TestIntegerContraction:
@@ -323,7 +325,7 @@ class TestCertifyChain:
         assert report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
         route = (1 - float(report.epsilon_prime) / float(report.epsilon)) \
             / report.h_opnorm_exact
-        assert report.tracenorm_lb >= route - 1e-12
+        assert report.tracenorm_lb == route
         assert report.qcc_bits == pytest.approx(
             math.log2(report.tracenorm_lb / report.scale))
         assert report.qcc_constant_note == "no hidden constant applied"
@@ -335,6 +337,17 @@ class TestCertifyChain:
         assert report.closed_form_lb == pytest.approx(
             report.scale * math.exp(0.5 * report.degree) / 24.0)
         assert report.tracenorm_lb >= report.closed_form_lb - 1e-9
+
+    def test_closed_form_never_feeds_the_bound(self):
+        # closed_form_lb's 1/24 ignores eps', so near eps it overstates; on
+        # OR_2 x ip7 at eps' = 33/100 it exceeds the exact route, which
+        # alone gives tracenorm_lb
+        report = mainlemma_certify(or_function(2), ip_pair(7),
+                                   epsilon_prime=Fraction(33, 100))
+        assert report.closed_form_valid
+        route = (1 - 33 / 100 / (1 / 3)) / report.h_opnorm_exact
+        assert report.tracenorm_lb == route < report.closed_form_lb
+        assert report.qcc_bits == math.log2(route / report.scale)
 
     def test_epsilon_ordering(self):
         pair, _ = PAIRS[0]

@@ -15,7 +15,6 @@ from oracles import (block_compose, domain, per_call_bcw, per_call_symand,
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
                                  optimal_decision_tree,
-                                 optimal_decision_tree_depth,
                                  repetition_schedule, symmetric_and_protocol,
                                  za_header_bits)
 
@@ -28,25 +27,23 @@ STEP4_NEG_PROFILE = symmetric_profile(STEP4_NEG)
 
 class TestDecisionTrees:
     def test_depths(self):
-        assert optimal_decision_tree_depth(constant_function(3, 1)) == 0
-        assert optimal_decision_tree_depth(and_function(3)) == 3
-        assert optimal_decision_tree_depth(or_function(2)) == 2
-        assert optimal_decision_tree_depth(parity_function(3)) == 3
-        assert optimal_decision_tree_depth(projection(3, 2)) == 1
+        assert optimal_decision_tree(constant_function(3, 1)).depth == 0
+        assert optimal_decision_tree(and_function(3)).depth == 3
+        assert optimal_decision_tree(or_function(2)).depth == 2
+        assert optimal_decision_tree(parity_function(3)).depth == 3
+        assert optimal_decision_tree(projection(3, 2)).depth == 1
 
     def test_arity_guard(self):
         with pytest.raises(ArityMismatch):
-            optimal_decision_tree_depth(parity_function(5))
-        with pytest.raises(ArityMismatch):
             optimal_decision_tree(parity_function(5))
 
-    @pytest.mark.parametrize("f", [
-        and_function(3), or_function(3), parity_function(3),
-        projection(4, 3), from_profile([0, 1, 0, 1, 0]),
-    ])
-    def test_tree_evaluates_f_at_optimal_depth(self, f):
+    @pytest.mark.parametrize("f,depth", [
+        (and_function(3), 3), (or_function(3), 3), (parity_function(3), 3),
+        (projection(4, 3), 1), (from_profile([0, 1, 0, 1, 0]), 4),
+    ], ids=("f0", "f1", "f2", "f3", "f4"))
+    def test_tree_evaluates_f_at_optimal_depth(self, f, depth):
         tree = optimal_decision_tree(f)
-        assert tree.depth == optimal_decision_tree_depth(f)
+        assert tree.depth == depth
         for x in range(1 << f.n):
             assert tree.evaluate(x) == f.value(x)
 

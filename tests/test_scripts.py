@@ -24,13 +24,6 @@ def test_protocol_scaling(capsys):
     assert "fitted c =" in out
 
 
-def test_lemma_report(capsys):
-    script = load_script("lemma_report")
-    assert script.main(["--ip-k", "2", "--disj-k", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "ip_2" in out and "disj_3" in out
-
-
 def test_protocol_scaling_rejects_oversized_ell1():
     with pytest.raises(SystemExit):
         load_script("protocol_scaling").main(["--n", "6", "--ell1", "4"])

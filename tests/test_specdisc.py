@@ -8,7 +8,7 @@ import pytest
 from blockcomp.boolcube import (UNDEF, InnerFunction, and_inner,
                                 disj_le1_inner, ip_inner, weight_subsets)
 from blockcomp.errors import SizeGuardExceeded
-from blockcomp.specdisc import (PAIR_SIDE_CAP, disj_lambda,
+from blockcomp.specdisc import (DISJ_K_CAP, IP_K_CAP, PAIR_SIDE_CAP, disj_lambda,
                                 disj_pair, disj_weights, eigenspace_dimension,
                                 family_bound, ip_pair, knuth_eigenvalue,
                                 spectral_certificate)
@@ -178,10 +178,6 @@ class TestPairsAndCertificates:
         with pytest.raises(ValueError, match=f"no {b}-inputs"):
             uniform_pair(g)
 
-    def test_qcc_bound_bits(self):
-        cert = spectral_certificate(ip_pair(3))
-        assert cert.qcc_bound_bits() == pytest.approx(math.log2(1 / cert.rho))
-
 
 class TestInnerProductPair:
     @pytest.mark.parametrize("k", range(2, 6))
@@ -231,9 +227,15 @@ class TestInnerProductPair:
             ip_pair(0)
         with pytest.raises(SizeGuardExceeded):
             ip_pair(10)
+        # refused on k alone: 1 << 20000 has too many digits to format
+        with pytest.raises(SizeGuardExceeded, match=r"^ip k = 20000 .* k <= 9 "):
+            ip_pair(20000)
 
     def test_side_cap_alignment(self):
         assert PAIR_SIDE_CAP == 512
+        assert (IP_K_CAP, DISJ_K_CAP) == (9, 12)
+        assert 1 << IP_K_CAP <= PAIR_SIDE_CAP < 1 << (IP_K_CAP + 1)
+        assert math.comb(12, 4) <= PAIR_SIDE_CAP < math.comb(15, 5)
 
 
 class TestJohnson:
@@ -320,6 +322,10 @@ class TestDisjointnessPair:
             disj_pair(4)
         with pytest.raises(SizeGuardExceeded):
             disj_pair(15)
+        # refused on k alone, before C(k, k/3) is formed
+        for k in (30000, 3000000):
+            with pytest.raises(SizeGuardExceeded, match=rf"^disj k = {k} .* k <= 12 "):
+                disj_pair(k)
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_pair_masses_and_support(self, k):
