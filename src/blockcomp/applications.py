@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approxdeg import LP_ARITY_CAP, farkas_sweep
-from .boolcube import SymmetricProfile, ell1_of_profile, from_profile
+from .approxdeg import LP_ARITY_CAP, weight_degree
+from .boolcube import SymmetricProfile, ell1_of_profile
 from .errors import DegeneratePlan
 
 
@@ -66,7 +66,7 @@ def _source_degree(values: tuple[int, ...], arity: int, ones: int, zeros: int,
     source = values[ones:ones + arity + 1]
     if skip or arity > LP_ARITY_CAP:
         return None, source
-    return farkas_sweep(from_profile(source), Fraction(1, 3))[0], source
+    return weight_degree(source, Fraction(1, 3)), source
 
 
 def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
@@ -78,11 +78,11 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
     ell0 = 0 routes to the ell1 case; otherwise ell0 <= alpha*n picks the
     small-ell0 case and the rest the large-ell0 case.  The source function
     is f with ones_pad ones and zeros_pad zeros appended, whose profile is
-    a window of f's; only its degree LP builds a table, and only within
-    LP_ARITY_CAP.  Overrides substitute toy values for k (and optionally n');
-    overridden plans skip the degree LP and mark themselves, and every
-    non-negativity the argument needs "by direct inspection" lands in the
-    checks dict instead of being assumed.
+    a window of f's, and its degree comes from the weight LP on that window,
+    within LP_ARITY_CAP; no step builds a truth table.  Overrides substitute
+    toy values for k (and optionally n'); overridden plans skip the degree
+    LP and mark themselves, and every non-negativity the argument needs "by
+    direct inspection" lands in the checks dict instead of being assumed.
     """
     if not 0 < c < math.inf:  # also refuses NaN
         raise ValueError(f"c must be positive and finite, got {c}")

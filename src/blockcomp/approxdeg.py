@@ -10,32 +10,45 @@ measure q on the cube with
 
 which this module extracts and verifies in exact rational arithmetic.
 
-Two sweeps over D = 0, 1, ... find the degree d, one per side of the
-Farkas alternative.  `approx_degree` sweeps the primal system and returns
-the coefficients at d; only `blockcomp approxdeg`, which prints them, takes
-it.  `farkas_sweep` sweeps the alternative system alone: d is the first D
-at which it has no solution, and its solution at d-1 is the raw witness.
-`dual_witness` (`witness`, `mainlemma`) and every caller that needs only d
-(`batch`, `reduce`) take this sweep and never solve the primal.
+Each input takes one route to the degree d.  A symmetric f (a profile
+file, or a table whose weight classes agree) has an epsilon-approximation
+of degree D exactly when a univariate polynomial of degree D has one on
+its n+1 weights (Minsky-Papert symmetrization), so `weight_degree` reads d
+off an (n+1)-point LP in the binomial basis, and the 2^n-row table system
+is solved once, at the one D whose solution is used: the primal at D = d
+for `approx_degree` (`blockcomp approxdeg` prints its coefficients), the
+Farkas alternative at D = d-1 for `farkas_sweep` (its solution is the raw
+witness of `dual_witness`, used by `witness` and `mainlemma`).  Callers
+that read only d (`batch`, `reduce`) take `degree_of` or `weight_degree`
+and solve no table system.  A table that is not symmetric keeps the
+sweeps over D = 0, 1, ...: the primal sweep returns the coefficients at
+the first feasible D, and the Farkas sweep stops at the first D whose
+alternative has no solution, with the raw witness at D = d-1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .boolcube import BooleanFunction, FourierSpectrum, spectrum_of_values
-from .errors import EpsilonOutOfRange, WitnessNotApplicable
+from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
+                       symmetric_profile)
+from .errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
 from .simplex import solve_feasibility
 
-# Largest n at which `blockcomp witness` (eps = 1/3) finished within 60 s on
-# OR_n, MAJ_n (weight > n/2) and a seeded random table, one process on a
-# shared 2-vCPU Xeon guest.  At n = 7 over 90% of the time goes to the one
-# infeasible Farkas solve at D = d, which the degree sweep cannot skip:
-#   n   OR_n     MAJ_n     seeded
-#   6   0.08 s   0.35 s    0.29 s
-#   7   2.1 s    23 s      16 s
-#   8   44 s     > 300 s   (not run)
+# Seconds of one `cli.main` call at eps = 1/3, interpreter start excluded, one
+# process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
+# A symmetric f solves one table system:
+# the Farkas system at d-1 for `witness`, the primal at d for `approxdeg`,
+# whose printed coefficients need that vertex.  A seeded table still sweeps,
+# and its `witness` and MAJ_n's `approxdeg` hold the cap at 7:
+#        witness                       approxdeg
+#   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n
+#   6    0.01 s   0.06 s   0.17 s      0.11 s   0.38 s
+#   7    0.01 s   0.21 s   11.5 s      2.1 s    20 s
+#   8    0.01 s   6.6 s    (not run)   53 s     245 s
 LP_ARITY_CAP = 7
 
 
@@ -137,9 +150,58 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return {w: solution[t] - solution[m + t] for t, w in enumerate(monos)}
 
 
-def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
-    """Smallest D with lp_feasible nonempty, by linear sweep D = 0, 1, ..."""
+def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
+    """deg~_eps of the symmetric function whose value at weight k is
+    values[k], k = 0..n: the smallest D with coefficients c_0..c_D such that
+    |sum_j c_j C(k, j) - values[k]| <= eps for every k.
+
+    The binomials C(k, j), j <= D, span the univariate polynomials of
+    degree <= D, and symmetrizing an approximation of the table gives one on
+    the weights, so this is the table degree.  D = n always interpolates,
+    so the sweep solves D = 0..n-1 only.
+    """
     epsilon = _check_epsilon(epsilon)
+    n = len(values) - 1
+    for degree in range(n):
+        ub_rows = []
+        for k, fk in enumerate(values):
+            binomials = [math.comb(k, j) for j in range(degree + 1)]
+            row_up = binomials + [-b for b in binomials]
+            ub_rows.append((row_up, fk + epsilon))
+            ub_rows.append(([-b for b in row_up], epsilon - fk))
+        if solve_feasibility(2 * (degree + 1), ub_rows=ub_rows) is not None:
+            return degree
+    return n
+
+
+def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[Fraction, int | None]:
+    """The checked epsilon and, when f is symmetric, its degree by
+    ``weight_degree``; None for a table whose weight classes disagree.
+    Refuses n past LP_ARITY_CAP before any solve."""
+    epsilon = _check_epsilon(epsilon)
+    _check_arity(f.n)
+    try:
+        values = symmetric_profile(f).values
+    except NotSymmetric:
+        return epsilon, None
+    return epsilon, weight_degree(values, epsilon)
+
+
+def _contradiction(system: str, degree: int) -> RuntimeError:
+    return RuntimeError(f"the weight LP gives degree {degree} but the table "
+                        f"{system} has no solution where it must")
+
+
+def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
+    """Smallest D with lp_feasible nonempty and the coefficients there: for a
+    symmetric f, D from ``weight_degree`` and one primal solve at D;
+    otherwise by linear sweep D = 0, 1, ..."""
+    epsilon, degree = _route(f, epsilon)
+    if degree is not None:
+        coeffs = lp_feasible(f, epsilon, degree)
+        if coeffs is None:
+            raise _contradiction("primal", degree)
+        return ApproxDegreeResult(epsilon, degree, coeffs)
     for degree in range(f.n + 1):
         coeffs = lp_feasible(f, epsilon, degree)
         if coeffs is not None:
@@ -180,17 +242,25 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
 
 def farkas_sweep(f: BooleanFunction, epsilon: Fraction
                  ) -> tuple[int, dict[int, Fraction] | None]:
-    """deg~_eps(f) = d and the raw (unnormalized) witness, by sweeping the
-    alternative system alone over D = 0, 1, ...; the witness is None when
-    d = 0.
+    """deg~_eps(f) = d and the raw (unnormalized) witness, the solution of
+    dual_system_witness at D = d-1; the witness is None when d = 0.
 
     By the theorem of alternatives (Farkas' lemma), dual_system_witness at
-    cap D has a solution exactly when lp_feasible at cap D has none, so d is
-    the first D without one and the solution at D = d-1 is the raw witness.
-    At D = n the equality rows force q = 0 and the certificate row reads
-    0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.
+    cap D has a solution exactly when lp_feasible at cap D has none.  A
+    symmetric f takes d from ``weight_degree`` and solves the alternative
+    at D = d-1 alone.  Any other f sweeps the alternative system over
+    D = 0, 1, ...: d is the first D without a solution.  At D = n the
+    equality rows force q = 0 and the certificate row reads 0 <= -1, so the
+    sweep ends at D = n-1: feasible there means d = n.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon, degree = _route(f, epsilon)
+    if degree == 0:
+        return 0, None
+    if degree is not None:
+        raw = dual_system_witness(f, epsilon, degree - 1)
+        if raw is None:
+            raise _contradiction("Farkas system", degree)
+        return degree, raw
     degree, raw = 0, None
     while degree < f.n:
         certificate = dual_system_witness(f, epsilon, degree)
@@ -198,6 +268,14 @@ def farkas_sweep(f: BooleanFunction, epsilon: Fraction
             break
         degree, raw = degree + 1, certificate
     return degree, raw
+
+
+def degree_of(f: BooleanFunction, epsilon: Fraction) -> int:
+    """deg~_eps(f) alone, for callers that need no coefficients and no
+    witness: ``weight_degree`` for a symmetric f, which solves no table
+    system, else ``farkas_sweep``."""
+    epsilon, degree = _route(f, epsilon)
+    return farkas_sweep(f, epsilon)[0] if degree is None else degree
 
 
 def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:

@@ -48,32 +48,6 @@ def from_predicate(n: int, pred) -> BooleanFunction:
     return BooleanFunction(n, tuple(1 if pred(x) else 0 for x in range(1 << n)))
 
 
-def constant_function(n: int, bit: int) -> BooleanFunction:
-    return BooleanFunction(n, (bit,) * (1 << n))
-
-
-def or_function(n: int) -> BooleanFunction:
-    return from_predicate(n, lambda x: x != 0)
-
-
-def and_function(n: int) -> BooleanFunction:
-    full = (1 << n) - 1
-    return from_predicate(n, lambda x: x == full)
-
-
-def parity_function(n: int) -> BooleanFunction:
-    return from_predicate(n, lambda x: x.bit_count() & 1)
-
-
-def projection(n: int, i: int) -> BooleanFunction:
-    """f(x) = x_i (1-based)."""
-    return from_predicate(n, lambda x: (x >> (i - 1)) & 1)
-
-
-def negate(f: BooleanFunction) -> BooleanFunction:
-    return BooleanFunction(f.n, tuple(1 - b for b in f.table))
-
-
 def from_profile(profile: Sequence[int]) -> BooleanFunction:
     """Truth table of the symmetric function with weight profile `profile`
     (profile[m] = value at weight m), validated by profile_from_values."""
@@ -302,12 +276,6 @@ def function_from_dict(obj: dict) -> BooleanFunction:
     if not isinstance(bits, str) or len(bits) != 1 << n or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a 0/1 string of length 2^{n}")
     return BooleanFunction(n, tuple(int(c) for c in bits))
-
-
-def inner_to_dict(g: InnerFunction) -> dict:
-    side = 1 << g.k
-    cells = ["u" if v == UNDEF else str(v) for v in g.values]
-    return {"k": g.k, "rows": [cells[i:i + side] for i in range(0, len(cells), side)]}
 
 
 def inner_from_dict(obj: dict) -> InnerFunction:

@@ -324,7 +324,7 @@ def _function_cells(path: str | None) -> tuple[dict, str]:
     try:
         f = load_function(path)
         cells["n"] = f.n
-        cells["degree"] = approxdeg.farkas_sweep(f, Fraction(1, 3))[0]
+        cells["degree"] = approxdeg.degree_of(f, Fraction(1, 3))
     except BATCH_ERRORS as exc:
         return cells, _error_cell(exc)
     return cells, ""

@@ -1,16 +1,19 @@
-"""Reference implementations the tests check the library against.
+"""Reference implementations the tests check the library against, and the
+named functions they feed it.
 
-Each one computes by enumeration or dense materialization what the library
-derives from structure: truth-table restrictions and block compositions,
-the inner tables as matrices, cells and row restrictions, uniform pairs on
-any rectangle, the block of a built-in pair materialized from its family's
-inner function and its cell-by-cell masses, dense SVD
-norms of a pair and of its witness matrix, ||h||^2 contracted over
-Fractions, the restricted composition and an explicit-approximation
+The named functions are constants, OR, AND, parity, projections and
+negation; ``inner_to_dict`` writes an inner function in its JSON wire
+format.  Each reference computes by enumeration or dense materialization
+what the library derives from structure: truth-table restrictions and
+block compositions, the inner tables as matrices, cells and row
+restrictions, uniform pairs on any rectangle, the block of a built-in pair
+materialized from its family's inner function and its cell-by-cell masses,
+dense SVD norms of a pair and of its witness matrix, ||h||^2 contracted
+over Fractions, the restricted composition and an explicit-approximation
 trace-norm bound, dense intersection matrices and closed-form spectra, the
 Paturi ratio of a symmetric function, the padding identity point by point,
-the protocol simulations one subprotocol call at a time, and ``simulate``'s
-output with one dict per trial line.  Dense work honours
+the protocol simulations one subprotocol call at a time, and
+``simulate``'s output with one dict per trial line.  Dense work honours
 ``boolcube.MAX_MATERIALIZE``.
 """
 
@@ -32,8 +35,8 @@ from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
 from blockcomp.approxdeg import approx_degree
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
-                                SymmetricProfile, disj_le1_inner, ip_inner,
-                                weight_subsets)
+                                SymmetricProfile, disj_le1_inner, from_predicate,
+                                ip_inner, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import WitnessMatrix, _check_epsilon_prime, h_opnorm
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node,
@@ -43,7 +46,33 @@ from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node
 from blockcomp.specdisc import DistributionPair, _check_kps
 
 # ---------------------------------------------------------------------------
-# truth tables, inner functions and block composition
+# named functions, truth tables, inner functions and block composition
+
+
+def constant_function(n: int, bit: int) -> BooleanFunction:
+    return BooleanFunction(n, (bit,) * (1 << n))
+
+
+def or_function(n: int) -> BooleanFunction:
+    return from_predicate(n, lambda x: x != 0)
+
+
+def and_function(n: int) -> BooleanFunction:
+    full = (1 << n) - 1
+    return from_predicate(n, lambda x: x == full)
+
+
+def parity_function(n: int) -> BooleanFunction:
+    return from_predicate(n, lambda x: x.bit_count() & 1)
+
+
+def projection(n: int, i: int) -> BooleanFunction:
+    """f(x) = x_i (1-based)."""
+    return from_predicate(n, lambda x: (x >> (i - 1)) & 1)
+
+
+def negate(f: BooleanFunction) -> BooleanFunction:
+    return BooleanFunction(f.n, tuple(1 - b for b in f.table))
 
 
 def pad_restrict(f: BooleanFunction, ones: int, zeros: int) -> BooleanFunction:
@@ -73,6 +102,12 @@ def seeded_table(n: int, seed: int) -> BooleanFunction:
 # the grid on which the exact routes are checked against their references
 SWEEP_FUNCTIONS = ([f for n in (1, 2, 3) for f in all_functions(n)]
                    + [seeded_table(n, seed) for n in (4, 5) for seed in range(3)])
+
+
+def inner_to_dict(g: InnerFunction) -> dict:
+    side = 1 << g.k
+    cells = ["u" if v == UNDEF else str(v) for v in g.values]
+    return {"k": g.k, "rows": [cells[i:i + side] for i in range(0, len(cells), side)]}
 
 
 def value_matrix(g: InnerFunction) -> np.ndarray:

@@ -16,10 +16,9 @@ from blockcomp import cli
 from blockcomp.approxdeg import (approx_degree, dual_system_witness,
                                  dual_witness, lp_feasible)
 from blockcomp.applications import padding_identity_check, reduction_plan
-from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
-                                disj_le1_inner, from_profile, ip_inner,
-                                or_function, parity_function,
-                                spectrum_of_values, symmetric_profile)
+from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
+                                from_profile, ip_inner, spectrum_of_values,
+                                symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
 from blockcomp.mainlemma import (build_witness_matrix,
                                  inner_product_with_composition, opnorm_bound)
@@ -30,9 +29,9 @@ from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
 from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 ip_pair, knuth_eigenvalue,
                                 eigenspace_dimension, spectral_certificate)
-from oracles import (block_compose, dense, disj_lambda_diff_closed,
-                     johnson_matrix, operator_norm, require_materialized,
-                     restricted_composition)
+from oracles import (and_function, block_compose, dense, disj_lambda_diff_closed,
+                     johnson_matrix, operator_norm, or_function, parity_function,
+                     require_materialized, restricted_composition)
 
 THIRD = Fraction(1, 3)
 

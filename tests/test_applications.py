@@ -6,14 +6,14 @@ import pytest
 
 from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.approxdeg import LP_ARITY_CAP
-from blockcomp.boolcube import (constant_function, from_profile, or_function,
-                                parity_function, profile_from_values,
-                                projection, symmetric_profile, weight_subsets)
+from blockcomp.boolcube import (from_profile, profile_from_values, symmetric_profile,
+                                weight_subsets)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, WitnessNotApplicable
 from blockcomp.mainlemma import mainlemma_certify
 from blockcomp.specdisc import (disj_pair, family_bound, ip_pair,
                                 spectral_certificate)
-from oracles import enumerated_identity_check, pad_restrict
+from oracles import (constant_function, enumerated_identity_check, or_function,
+                     pad_restrict, parity_function, projection)
 
 
 def profile_fn(*values):

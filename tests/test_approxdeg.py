@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcomp import approxdeg
-from blockcomp.approxdeg import (DualWitness, approx_degree, dual_system_witness,
-                                 dual_witness, lp_feasible, monomials_up_to,
-                                 verify_witness)
-from blockcomp.boolcube import (BooleanFunction, and_function, constant_function,
-                                from_profile, or_function, parity_function,
-                                projection, spectrum_of_values)
-from blockcomp.errors import EpsilonOutOfRange, WitnessNotApplicable
+from blockcomp.approxdeg import (DualWitness, approx_degree, degree_of,
+                                 dual_system_witness, dual_witness, farkas_sweep,
+                                 lp_feasible, monomials_up_to, verify_witness,
+                                 weight_degree)
+from blockcomp.boolcube import (BooleanFunction, from_profile, spectrum_of_values,
+                                symmetric_profile)
+from blockcomp.errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
-from oracles import SWEEP_FUNCTIONS, paturi_check, seeded_table
+from oracles import (SWEEP_FUNCTIONS, and_function, constant_function, or_function,
+                     parity_function, paturi_check, projection, seeded_table)
 
 THIRD = Fraction(1, 3)
 
@@ -242,17 +243,141 @@ class TestFarkasSweep:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_parity_skips_full_degree_solve(self, monkeypatch, n):
-        caps = []
-        real = approxdeg.dual_system_witness
-
-        def recording(f, epsilon, degree_cap):
-            caps.append(degree_cap)
-            return real(f, epsilon, degree_cap)
-
-        monkeypatch.setattr(approxdeg, "dual_system_witness", recording)
+        # parity is symmetric: the weight LP gives d = n and the table system
+        # is solved once, at d - 1, never at D = n
+        caps = record_caps(monkeypatch, "dual_system_witness")
         w = dual_witness(parity_function(n), THIRD)
         assert w.degree == n
-        assert caps == list(range(n))
+        assert caps == [n - 1]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_non_symmetric_full_degree_sweeps(self, monkeypatch, n):
+        # a table that is not symmetric keeps the sweep D = 0..n-1 and skips
+        # D = n; padding (1,0,0,1,0,1,0,0) with a dummy top bit keeps d = 3
+        table = (1, 0, 0, 1, 0, 1, 0, 0) * (1 << (n - 3))
+        caps = record_caps(monkeypatch, "dual_system_witness")
+        w = dual_witness(BooleanFunction(n, table), THIRD)
+        assert w.degree == 3
+        assert caps == list(range(min(4, n)))
+
+
+def record_caps(monkeypatch, name):
+    """Patch approxdeg's ``name`` (a table solve taking f, epsilon and a
+    degree cap) to record each cap it is called with."""
+    caps = []
+    real = getattr(approxdeg, name)
+
+    def recording(f, epsilon, degree_cap):
+        caps.append(degree_cap)
+        return real(f, epsilon, degree_cap)
+
+    monkeypatch.setattr(approxdeg, name, recording)
+    return caps
+
+
+def table_sweep_degree(f, epsilon):
+    """The degree by sweeping the table Farkas system over D = 0..n-1."""
+    for degree in range(f.n):
+        if dual_system_witness(f, epsilon, degree) is None:
+            return degree
+    return f.n
+
+
+def profiles(n):
+    """Every weight profile of arity n, as tuples."""
+    return [tuple((bits >> m) & 1 for m in range(n + 1)) for bits in range(1 << (n + 1))]
+
+
+class TestWeightDegree:
+    """The (n+1)-point weight LP gives the table degree of a symmetric f."""
+
+    @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
+    def test_matches_table_sweep_on_profiles(self, epsilon):
+        for n in range(1, 6):
+            for values in profiles(n):
+                degree = weight_degree(values, epsilon)
+                if len(set(values)) == 1:
+                    assert degree == 0
+                    continue
+                assert degree == table_sweep_degree(from_profile(values), epsilon), values
+
+    @pytest.mark.parametrize("values", [
+        [0] + [1] * 6, [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1], [0, 1] * 3 + [0],
+    ], ids=("OR_6", "MAJ_6", "THR3_6", "PAR_6"))
+    def test_matches_table_sweep_at_six_bits(self, values):
+        assert weight_degree(values, THIRD) == \
+            table_sweep_degree(from_profile(values), THIRD)
+
+    def test_epsilon_validation(self):
+        with pytest.raises(EpsilonOutOfRange):
+            weight_degree([0, 1], Fraction(1, 2))
+
+
+SYMMETRIC = [or_function(4), from_profile([0, 0, 0, 1, 1, 1]), parity_function(3),
+             and_function(3), from_profile([0, 0, 1, 1, 1, 1, 1])]
+
+
+class TestSymmetricRoute:
+    """A symmetric f solves each table system once, at the D whose solution
+    is used; any other table keeps the sweeps."""
+
+    @pytest.mark.parametrize("f", SYMMETRIC, ids=("OR_4", "MAJ_5", "PAR_3", "AND_3",
+                                                  "THR2_6"))
+    def test_one_table_solve(self, monkeypatch, f):
+        degree = weight_degree(symmetric_profile(f).values, THIRD)
+        farkas = record_caps(monkeypatch, "dual_system_witness")
+        primal = record_caps(monkeypatch, "lp_feasible")
+        assert dual_witness(f, THIRD).degree == degree
+        assert (farkas, primal) == ([degree - 1], [])
+        farkas.clear()
+        assert approx_degree(f, THIRD).degree == degree
+        assert (farkas, primal) == ([], [degree])
+        primal.clear()
+        assert degree_of(f, THIRD) == degree
+        assert (farkas, primal) == ([], [])
+
+    def test_constant_solves_primal_at_zero_only(self, monkeypatch):
+        farkas = record_caps(monkeypatch, "dual_system_witness")
+        primal = record_caps(monkeypatch, "lp_feasible")
+        f = constant_function(3, 1)
+        assert farkas_sweep(f, THIRD) == (0, None)
+        assert approx_degree(f, THIRD).degree == 0
+        assert (farkas, primal) == ([], [0])
+
+    @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0)])
+    def test_seeded_table_keeps_sweeps(self, monkeypatch, n, seed):
+        f = seeded_table(n, seed)
+        with pytest.raises(NotSymmetric):
+            symmetric_profile(f)
+        degree = table_sweep_degree(f, THIRD)
+        farkas = record_caps(monkeypatch, "dual_system_witness")
+        primal = record_caps(monkeypatch, "lp_feasible")
+        assert farkas_sweep(f, THIRD)[0] == degree
+        assert farkas == list(range(min(degree + 1, n)))
+        farkas.clear()
+        assert approx_degree(f, THIRD).degree == degree
+        assert (farkas, primal) == ([], list(range(degree + 1)))
+        primal.clear()
+        assert degree_of(f, THIRD) == degree
+        assert farkas == list(range(min(degree + 1, n))) and primal == []
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_contradiction_raises(self, monkeypatch, shift):
+        real = approxdeg.weight_degree
+        monkeypatch.setattr(approxdeg, "weight_degree",
+                            lambda values, epsilon: real(values, epsilon) + shift)
+        f = or_function(4)
+        with pytest.raises(RuntimeError, match="weight LP gives degree"):
+            if shift < 0:
+                approx_degree(f, THIRD)  # no primal solution below d
+            else:
+                dual_witness(f, THIRD)  # no Farkas solution at d
+
+    def test_arity_cap_before_any_solve(self):
+        f = constant_function(approxdeg.LP_ARITY_CAP + 1, 0)
+        for operation in (approx_degree, farkas_sweep, degree_of):
+            with pytest.raises(ValueError, match="LP operations support"):
+                operation(f, THIRD)
 
 
 class TestPaturi:

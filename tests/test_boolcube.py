@@ -8,20 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcomp import boolcube
-from blockcomp.boolcube import (BooleanFunction, UNDEF, and_function,
-                                and_inner, constant_function, disj_le1_inner, ell0_of_profile,
-                                ell1_of_profile, from_profile,
-                                function_from_dict, inner_from_dict,
-                                inner_to_dict, ip_inner, negate, or_function,
-                                parity_function, profile_from_values,
-                                projection, spectrum_of_values,
-                                symmetric_profile, walsh_transform,
-                                weight_subsets)
+from blockcomp.boolcube import (BooleanFunction, UNDEF, and_inner, disj_le1_inner,
+                                ell0_of_profile, ell1_of_profile, from_profile,
+                                function_from_dict, inner_from_dict, ip_inner,
+                                profile_from_values, spectrum_of_values,
+                                symmetric_profile, walsh_transform, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 from blockcomp.specdisc import disj_pair
-from oracles import (ComposedFunction, block_compose, domain, inner_of_rows,
-                     is_total, loop_disj_le1_inner, pad_restrict, pair_block,
-                     random_inner, restrict_rows)
+from oracles import (ComposedFunction, and_function, block_compose, constant_function,
+                     domain, inner_of_rows, inner_to_dict, is_total,
+                     loop_disj_le1_inner, negate, or_function, pad_restrict, pair_block,
+                     parity_function, projection, random_inner, restrict_rows)
 
 
 # a k = 2 table with undefined cells in the middle of rows

@@ -13,8 +13,8 @@ import pytest
 from blockcomp import approxdeg, boolcube, cli
 from blockcomp.approxdeg import LP_ARITY_CAP, approx_degree
 from blockcomp.cli import main
-from oracles import (dict_simulate_text, domain, inner_of_rows, list_sampled_inputs,
-                     restrict_rows, seeded_table)
+from oracles import (dict_simulate_text, domain, inner_of_rows, inner_to_dict,
+                     list_sampled_inputs, restrict_rows, seeded_table)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -278,12 +278,21 @@ class TestMainlemmaCommand:
         assert 0 < payload["h_opnorm_exact"] <= payload["h_opnorm_bound"]
 
 
-# functions whose witness and mainlemma stdout is pinned below; MAJ_5's best
-# degree-1 error is exactly 1/3
+# functions whose witness, approxdeg and mainlemma stdout is pinned below;
+# MAJ_5's best degree-1 error is exactly 1/3, and maj5_bits and thr2_6_bits
+# are the tables of the maj5 and thr2_6 profiles
 DIGEST_FUNCTIONS = {
     "or3": {"n": 3, "bits": "0" + "1" * 7},
     "or4": {"n": 4, "bits": "0" + "1" * 15},
     "maj5": {"profile": [0, 0, 0, 1, 1, 1]},
+    "maj5_bits": {"n": 5, "bits": "".join("1" if x.bit_count() >= 3 else "0"
+                                          for x in range(32))},
+    "thr2_6": {"profile": [0, 0, 1, 1, 1, 1, 1]},
+    "thr2_6_bits": {"n": 6, "bits": "".join("1" if x.bit_count() >= 2 else "0"
+                                            for x in range(64))},
+    "or5": {"profile": [0, 1, 1, 1, 1, 1]},
+    "par4": {"profile": [0, 1, 0, 1, 0]},
+    "maj7": {"profile": [0, 0, 0, 0, 1, 1, 1, 1]},
     "table6": {"n": 6, "bits": "01100011101101001011011110010001"
                                "10010111000011011000000011111101"},
 }
@@ -312,9 +321,25 @@ class TestLowerBoundDigests:
          "e0eb07b47a7ab9c6cdf2ca35b03f4ef4f50b7b2f5461c069fe91a904f02c31e7"),
         ("table6", ["mainlemma", "--family", "ip", "--k", "9"],
          "50ee58b945ee2669d3d65a62ee67b409e608549dbc9f94569d0d2a20ceebd825"),
+        # recorded while every degree came from a sweep over the 2^n-row
+        # table systems: the weight LP and one table solve must reproduce
+        # every byte, and a symmetric table prints what its profile prints
+        ("maj7", ["witness"],
+         "1b211d1523edbc66c952b97716d0c0fa7e5be7159f67369570a1cf11ed3993f7"),
+        ("or5", ["approxdeg"],
+         "f5e691b9a2bdef56cb1eb56fd15dc3737a58fd40d4dd358654739f31afe709bc"),
+        ("par4", ["approxdeg"],
+         "64b782b63e4ff0e073735fd2b38fd77be25f9d5371a2188024b3544a53448e9e"),
+        ("maj5_bits", ["witness"],
+         "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
+        ("thr2_6", ["approxdeg"],
+         "43460c48bc4af10e04a5ab369f1c70afd793fb8f5a00c823fdcea7090317be23"),
+        ("thr2_6_bits", ["approxdeg"],
+         "43460c48bc4af10e04a5ab369f1c70afd793fb8f5a00c823fdcea7090317be23"),
     ], ids=("witness-or4", "witness-maj5", "witness-table6", "mainlemma-or3-ip3",
             "mainlemma-or4-disj6", "mainlemma-or4-ip9", "mainlemma-or4-ip9-eps3/10",
-            "mainlemma-table6-ip9"))
+            "mainlemma-table6-ip9", "witness-maj7", "approxdeg-or5", "approxdeg-par4",
+            "witness-maj5-bits", "approxdeg-thr2_6", "approxdeg-thr2_6-bits"))
     def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
         path = write_json(tmp_path, f"{name}.json", DIGEST_FUNCTIONS[name])
         code, out, _ = run(capsys, [*argv, "--f", path])
@@ -480,7 +505,7 @@ class TestBcwSampler:
 
     def test_inner_from_file(self, capsys, tmp_path, parity2):
         g = restrict_rows(boolcube.ip_inner(2), [1, 2])
-        path = write_json(tmp_path, "g.json", boolcube.inner_to_dict(g))
+        path = write_json(tmp_path, "g.json", inner_to_dict(g))
         trials = bcw_trials(capsys, ["--f", parity2, "--g", path, "--trials", "100"])
         seen = {a for t in trials for a in blocks_of(t["x"], 2, 2)}
         assert seen == {1, 2}
@@ -531,7 +556,7 @@ class TestBcwSampler:
                               [1, 1, UNDEF, 0], [UNDEF, 0, 1, UNDEF]])
         assert isinstance(g.defined_cells(), array)
         assert list(g.defined_cells()) == [0, 2, 8, 9, 11, 13, 14]
-        g_path = write_json(tmp_path, "g.json", boolcube.inner_to_dict(g))
+        g_path = write_json(tmp_path, "g.json", inner_to_dict(g))
         f_path = write_json(tmp_path, "f.json", {"n": 3, "bits": "01101001"})
         trials = bcw_trials(capsys, ["--f", f_path, "--g", g_path, "--trials", "120",
                                      "--seed", "6"])
@@ -766,8 +791,8 @@ class TestBatchCommand:
         from blockcomp import approxdeg, cli
 
         degrees, certificates = [], []
-        real_degree, real_cert = approxdeg.farkas_sweep, cli._cert_payload
-        monkeypatch.setattr(approxdeg, "farkas_sweep",
+        real_degree, real_cert = approxdeg.degree_of, cli._cert_payload
+        monkeypatch.setattr(approxdeg, "degree_of",
                             lambda *a: degrees.append(a) or real_degree(*a))
         monkeypatch.setattr(cli, "_cert_payload",
                             lambda *a: certificates.append(a) or real_cert(*a))
@@ -789,7 +814,7 @@ class TestBatchCommand:
                    for row in rows[6:12])
 
 
-# functions of arity <= 6 whose degree batch reads off the Farkas sweep
+# functions of arity <= 6 whose degree batch reads without a primal solve
 DEGREE_FUNCTIONS = {
     "or2": {"profile": [0, 1, 1]},
     "or4": {"n": 4, "bits": "0" + "1" * 15},
@@ -815,8 +840,9 @@ def refuse_primal(*args, **kwargs):
 
 
 class TestDegreeFromFarkasSweep:
-    """batch and reduce read only the degree, which the Farkas sweep gives
-    without the primal; it must be the degree approx_degree finds."""
+    """batch and reduce read only the degree, which they take without the
+    primal (from the weight LP for a symmetric f, else the Farkas sweep); it
+    must be the degree approx_degree finds."""
 
     def test_batch_degrees(self, capsys, monkeypatch, tmp_path):
         paths = {name: write_json(tmp_path, f"{name}.json", payload)
@@ -847,6 +873,36 @@ class TestDegreeFromFarkasSweep:
         assert 2 <= arity <= 6
         source = boolcube.from_profile(values[ones:ones + arity + 1])
         assert plan["degree"] == approx_degree(source, Fraction(1, 3)).degree
+
+
+class TestDegreeWithoutTableSystem:
+    """A symmetric f's degree in batch and reduce comes from the weight LP
+    alone: no table system is solved, and reduce builds no truth table."""
+
+    def test_batch_symmetric_rows(self, capsys, monkeypatch, tmp_path):
+        paths = [write_json(tmp_path, f"{name}.json", payload)
+                 for name, payload in DEGREE_FUNCTIONS.items()
+                 if not name.startswith("table")]
+        grid = write_json(tmp_path, "grid.json", {"f": paths, "family": ["ip"],
+                                                  "k": [2]})
+        with monkeypatch.context() as m:
+            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            m.setattr(approxdeg, "dual_system_witness", refuse_primal)
+            code, out, _ = run(capsys, ["batch", "--grid", grid])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["1", "2", "2", "1", "3", "0"]
+        assert all(row[-1] == "" for row in rows)
+
+    def test_reduce_profiles(self, capsys, monkeypatch, tmp_path):
+        with monkeypatch.context() as m:
+            for name in ("lp_feasible", "dual_system_witness"):
+                m.setattr(approxdeg, name, refuse_primal)
+            m.setattr(boolcube, "from_profile", refuse_primal)
+            for bits, c in REDUCE_PROFILES:
+                path = write_json(tmp_path, "p.json", {"profile": [int(b) for b in bits]})
+                code, out, _ = run(capsys, ["reduce", "--f", path, "--c", str(c)])
+                assert code == 0 and json.loads(out)["degree"] >= 1, bits
 
 
 def parser_state(parser):
@@ -926,7 +982,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 class TestStdlibOnly:
     def test_no_subcommand_imports_numpy(self, tmp_path, or4, parity2, step4, l1_toy):
         g = write_json(tmp_path, "g.json",
-                       boolcube.inner_to_dict(restrict_rows(boolcube.ip_inner(2), [1, 2])))
+                       inner_to_dict(restrict_rows(boolcube.ip_inner(2), [1, 2])))
         grid = write_json(tmp_path, "grid.json", {"f": [parity2], "family": ["ip", "disj"],
                                                   "k": [3]})
         bcw = ["simulate", "--protocol", "bcw", "--f", parity2, "--trials", "5"]
@@ -963,6 +1019,21 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,shift", [("approxdeg", -1), ("witness", 1)])
+    def test_weight_contradiction_exits_3(self, capsys, monkeypatch, or4, command,
+                                          shift):
+        """A weight degree off by one leaves the one table solve without the
+        solution it must have: the primal below the degree, the Farkas
+        system at it."""
+        real = approxdeg.weight_degree
+        monkeypatch.setattr(approxdeg, "weight_degree",
+                            lambda values, epsilon: real(values, epsilon) + shift)
+        code, out, err = run(capsys, [command, "--f", or4])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: the weight LP gives degree")
         assert "Traceback" not in err
 
 

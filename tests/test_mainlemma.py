@@ -8,9 +8,7 @@ import pytest
 
 from blockcomp import boolcube
 from blockcomp.approxdeg import dual_witness
-from blockcomp.boolcube import (and_function, constant_function,
-                                disj_le1_inner, ip_inner, or_function,
-                                parity_function)
+from blockcomp.boolcube import disj_le1_inner, ip_inner
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
 from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
@@ -19,10 +17,10 @@ from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
                                  witness_matrix_from_values)
 from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
                                 spectral_certificate)
-from oracles import (SWEEP_FUNCTIONS, dense, fraction_opnorm_sq,
-                     operator_norm, require_materialized, restrict_rows,
-                     restricted_composition, trace_norm_certificate,
-                     uniform_pair, witness_shape)
+from oracles import (SWEEP_FUNCTIONS, and_function, constant_function, dense,
+                     fraction_opnorm_sq, operator_norm, or_function, parity_function,
+                     require_materialized, restrict_rows, restricted_composition,
+                     trace_norm_certificate, uniform_pair, witness_shape)
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -102,7 +100,7 @@ class TestInnerProduct:
         assert inner_product_with_composition(h, f) == 1
 
     def test_negation_flips_sign(self):
-        from blockcomp.boolcube import negate
+        from oracles import negate
 
         pair, _ = PAIRS[0]
         f = parity_function(2)

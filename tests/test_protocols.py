@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcomp.boolcube import (BooleanFunction, and_function, and_inner,
-                                constant_function, disj_le1_inner,
-                                from_profile, ip_inner, or_function,
-                                parity_function, profile_from_values,
-                                projection, symmetric_profile)
+from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
+                                from_profile, ip_inner, profile_from_values,
+                                symmetric_profile)
 from blockcomp.errors import ArityMismatch, NotSymmetric
-from oracles import (block_compose, domain, per_call_bcw, per_call_symand,
-                     restrict_rows)
+from oracles import (and_function, block_compose, constant_function, domain,
+                     or_function, parity_function, per_call_bcw, per_call_symand,
+                     projection, restrict_rows)
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, bcw_compile_and_run,
                                  optimal_decision_tree,

@@ -1,11 +1,16 @@
-"""The README's commands track the code: every ``blockcomp`` line in its
-code blocks parses, and every script it names exists."""
+"""The README tracks the code: every ``blockcomp`` line in its code blocks
+parses, every script it names exists, and the caps it states are the
+constants' values."""
 
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
+from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import build_parser
+from blockcomp.specdisc import PAIR_SIDE_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -36,3 +41,11 @@ def test_named_scripts_exist():
     assert scripts
     for script in scripts:
         assert (ROOT / script).is_file(), script
+
+
+@pytest.mark.parametrize("name,value", [("LP_ARITY_CAP", LP_ARITY_CAP),
+                                        ("PAIR_SIDE_CAP", PAIR_SIDE_CAP)])
+def test_stated_caps_match_constants(name, value):
+    text = " ".join(README.split())
+    stated = re.findall(rf"capped at (\d+)(?: bits)? \(`{name}`\)", text)
+    assert stated == [str(value)], name
