@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
                        symmetric_profile)
-from .errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
+from .errors import (ArityMismatch, EpsilonOutOfRange, NotSymmetric,
+                     WitnessNotApplicable)
 from .simplex import solve_feasibility
 
 # Seconds of one `cli.main` call at eps = 1/3, interpreter start excluded, one
@@ -119,7 +120,28 @@ class DualWitness:
         return sum((abs(v) for v in self.q.values()), Fraction(0))
 
     def dot(self, f: BooleanFunction) -> Fraction:
+        """q.f, which is also tr(h^T F) for the witness matrix h of any pair
+        and the block composition F of f with the pair's g."""
+        if f.n != self.n:
+            raise ArityMismatch(f"arity mismatch: witness n={self.n}, f n={f.n}")
         return sum((v for x, v in self.q.items() if f.table[x]), Fraction(0))
+
+
+def _split_feasible(m: int, points: Iterable[tuple[list[int], int]],
+                    epsilon: Fraction) -> list[Fraction] | None:
+    """Coefficients c_0..c_{m-1} with |basis . c - value| <= epsilon at every
+    (basis, value) point, or None if there are none.  Each free c_t is split
+    c_t = u_t - v_t with u, v >= 0 before the phase-1 solve, two rows per
+    point: the upper bound, then the lower."""
+    ub_rows = []
+    for basis, value in points:
+        row_up = basis + [-b for b in basis]
+        ub_rows.append((row_up, value + epsilon))
+        ub_rows.append(([-c for c in row_up], epsilon - value))
+    solution = solve_feasibility(2 * m, ub_rows=ub_rows)
+    if solution is None:
+        return None
+    return [solution[t] - solution[m + t] for t in range(m)]
 
 
 def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
@@ -127,27 +149,16 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     """Coefficients alpha_w realizing an epsilon-approximation with support
     |w| <= degree_cap, or None if the system is infeasible.
 
-    Free coefficients are split alpha_w = u_w - v_w with u, v >= 0 before
-    the phase-1 solve.
+    Solved by ``_split_feasible`` over the characters chi_w.
     """
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
     if not 0 <= degree_cap <= f.n:
         raise ValueError(f"degree cap must lie in [0, {f.n}]")
     monos = monomials_up_to(f.n, degree_cap)
-    m = len(monos)
-    ub_rows = []
-    for x in range(1 << f.n):
-        signs = [_chi(w, x) for w in monos]
-        row_up = signs + [-s for s in signs]
-        row_lo = [-c for c in row_up]
-        fx = f.table[x]
-        ub_rows.append((row_up, fx + epsilon))
-        ub_rows.append((row_lo, epsilon - fx))
-    solution = solve_feasibility(2 * m, ub_rows=ub_rows)
-    if solution is None:
-        return None
-    return {w: solution[t] - solution[m + t] for t, w in enumerate(monos)}
+    points = (([_chi(w, x) for w in monos], f.table[x]) for x in range(1 << f.n))
+    coeffs = _split_feasible(len(monos), points, epsilon)
+    return None if coeffs is None else dict(zip(monos, coeffs))
 
 
 def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
@@ -163,13 +174,9 @@ def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
     epsilon = _check_epsilon(epsilon)
     n = len(values) - 1
     for degree in range(n):
-        ub_rows = []
-        for k, fk in enumerate(values):
-            binomials = [math.comb(k, j) for j in range(degree + 1)]
-            row_up = binomials + [-b for b in binomials]
-            ub_rows.append((row_up, fk + epsilon))
-            ub_rows.append(([-b for b in row_up], epsilon - fk))
-        if solve_feasibility(2 * (degree + 1), ub_rows=ub_rows) is not None:
+        points = (([math.comb(k, j) for j in range(degree + 1)], fk)
+                  for k, fk in enumerate(values))
+        if _split_feasible(degree + 1, points, epsilon) is not None:
             return degree
     return n
 
@@ -302,8 +309,6 @@ def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
 
 def verify_witness(witness: DualWitness, f: BooleanFunction) -> WitnessReport:
     """Re-check the four witness properties by direct summation, exactly."""
-    if witness.n != f.n:
-        raise ValueError(f"arity mismatch: witness n={witness.n}, f n={f.n}")
     q_dot_f = witness.dot(f)
     l1 = witness.l1()
     l1_bound = 1 / witness.epsilon

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -26,6 +27,12 @@ OK, INVARIANT_FAILURE, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _fields_payload(report) -> dict:
+    """A report dataclass's fields by name, Fractions as "p/q" strings."""
+    return {name: _frac_str(value) if isinstance(value, Fraction) else value
+            for name, value in dataclasses.asdict(report).items()}
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -83,14 +90,6 @@ def _validate_args(a: argparse.Namespace) -> None:
         raise ValueError("inject-error must lie in [0, 1/3]")
 
 
-def _pair_for(family: str, k: int) -> specdisc.DistributionPair:
-    if family == "ip":
-        return specdisc.ip_pair(k)
-    if family == "disj":
-        return specdisc.disj_pair(k)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _inner_for(family: str, k: int) -> boolcube.InnerFunction:
     if family == "ip":
         return boolcube.ip_inner(k)
@@ -103,20 +102,20 @@ def _inner_for(family: str, k: int) -> boolcube.InnerFunction:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _cert_payload(family: str, k: int) -> tuple[dict, bool]:
-    cert = specdisc.spectral_certificate(_pair_for(family, k))
+def _cert_payload(family: str, k: int) -> tuple[dict, str]:
+    """The specdisc report of one (family, k) and the key of its bound."""
+    cert = specdisc.spectral_certificate(specdisc.family_pair(family, k))
+    key, bound, within = specdisc.family_bound(family, k, cert)
     payload = {
         "family": family,
         "k": k,
         "rho": cert.rho,
         "sum_scaled": cert.sum_scaled,
         "diff_scaled": cert.diff_scaled,
+        key: bound,
+        "within_bound": within,
     }
-    bound, within = specdisc.family_bound(family, k, cert)
-    bound_key = "bound_3_over_k" if family == "disj" else "bound_inv_sqrt_K_minus_1"
-    payload[bound_key] = bound
-    payload["within_bound"] = within
-    return payload, within
+    return payload, key
 
 
 def cmd_approxdeg(args) -> int:
@@ -151,9 +150,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_specdisc(args) -> int:
-    payload, ok = _cert_payload(args.family, args.k)
+    payload, _ = _cert_payload(args.family, args.k)
     _emit(payload, args.out)
-    return OK if ok else INVARIANT_FAILURE
+    return OK if payload["within_bound"] else INVARIANT_FAILURE
 
 
 def cmd_knuth(args) -> int:
@@ -170,28 +169,9 @@ def cmd_mainlemma(args) -> int:
     f = load_function(args.f)
     eps = approxdeg._check_epsilon(args.epsilon)
     eps_prime = mainlemma._check_epsilon_prime(args.epsilon_prime, eps)
-    report = mainlemma.mainlemma_certify(f, _pair_for(args.family, args.k),
-                                         eps, eps_prime)
-    payload = {
-        "n": report.n,
-        "degree": report.degree,
-        "epsilon": _frac_str(report.epsilon),
-        "epsilon_prime": _frac_str(report.epsilon_prime),
-        "rho": report.rho,
-        "scale": report.scale,
-        "h_l1": _frac_str(report.h_l1),
-        "inner_product": _frac_str(report.inner_product),
-        "h_opnorm_exact": report.h_opnorm_exact,
-        "h_opnorm_bound": report.h_opnorm_bound,
-        "norm_source": report.norm_source,
-        "tracenorm_lb": report.tracenorm_lb,
-        "closed_form_valid": report.closed_form_valid,
-        "closed_form_lb": report.closed_form_lb,
-        "implied_degree_bound": report.implied_degree_bound,
-        "qcc_bits": report.qcc_bits,
-        "qcc_constant_note": report.qcc_constant_note,
-    }
-    _emit(payload, args.out)
+    pair = specdisc.family_pair(args.family, args.k)
+    report = mainlemma.mainlemma_certify(f, pair, eps, eps_prime)
+    _emit(_fields_payload(report), args.out)
     ok = report.inner_product == 1 \
         and report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
     return OK if ok else INVARIANT_FAILURE
@@ -201,19 +181,7 @@ def cmd_reduce(args) -> int:
     profile = load_profile(args.f)
     plan = applications.reduction_plan(profile, args.c, args.k_override,
                                        args.n_prime_override)
-    payload = {
-        "case": plan.case, "n": plan.n, "ell0": plan.ell0, "ell1": plan.ell1,
-        "c": plan.c, "alpha": plan.alpha, "beta": plan.beta,
-        "n_prime": plan.n_prime, "k": plan.k,
-        "source_arity": plan.source_arity,
-        "ones_pad": plan.ones_pad, "zeros_pad": plan.zeros_pad,
-        "composed_ones_pad": plan.composed_ones_pad,
-        "composed_zeros_pad": plan.composed_zeros_pad,
-        "degree": plan.degree, "degree_symbolic": plan.degree_symbolic,
-        "k_overridden": plan.k_overridden,
-        "n_prime_overridden": plan.n_prime_overridden,
-        "checks": plan.checks, "valid": plan.valid,
-    }
+    payload = {**_fields_payload(plan), "valid": plan.valid}
     status = OK
     if args.check_identity:
         held = applications.padding_identity_check(plan, profile)
@@ -333,13 +301,11 @@ def _function_cells(path: str | None) -> tuple[dict, str]:
 def _certificate_cells(family: str, k: int) -> tuple[dict, str]:
     """The certificate columns of one (family, k) cell, and its error if any."""
     try:
-        payload, _ = _cert_payload(family, k)
+        payload, key = _cert_payload(family, k)
     except BATCH_ERRORS as exc:
         return {}, _error_cell(exc)
     return {"rho": payload["rho"], "sum_scaled": payload["sum_scaled"],
-            "diff_scaled": payload["diff_scaled"],
-            "bound": payload.get("bound_3_over_k",
-                                 payload.get("bound_inv_sqrt_K_minus_1")),
+            "diff_scaled": payload["diff_scaled"], "bound": payload[key],
             "within_bound": payload["within_bound"]}, ""
 
 

@@ -6,12 +6,13 @@ of their average and half-difference by sqrt(|I_A|*|I_B|) yields the
 certificate parameter rho = max(diff_scaled, sum_scaled - 1, 0): an
 upper-bound witness for the (uncomputable) minimum over all pairs.
 
-A pair is the uniform pair of g on a rectangle, given by the rectangle's
-labels, so the support condition holds by construction; its cells are never
-built.  Every pair carries its per-block spectrum (``PairSpectrum``): closed
-forms for inner product (``ip_pair``), Johnson-scheme eigenvalues for
-disjointness (``disj_pair``).  Its certificate is therefore exact, with rho^2
-a rational, and so are the witness-matrix norms built on it.
+A pair is the uniform pair of g on a rectangle fixed by its family and k,
+so the support condition holds by construction; it holds only the
+rectangle's side lengths and its per-block spectrum (``PairSpectrum``):
+closed forms for inner product (``ip_pair``), Johnson-scheme eigenvalues
+for disjointness (``disj_pair``).  Its certificate is therefore exact, with
+rho^2 a rational, and so is ||h|| in ``mainlemma``, which reads the same
+spectrum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolcube import disj_p, weight_subsets
+from .boolcube import disj_p
 from .errors import SizeGuardExceeded
 
 
@@ -37,30 +38,30 @@ class PairSpectrum:
     their eigenvalues.  With ``gram``, plus = mu0 + mu1 and minus = mu0 - mu1
     have orthogonal row spaces (plus minus^T = 0), and a_t, b_t are the
     eigenvalues of plus plus^T and minus minus^T.
+
+    A Gram pair keeps only its dominant row, the one holding both max a and
+    max b, and loses nothing by it: each eigenvalue of h h^T on the n-fold
+    product is sum_w q_hat(w)^2 prod_i e[t_i][w_i], whose weights and
+    entries are all >= 0, so the tuple with the dominant row in every block
+    is at least every other tuple term by term; ``spectral_certificate``
+    reads only max a and max b.  ip's rows are (K(K-1)/c^2, K/c^2) and
+    (0, K/c^2): the first dominates in both entries.
     """
 
     eigen: tuple[tuple[Fraction, Fraction], ...]
     gram: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DistributionPair:
-    """The uniform pair of g on the rectangle i_a x i_b (input labels): mu_b
-    puts mass 1/#(g^{-1}(b) on the rectangle) on each b-cell.  spectrum gives
-    every spectral quantity of the pair exactly.  Each family's constructor
-    picks a rectangle on which g takes both values."""
+    """The uniform pair of g on a k_a x k_b rectangle: mu_b puts mass
+    1/#(g^{-1}(b) on the rectangle) on each b-cell.  spectrum gives every
+    spectral quantity of the pair exactly.  Each family's constructor picks
+    a rectangle on which g takes both values."""
 
-    i_a: tuple[int, ...]
-    i_b: tuple[int, ...]
+    k_a: int
+    k_b: int
     spectrum: PairSpectrum
-
-    @property
-    def k_a(self) -> int:
-        return len(self.i_a)
-
-    @property
-    def k_b(self) -> int:
-        return len(self.i_b)
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,26 @@ def spectral_certificate(pair: DistributionPair) -> SpectralDiscrepancyCert:
                                    math.sqrt(diff_sq), diff_sq)
 
 
-def family_bound(family: str, k: int,
-                 cert: SpectralDiscrepancyCert) -> tuple[float, bool]:
-    """The bound on rho for a built-in family (3/k for disj, 1/sqrt(K-1)
-    for ip) and whether the certificate meets it.  Compared as squares of
-    the exact rho: the ip certificate meets its bound with equality."""
-    if family == "disj":
-        return 3.0 / k, cert.rho_sq <= Fraction(9, k * k)
+def family_pair(family: str, k: int) -> DistributionPair:
+    """The built-in pair of a family: ``ip_pair`` or ``disj_pair``."""
     if family == "ip":
-        return 1.0 / math.sqrt((1 << k) - 1), cert.rho_sq <= Fraction(1, (1 << k) - 1)
+        return ip_pair(k)
+    if family == "disj":
+        return disj_pair(k)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def family_bound(family: str, k: int,
+                 cert: SpectralDiscrepancyCert) -> tuple[str, float, bool]:
+    """The report key of a built-in family's bound on rho, the bound (3/k
+    for disj, 1/sqrt(K-1) for ip) and whether the certificate meets it.
+    Compared as squares of the exact rho: the ip certificate meets its
+    bound with equality."""
+    if family == "disj":
+        return "bound_3_over_k", 3.0 / k, cert.rho_sq <= Fraction(9, k * k)
+    if family == "ip":
+        return ("bound_inv_sqrt_K_minus_1", 1.0 / math.sqrt((1 << k) - 1),
+                cert.rho_sq <= Fraction(1, (1 << k) - 1))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -134,17 +146,15 @@ def ip_pair(k: int) -> DistributionPair:
 
     Each distribution is uniform on c = K(K-1)/2 cells, so plus = J/c and
     minus = H'/c for H' the Hadamard matrix without its zero row: plus plus^T
-    = K J/c^2 (eigenvalues K(K-1)/c^2 and 0) and minus minus^T = K I/c^2."""
+    = K J/c^2 (eigenvalues K(K-1)/c^2 and 0) and minus minus^T = K I/c^2.
+    The spectrum keeps the dominant row (K(K-1)/c^2, K/c^2) alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_k_cap("ip", k, IP_K_CAP)
     size = 1 << k
     c = Fraction(size * (size - 1), 2)
-    eigen = ((size * (size - 1) / c ** 2, size / c ** 2),
-             (Fraction(0), size / c ** 2))
-    # for K = 2 the single row has no eigenspace orthogonal to the ones vector
-    spectrum = PairSpectrum(eigen[:1] if size == 2 else eigen, gram=True)
-    return DistributionPair(tuple(range(1, size)), tuple(range(size)), spectrum)
+    spectrum = PairSpectrum(((size * (size - 1) / c ** 2, size / c ** 2),), gram=True)
+    return DistributionPair(size - 1, size, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +196,15 @@ def disj_weights(k: int) -> tuple[int, int, int]:
 
 
 def disj_pair(k: int) -> DistributionPair:
-    """Uniform pair of ``disj_le1_inner(k)`` on the p-subsets (p = k/3, in
-    ``weight_subsets`` order): mu_s = J_{k,p,s} / w_s, whose shared
-    Johnson-scheme eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
+    """Uniform pair of ``disj_le1_inner(k)`` on the C(k, p) p-subsets
+    (p = k/3): mu_s = J_{k,p,s} / w_s, whose shared Johnson-scheme
+    eigenspaces t = 0..p carry eigenvalues disj_lambda(k, s, t)."""
     p = disj_p(k)
     _check_k_cap("disj", k, DISJ_K_CAP)
-    subsets = weight_subsets(k, p)
+    side = math.comb(k, p)
     spectrum = PairSpectrum(tuple((disj_lambda(k, 0, t), disj_lambda(k, 1, t))
                                   for t in range(p + 1)))
-    return DistributionPair(subsets, subsets, spectrum)
+    return DistributionPair(side, side, spectrum)
 
 
 def disj_lambda(k: int, s: int, t: int) -> Fraction:

@@ -6,15 +6,15 @@ negation; ``inner_to_dict`` writes an inner function in its JSON wire
 format.  Each reference computes by enumeration or dense materialization
 what the library derives from structure: truth-table restrictions and
 block compositions, the inner tables as matrices, cells and row
-restrictions, uniform pairs on any rectangle, the block of a built-in pair
-materialized from its family's inner function and its cell-by-cell masses,
-dense SVD norms of a pair and of its witness matrix, ||h||^2 contracted
-over Fractions, the restricted composition and an explicit-approximation
-trace-norm bound, dense intersection matrices and closed-form spectra, the
-Paturi ratio of a symmetric function, the padding identity point by point,
-the protocol simulations one subprotocol call at a time, and
-``simulate``'s output with one dict per trial line.  Dense work honours
-``boolcube.MAX_MATERIALIZE``.
+restrictions, uniform pairs on any rectangle, a built-in pair's labels,
+block and full spectrum rebuilt from its family and k, its cell-by-cell
+masses, dense SVD norms of a pair and of its witness matrix h, ||h||^2
+contracted over Fractions, the restricted composition and an
+explicit-approximation trace-norm bound, dense intersection matrices and
+closed-form spectra, the Paturi ratio of a symmetric function, the padding
+identity point by point, the protocol simulations one subprotocol call at
+a time, and ``simulate``'s output with one dict per trial line.  Dense
+work honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -33,17 +33,18 @@ import numpy as np
 
 from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
-from blockcomp.approxdeg import approx_degree
+from blockcomp.approxdeg import DualWitness, approx_degree
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, disj_le1_inner, from_predicate,
                                 ip_inner, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
-from blockcomp.mainlemma import WitnessMatrix, _check_epsilon_prime, h_opnorm
+from blockcomp.mainlemma import _check_epsilon_prime, exact_opnorm_sq
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node,
                                  bcw_compile_and_run, dense_input,
                                  optimal_decision_tree, repetition_schedule,
                                  symmetric_and_protocol, za_header_bits)
-from blockcomp.specdisc import DistributionPair, _check_kps
+from blockcomp.specdisc import (DISJ_K_CAP, DistributionPair, _check_kps,
+                                disj_lambda)
 
 # ---------------------------------------------------------------------------
 # named functions, truth tables, inner functions and block composition
@@ -214,8 +215,8 @@ def block_compose(f: BooleanFunction, g: InnerFunction) -> ComposedFunction:
 
 @dataclass(frozen=True, eq=False)
 class BlockPair:
-    """g's value block on the rectangle i_a x i_b with no spectrum: the
-    uniform pair of any g, for the block-only references below."""
+    """g's value block on the rectangle i_a x i_b (input labels): the
+    uniform pair of g there, for the dense references below."""
 
     i_a: tuple[int, ...]
     i_b: tuple[int, ...]
@@ -244,25 +245,33 @@ def uniform_pair(g: InnerFunction,
     return BlockPair(i_a, i_b, block)
 
 
-def family_inner(pair: DistributionPair) -> InnerFunction:
-    """The inner function a built-in pair is the uniform pair of: ip for a
-    Gram pair (side 2^k), disj otherwise (p + 1 eigenspaces, k = 3p)."""
-    if pair.spectrum.gram:
-        return ip_inner(pair.k_b.bit_length() - 1)
-    return disj_le1_inner(3 * (len(pair.spectrum.eigen) - 1))
+def pair_family(pair: DistributionPair) -> tuple[str, int]:
+    """The family and k of a built-in pair, read off its side lengths alone:
+    ip's rectangle is (2^k - 1) x 2^k, disj's is C(k, k/3) x C(k, k/3)."""
+    if pair.k_b == pair.k_a + 1:
+        return "ip", pair.k_b.bit_length() - 1
+    return "disj", next(k for k in range(3, DISJ_K_CAP + 1, 3)
+                        if math.comb(k, k // 3) == pair.k_a)
 
 
-def pair_block(pair: DistributionPair | BlockPair) -> np.ndarray:
-    """The pair's value block: a BlockPair's own; for a built-in pair, its
-    family's inner table on the rectangle, which must hold both values."""
+def block_pair(pair: DistributionPair | BlockPair) -> BlockPair:
+    """A BlockPair as it is; a built-in pair as the uniform pair of its
+    family's inner function on the family's rectangle, with the labels
+    rebuilt from family and k: rows 1..K-1 by all K columns for ip (the
+    zero row removed), the p-subsets in ``weight_subsets`` order on both
+    sides for disj (p = k/3)."""
     if isinstance(pair, BlockPair):
-        return pair.block
-    return uniform_pair(family_inner(pair), pair.i_a, pair.i_b).block
+        return pair
+    family, k = pair_family(pair)
+    if family == "ip":
+        return uniform_pair(ip_inner(k), rows=range(1, 1 << k))
+    subsets = weight_subsets(k, k // 3)
+    return uniform_pair(disj_le1_inner(k), subsets, subsets)
 
 
 def dense(pair: DistributionPair | BlockPair, b: int) -> np.ndarray:
     """mu_b as a float matrix over the rectangle."""
-    cells = pair_block(pair) == b
+    cells = block_pair(pair).block == b
     return cells / cells.sum()
 
 
@@ -279,6 +288,7 @@ def operator_norm(matrix: np.ndarray) -> float:
 def dense_certificate(pair: DistributionPair | BlockPair) -> tuple[float, float, float]:
     """(sum_scaled, diff_scaled, rho) of ``spectral_certificate``, by one
     dense SVD of each of (mu0 +- mu1)/2."""
+    pair = block_pair(pair)
     scale = math.sqrt(pair.k_a * pair.k_b)
     mu0, mu1 = dense(pair, 0), dense(pair, 1)
     sum_scaled = scale * operator_norm((mu0 + mu1) / 2.0)
@@ -286,56 +296,77 @@ def dense_certificate(pair: DistributionPair | BlockPair) -> tuple[float, float,
     return sum_scaled, diff_scaled, max(diff_scaled, sum_scaled - 1.0, 0.0)
 
 
-def witness_shape(h: WitnessMatrix) -> tuple[int, int]:
-    """Rows and columns of the dense h: I_A^n x I_B^n."""
-    return (h.pair.k_a ** h.n, h.pair.k_b ** h.n)
+def witness_shape(n: int, pair: DistributionPair | BlockPair) -> tuple[int, int]:
+    """Rows and columns of the dense witness matrix h: I_A^n x I_B^n."""
+    return (pair.k_a ** n, pair.k_b ** n)
 
 
-def require_materialized(h: WitnessMatrix) -> np.ndarray:
-    """Dense h, with block 1 as the most significant kron factor, built
-    within the materialization guard."""
-    shape = witness_shape(h)
+def require_materialized(q: dict[int, Fraction], n: int,
+                         pair: DistributionPair | BlockPair) -> np.ndarray:
+    """Dense h = sum_z q(z) (x)_i mu_{z_i}, block 1 the most significant kron
+    factor, built within the materialization guard."""
+    shape = witness_shape(n, pair)
     if max(shape) > boolcube.MAX_MATERIALIZE:
         raise SizeGuardExceeded(
             f"witness matrix of shape {shape} exceeds the materialization guard")
-    mus = [dense(h.pair, 0), dense(h.pair, 1)]
+    pair = block_pair(pair)
+    mus = [dense(pair, 0), dense(pair, 1)]
     mat = np.zeros(shape)
-    for z, coeff in h.terms:
-        factors = [mus[(z >> (i - 1)) & 1] for i in range(1, h.n + 1)]
+    for z, coeff in sorted(q.items()):
+        factors = [mus[(z >> (i - 1)) & 1] for i in range(1, n + 1)]
         mat += float(coeff) * reduce(np.kron, factors)
     return mat
 
 
-def fraction_opnorm_sq(h: WitnessMatrix) -> Fraction:
-    """||h||^2 from the pair's per-block spectrum, contracting Fractions:
-    on each eigen-tuple of the n-fold product, sum_z c(z) prod_i e[t_i][z_i]
-    with c = q (an eigenvalue of h, to be squared) or, for a Gram pair,
-    c = q_hat^2 (an eigenvalue of h h^T), one block axis at a time through
-    an object-dtype tensordot."""
-    spec = h.pair.spectrum
-    q = h.q_values()
-    if spec.gram:
-        q_hat = boolcube.spectrum_of_values(h.n, q).coeffs
-        coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << h.n)]
+def full_spectrum(pair: DistributionPair) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
+    """Whether the pair is Gram, and every row of its per-block spectrum,
+    rebuilt from family and k without reading ``pair.spectrum``.  ip (Gram,
+    K = 2^k, c = K(K-1)/2): plus plus^T = K J/c^2 and minus minus^T =
+    K I/c^2 on the K-1 rows share the eigenspaces of the ones vector,
+    (K(K-1)/c^2, K/c^2), and of its complement, (0, K/c^2), which is empty
+    for K = 2.  disj: (disj_lambda(k, 0, t), disj_lambda(k, 1, t)) for
+    t = 0..k/3."""
+    family, k = pair_family(pair)
+    if family == "ip":
+        big = 1 << k
+        c = Fraction(big * (big - 1), 2)
+        rows = [(big * (big - 1) / c ** 2, big / c ** 2), (Fraction(0), big / c ** 2)]
+        return True, rows[:1] if big == 2 else rows
+    return False, [(disj_lambda(k, 0, t), disj_lambda(k, 1, t))
+                   for t in range(k // 3 + 1)]
+
+
+def fraction_opnorm_sq(q: dict[int, Fraction], n: int,
+                       pair: DistributionPair) -> Fraction:
+    """||h||^2 from the pair's full per-block spectrum (``full_spectrum``),
+    contracting Fractions: on each eigen-tuple of the n-fold product,
+    sum_z c(z) prod_i e[t_i][z_i] with c = q (an eigenvalue of h, to be
+    squared) or, for a Gram pair, c = q_hat^2 (an eigenvalue of h h^T), one
+    block axis at a time through an object-dtype tensordot; the maximum is
+    taken over every tuple."""
+    gram, eigen = full_spectrum(pair)
+    if gram:
+        q_hat = boolcube.spectrum_of_values(n, q).coeffs
+        coeffs = [q_hat.get(w, Fraction(0)) ** 2 for w in range(1 << n)]
     else:
-        coeffs = [q.get(z, Fraction(0)) for z in range(1 << h.n)]
-    values = np.array(coeffs, dtype=object).reshape((2,) * h.n)
-    table = np.array(spec.eigen, dtype=object)
-    for _ in range(h.n):
+        coeffs = [q.get(z, Fraction(0)) for z in range(1 << n)]
+    values = np.array(coeffs, dtype=object).reshape((2,) * n)
+    table = np.array(eigen, dtype=object)
+    for _ in range(n):
         values = np.tensordot(table, values, axes=([1], [values.ndim - 1]))
-    if spec.gram:
+    if gram:
         return max(values.flat)
     return max(v * v for v in values.flat)
 
 
 def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:
     """Whether pair is the uniform pair of g on its rectangle, cell by cell
-    through ``g.value``: every cell of ``pair_block`` equals g there (UNDEF
-    where g is undefined), and dense(b) is 1/#g^{-1}(b) on the b-cells and 0
-    elsewhere."""
+    through ``g.value``: every cell of the pair's block equals g there
+    (UNDEF where g is undefined), and dense(b) is 1/#g^{-1}(b) on the
+    b-cells and 0 elsewhere."""
+    pair = block_pair(pair)
     cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
-    block = pair_block(pair).tolist()
-    if block != [[UNDEF if v is None else v for v in row] for row in cells]:
+    if pair.block.tolist() != [[UNDEF if v is None else v for v in row] for row in cells]:
         return False
     for b in (0, 1):
         mass = float(Fraction(1, sum(row.count(b) for row in cells)))
@@ -350,17 +381,16 @@ def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:
 
 
 def restricted_composition(f: BooleanFunction, g: InnerFunction,
-                           pair: DistributionPair
+                           pair: DistributionPair | BlockPair
                            ) -> tuple[np.ndarray, np.ndarray]:
     """(values, defined) of the block composition over I_A^n x I_B^n,
-    indexed consistently with WitnessMatrix (block 1 most significant)."""
+    indexed consistently with ``require_materialized`` (block 1 most
+    significant)."""
     n = f.n
     limit = boolcube.MAX_MATERIALIZE
     if pair.k_a ** n > limit or pair.k_b ** n > limit:
         raise SizeGuardExceeded("restricted composition exceeds the guard")
-    side = 1 << g.k
-    if any(x >= side for x in pair.i_a) or any(y >= side for y in pair.i_b):
-        raise ArityMismatch("pair labels outside the inner function's domain")
+    pair = block_pair(pair)
     values = np.zeros((pair.k_a ** n, pair.k_b ** n))
     defined = np.zeros_like(values, dtype=bool)
     for r, xs in enumerate(itertools.product(pair.i_a, repeat=n)):
@@ -379,23 +409,24 @@ def restricted_composition(f: BooleanFunction, g: InnerFunction,
     return values, defined
 
 
-def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
-                           g: InnerFunction, epsilon: Fraction,
-                           epsilon_prime: Fraction,
+def trace_norm_certificate(witness: DualWitness, pair: DistributionPair,
+                           f: BooleanFunction, g: InnerFunction,
+                           epsilon: Fraction, epsilon_prime: Fraction,
                            f_tilde: np.ndarray | None = None) -> float:
     """Lower bound on the trace norm of any entrywise eps'-approximation
-    of the restricted composition: |tr(h^T F_tilde)| / ||h||.
+    of the restricted composition: |tr(h^T F_tilde)| / ||h|| for h the
+    witness matrix of the witness and the pair.
 
     With an explicit F_tilde the numerator is evaluated directly (entries
     outside the composition's domain are ignored; h vanishes there anyway);
     without one it is replaced by the guaranteed 1 - eps'/eps, which needs
-    0 <= eps' < eps to lie in (0, 1].  The norm in the denominator is
-    ``h_opnorm``, exact from the pair's spectrum.
+    0 <= eps' < eps to lie in (0, 1].  The norm in the denominator is the
+    root of ``exact_opnorm_sq``, exact from the pair's spectrum.
     """
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     if f_tilde is not None:
-        mat = require_materialized(h)
-        values, defined = restricted_composition(f, g, h.pair)
+        mat = require_materialized(witness.q, witness.n, pair)
+        values, defined = restricted_composition(f, g, pair)
         if f_tilde.shape != values.shape:
             raise ArityMismatch(f"approximation shape {f_tilde.shape} != {values.shape}")
         slack = float(epsilon_prime) + 1e-12
@@ -404,7 +435,7 @@ def trace_norm_certificate(h: WitnessMatrix, f: BooleanFunction,
         numerator = abs(float(np.where(defined, mat * f_tilde, 0.0).sum()))
     else:
         numerator = 1.0 - float(epsilon_prime) / float(epsilon)
-    return numerator / h_opnorm(h)
+    return numerator / math.sqrt(exact_opnorm_sq(witness, pair))
 
 
 # ---------------------------------------------------------------------------

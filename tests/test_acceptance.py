@@ -20,8 +20,7 @@ from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
                                 from_profile, ip_inner, spectrum_of_values,
                                 symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
-from blockcomp.mainlemma import (build_witness_matrix,
-                                 inner_product_with_composition, opnorm_bound)
+from blockcomp.mainlemma import opnorm_bound
 from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
                                  dense_input, optimal_decision_tree,
                                  repetition_schedule, symmetric_and_protocol,
@@ -132,10 +131,9 @@ def test_criterion_5_mainlemma_chain():
         inners = ((ip_pair(2), ip_inner(2)), (disj_pair(3), disj_le1_inner(3)))
         for f, (pair, g) in itertools.product(outers, inners):
             w = dual_witness(f, THIRD)
-            h = build_witness_matrix(w, pair)
-            assert inner_product_with_composition(h, f) == 1
-            assert h.h_l1 == w.l1()
-            mat = require_materialized(h)
+            assert w.dot(f) == 1
+            mat = require_materialized(w.q, w.n, pair)
+            assert np.abs(mat).sum() == pytest.approx(float(w.l1()), abs=1e-9)
             exact = operator_norm(mat)
             bound = opnorm_bound(w, spectral_certificate(pair)).bound_r
             assert exact <= bound + 1e-9

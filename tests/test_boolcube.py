@@ -15,9 +15,9 @@ from blockcomp.boolcube import (BooleanFunction, UNDEF, and_inner, disj_le1_inne
                                 symmetric_profile, walsh_transform, weight_subsets)
 from blockcomp.errors import ArityMismatch, NotSymmetric, SizeGuardExceeded
 from blockcomp.specdisc import disj_pair
-from oracles import (ComposedFunction, and_function, block_compose, constant_function,
-                     domain, inner_of_rows, inner_to_dict, is_total,
-                     loop_disj_le1_inner, negate, or_function, pad_restrict, pair_block,
+from oracles import (ComposedFunction, and_function, block_compose, block_pair,
+                     constant_function, domain, inner_of_rows, inner_to_dict, is_total,
+                     loop_disj_le1_inner, negate, or_function, pad_restrict,
                      parity_function, projection, random_inner, restrict_rows)
 
 
@@ -220,10 +220,10 @@ class TestInnerFunctions:
         # for disjoint, 1 for meeting once and UNDEF for meeting more often
         pair = disj_pair(k)
         subsets = weight_subsets(k, k // 3)
-        assert pair.i_a == pair.i_b == subsets
+        assert pair.k_a == pair.k_b == len(subsets)
         meets = [[(x & y).bit_count() for y in subsets] for x in subsets]
-        assert pair_block(pair).tolist() == [[m if m <= 1 else UNDEF for m in row]
-                                             for row in meets]
+        assert block_pair(pair).block.tolist() == [[m if m <= 1 else UNDEF for m in row]
+                                                   for row in meets]
 
     @pytest.mark.parametrize("k", [0, 2, 4, 14])
     def test_disj_bad_k(self, k):

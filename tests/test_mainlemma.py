@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -8,19 +9,16 @@ import pytest
 
 from blockcomp import boolcube
 from blockcomp.approxdeg import dual_witness
-from blockcomp.boolcube import disj_le1_inner, ip_inner
+from blockcomp.boolcube import disj_le1_inner, from_profile, ip_inner
 from blockcomp.errors import (ArityMismatch, SizeGuardExceeded,
                               WitnessNotApplicable)
-from blockcomp.mainlemma import (build_witness_matrix, exact_opnorm_sq,
-                                 h_opnorm, inner_product_with_composition,
-                                 mainlemma_certify, opnorm_bound,
-                                 witness_matrix_from_values)
-from blockcomp.specdisc import (DistributionPair, disj_pair, ip_pair,
-                                spectral_certificate)
-from oracles import (SWEEP_FUNCTIONS, and_function, constant_function, dense,
-                     fraction_opnorm_sq, operator_norm, or_function, parity_function,
-                     require_materialized, restrict_rows, restricted_composition,
-                     trace_norm_certificate, uniform_pair, witness_shape)
+from blockcomp.mainlemma import exact_opnorm_sq, mainlemma_certify, opnorm_bound
+from blockcomp.specdisc import disj_pair, ip_pair, spectral_certificate
+from oracles import (SWEEP_FUNCTIONS, and_function, block_pair, constant_function,
+                     dense, fraction_opnorm_sq, operator_norm, or_function,
+                     parity_function, require_materialized, restrict_rows,
+                     restricted_composition, trace_norm_certificate, uniform_pair,
+                     witness_shape)
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -29,22 +27,21 @@ OUTERS = [parity_function(2), and_function(2), or_function(3)]
 PAIRS = [(ip_pair(2), ip_inner(2)), (disj_pair(3), disj_le1_inner(3))]
 
 
-def fourier_materialize(h):
+def fourier_materialize(q, n, pair):
     """Independent assembly of h from the witness spectrum: the term for
     frequency w uses (mu0+mu1) at blocks outside w and (mu0-mu1) at blocks
     inside w (unhalved), weighted by q_hat_w."""
-    n = h.n
     size = 1 << n
     q_hat = {}
     for w in range(size):
         acc = Fraction(0)
-        for z, coeff in h.terms:
+        for z, coeff in q.items():
             acc += -coeff if (w & z).bit_count() & 1 else coeff
         if acc:
             q_hat[w] = acc / size
-    plus = dense(h.pair, 0) + dense(h.pair, 1)
-    minus = dense(h.pair, 0) - dense(h.pair, 1)
-    out = np.zeros((h.pair.k_a ** n, h.pair.k_b ** n))
+    plus = dense(pair, 0) + dense(pair, 1)
+    minus = dense(pair, 0) - dense(pair, 1)
+    out = np.zeros(witness_shape(n, pair))
     for w, coeff in q_hat.items():
         factors = [minus if (w >> (i - 1)) & 1 else plus for i in range(1, n + 1)]
         out += float(coeff) * reduce(np.kron, factors)
@@ -55,39 +52,34 @@ class TestWitnessMatrixAssembly:
     def test_two_term_hand_example(self):
         pair = ip_pair(1)  # the 1x2 block [[0, 1]]: mu0 and mu1 are single cells
         q = {0: Fraction(1, 2), 1: Fraction(-1, 2)}
-        h = witness_matrix_from_values(q, 1, pair)
-        assert h.h_l1 == 1
+        mat = require_materialized(q, 1, pair)
+        assert np.abs(mat).sum() == 1
         want = np.array([[0.5, -0.5]])  # q(0) * mu0 + q(1) * mu1
-        assert np.allclose(require_materialized(h), want)
+        assert np.allclose(mat, want)
 
     def test_l1_bookkeeping(self):
         pair = ip_pair(2)
-        w = dual_witness(parity_function(2), THIRD)
-        h = build_witness_matrix(w, pair)
-        assert h.h_l1 == w.l1()
-        assert np.abs(require_materialized(h)).sum() == pytest.approx(float(w.l1()), abs=1e-9)
-
-    def test_support_outside_cube_rejected(self):
-        with pytest.raises(ArityMismatch):
-            witness_matrix_from_values({4: Fraction(1)}, 2, ip_pair(1))
+        f = parity_function(2)
+        w = dual_witness(f, THIRD)
+        assert mainlemma_certify(f, pair).h_l1 == w.l1()
+        mat = require_materialized(w.q, w.n, pair)
+        assert np.abs(mat).sum() == pytest.approx(float(w.l1()), abs=1e-9)
 
     def test_materialization_guard(self, monkeypatch):
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair = ip_pair(2)  # sides 3 and 4, squared exceeds 8
         w = dual_witness(parity_function(2), THIRD)
-        h = build_witness_matrix(w, pair)
-        assert max(witness_shape(h)) > boolcube.MAX_MATERIALIZE
+        assert max(witness_shape(w.n, pair)) > boolcube.MAX_MATERIALIZE
         with pytest.raises(SizeGuardExceeded):
-            require_materialized(h)
+            require_materialized(w.q, w.n, pair)
 
     @pytest.mark.parametrize("f", OUTERS)
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
     def test_fourier_assembly_agrees(self, f, pair_g):
         pair, _g = pair_g
         w = dual_witness(f, THIRD)
-        h = build_witness_matrix(w, pair)
-        direct = require_materialized(h)
-        alt = fourier_materialize(h)
+        direct = require_materialized(w.q, w.n, pair)
+        alt = fourier_materialize(w.q, w.n, pair)
         assert np.abs(direct - alt).max() <= 1e-10
 
 
@@ -96,30 +88,25 @@ class TestInnerProduct:
     @pytest.mark.parametrize("pair_g", PAIRS, ids=("ip2", "disj3"))
     def test_unit_correlation(self, f, pair_g):
         pair, _g = pair_g
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
-        assert inner_product_with_composition(h, f) == 1
+        assert dual_witness(f, THIRD).dot(f) == 1
+        assert mainlemma_certify(f, pair).inner_product == 1
 
     def test_negation_flips_sign(self):
         from oracles import negate
 
         pair, _ = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
-        assert inner_product_with_composition(h, negate(f)) == -1
+        assert dual_witness(f, THIRD).dot(negate(f)) == -1
 
     def test_scaled_witness_scales(self):
-        pair, _ = PAIRS[0]
         f = parity_function(2)
         w = dual_witness(f, THIRD)
-        doubled = {z: 2 * v for z, v in w.q.items()}
-        h = witness_matrix_from_values(doubled, f.n, pair)
-        assert inner_product_with_composition(h, f) == 2
+        doubled = dataclasses.replace(w, q={z: 2 * v for z, v in w.q.items()})
+        assert doubled.dot(f) == 2
 
     def test_arity_mismatch(self):
-        pair, _ = PAIRS[0]
-        h = build_witness_matrix(dual_witness(parity_function(2), THIRD), pair)
         with pytest.raises(ArityMismatch):
-            inner_product_with_composition(h, parity_function(3))
+            dual_witness(parity_function(2), THIRD).dot(parity_function(3))
 
     def test_invalid_pair_rejected(self):
         # a rectangle on which g is never 1 (ip's zero row) gives no pair
@@ -133,12 +120,12 @@ class TestInnerProduct:
         """Entrywise sum h .* F over the restricted rectangle power equals
         the collapsed block-factorized value."""
         pair, g = pair_g
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
-        mat = require_materialized(h)
+        w = dual_witness(f, THIRD)
+        mat = require_materialized(w.q, w.n, pair)
         values, defined = restricted_composition(f, g, pair)
         assert defined.all() or not (np.abs(mat) * ~defined).any()
         literal = float(np.where(defined, mat * values, 0.0).sum())
-        collapsed = inner_product_with_composition(h, f)
+        collapsed = w.dot(f)
         assert literal == pytest.approx(float(collapsed), abs=1e-9)
 
 
@@ -149,8 +136,9 @@ class TestRestrictedComposition:
         f = and_function(2)
         values, defined = restricted_composition(f, g, pair)
         assert defined.all()
-        for r, xs in enumerate(itertools.product(pair.i_a, repeat=2)):
-            for c, ys in enumerate(itertools.product(pair.i_b, repeat=2)):
+        labels = block_pair(pair)
+        for r, xs in enumerate(itertools.product(labels.i_a, repeat=2)):
+            for c, ys in enumerate(itertools.product(labels.i_b, repeat=2)):
                 z = (g.value(xs[0], ys[0]) << 0) | (g.value(xs[1], ys[1]) << 1)
                 assert values[r, c] == f.value(z)
 
@@ -159,7 +147,7 @@ class TestRestrictedComposition:
         pair = ip_pair(2)  # row label 3 is outside g's domain
         values, defined = restricted_composition(or_function(2), g, pair)
         assert defined.any() and not defined.all()
-        for r, xs in enumerate(itertools.product(pair.i_a, repeat=2)):
+        for r, xs in enumerate(itertools.product(block_pair(pair).i_a, repeat=2)):
             assert defined[r].all() == (3 not in xs)
             assert defined[r].any() == (3 not in xs)
         assert values[~defined].sum() == 0
@@ -168,12 +156,6 @@ class TestRestrictedComposition:
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         with pytest.raises(SizeGuardExceeded):
             restricted_composition(parity_function(2), ip_inner(2), ip_pair(2))
-
-    def test_labels_outside_domain(self):
-        one = ip_pair(1)
-        pair = DistributionPair((5,), one.i_b, one.spectrum)
-        with pytest.raises(ArityMismatch):
-            restricted_composition(parity_function(1), ip_inner(1), pair)
 
 
 class TestOpnormBound:
@@ -202,18 +184,16 @@ class TestOpnormBound:
     def test_exact_norm_within_bound(self, f, pair_g):
         pair, _ = pair_g
         w = dual_witness(f, THIRD)
-        h = build_witness_matrix(w, pair)
-        exact = h_opnorm(h)
-        if max(witness_shape(h)) <= 1024:
-            dense = np.linalg.norm(require_materialized(h), 2)
+        exact = math.sqrt(exact_opnorm_sq(w, pair))
+        if max(witness_shape(w.n, pair)) <= 1024:
+            dense = np.linalg.norm(require_materialized(w.q, w.n, pair), 2)
             assert exact == pytest.approx(dense, rel=1e-12)
         b = opnorm_bound(w, spectral_certificate(pair))
         assert exact <= b.bound_r
 
     def test_disjointness_norm_is_rational(self):
         w = dual_witness(or_function(3), THIRD)
-        h = build_witness_matrix(w, disj_pair(6))
-        norm_sq = exact_opnorm_sq(h)
+        norm_sq = exact_opnorm_sq(w, disj_pair(6))
         assert isinstance(norm_sq, Fraction)
         root = Fraction(math.isqrt(norm_sq.numerator), math.isqrt(norm_sq.denominator))
         assert root * root == norm_sq
@@ -229,9 +209,10 @@ class TestOpnormBound:
 
 
 class TestIntegerContraction:
-    """exact_opnorm_sq contracts integers over common denominators; it must
-    equal the Fraction contraction exactly, on Gram (ip) and commuting
-    (disj) pairs alike."""
+    """exact_opnorm_sq contracts integers over common denominators, and a
+    Gram pair keeps only its dominant eigen row; it must equal the Fraction
+    contraction over the full spectrum rebuilt from family and k exactly,
+    on Gram (ip) and commuting (disj) pairs alike."""
 
     @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
     def test_matches_fraction_route(self, epsilon):
@@ -242,69 +223,73 @@ class TestIntegerContraction:
             except WitnessNotApplicable:
                 continue
             for pair in pairs:
-                h = build_witness_matrix(w, pair)
-                norm_sq = exact_opnorm_sq(h)
+                norm_sq = exact_opnorm_sq(w, pair)
                 assert type(norm_sq) is Fraction
-                assert norm_sq == fraction_opnorm_sq(h), (f.table, pair.spectrum)
+                assert norm_sq == fraction_opnorm_sq(w.q, w.n, pair), (f.table, pair)
+
+    def test_majority_7_ip9(self):
+        w = dual_witness(from_profile([0, 0, 0, 0, 1, 1, 1, 1]), THIRD)
+        pair = ip_pair(9)
+        assert exact_opnorm_sq(w, pair) == fraction_opnorm_sq(w.q, w.n, pair)
 
 
 class TestTraceNormCertificate:
     def test_exact_composition_as_approximation(self):
         pair, g = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        w = dual_witness(f, THIRD)
         values, _present = restricted_composition(f, g, pair)
-        lb = trace_norm_certificate(h, f, g, THIRD, Fraction(0), f_tilde=values)
-        want = 1.0 / operator_norm(require_materialized(h))
+        lb = trace_norm_certificate(w, pair, f, g, THIRD, Fraction(0), f_tilde=values)
+        want = 1.0 / operator_norm(require_materialized(w.q, w.n, pair))
         assert lb == pytest.approx(want, rel=1e-9)
 
     def test_sampled_approximations_dominate_bound(self):
         pair, g = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        w = dual_witness(f, THIRD)
         values, defined = restricted_composition(f, g, pair)
         rng = np.random.default_rng(0)
-        implicit = trace_norm_certificate(h, f, g, THIRD, SIXTH)
+        implicit = trace_norm_certificate(w, pair, f, g, THIRD, SIXTH)
         for _ in range(25):
             noise = rng.uniform(-float(SIXTH), float(SIXTH), size=values.shape)
             f_tilde = np.where(defined, values + noise, 0.0)
-            lb = trace_norm_certificate(h, f, g, THIRD, SIXTH, f_tilde=f_tilde)
+            lb = trace_norm_certificate(w, pair, f, g, THIRD, SIXTH, f_tilde=f_tilde)
             # the explicit numerator is at least the guaranteed 1 - eps'/eps
             assert lb >= implicit - 1e-12
 
     def test_violating_approximation_rejected(self):
         pair, g = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        w = dual_witness(f, THIRD)
         values, defined = restricted_composition(f, g, pair)
         bad = np.where(defined, values + 0.4, 0.0)
         with pytest.raises(ValueError, match="entrywise"):
-            trace_norm_certificate(h, f, g, THIRD, SIXTH, f_tilde=bad)
+            trace_norm_certificate(w, pair, f, g, THIRD, SIXTH, f_tilde=bad)
 
     def test_epsilon_ordering_enforced(self):
         pair, g = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        w = dual_witness(f, THIRD)
         with pytest.raises(ValueError):
-            trace_norm_certificate(h, f, g, THIRD, THIRD)
+            trace_norm_certificate(w, pair, f, g, THIRD, THIRD)
 
     @pytest.mark.parametrize("eps_prime", [Fraction(-10), Fraction(-1, 100), "1/0"])
     def test_epsilon_prime_range_enforced(self, eps_prime):
         # a negative eps' would lift the guaranteed numerator 1 - eps'/eps above 1
         pair, g = PAIRS[0]
         f = parity_function(2)
-        h = build_witness_matrix(dual_witness(f, THIRD), pair)
+        w = dual_witness(f, THIRD)
         with pytest.raises(ValueError, match="epsilon_prime"):
-            trace_norm_certificate(h, f, g, THIRD, eps_prime)
-        assert trace_norm_certificate(h, f, g, THIRD, Fraction(0)) \
-            == pytest.approx(1.0 / h_opnorm(h), rel=1e-15)
+            trace_norm_certificate(w, pair, f, g, THIRD, eps_prime)
+        assert trace_norm_certificate(w, pair, f, g, THIRD, Fraction(0)) \
+            == pytest.approx(1.0 / math.sqrt(exact_opnorm_sq(w, pair)), rel=1e-15)
 
     def test_norm_route_past_the_guard(self, monkeypatch):
         monkeypatch.setattr(boolcube, "MAX_MATERIALIZE", 8)
         pair, g = PAIRS[0]
         f = parity_function(2)
         w = dual_witness(f, THIRD)
-        exact = trace_norm_certificate(build_witness_matrix(w, pair), f, g, THIRD, SIXTH)
+        exact = trace_norm_certificate(w, pair, f, g, THIRD, SIXTH)
         assert exact > 0
 
 

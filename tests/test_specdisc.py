@@ -10,18 +10,17 @@ from blockcomp.boolcube import (UNDEF, InnerFunction, and_inner,
 from blockcomp.errors import SizeGuardExceeded
 from blockcomp.specdisc import (DISJ_K_CAP, IP_K_CAP, PAIR_SIDE_CAP, disj_lambda,
                                 disj_pair, disj_weights, eigenspace_dimension,
-                                family_bound, ip_pair, knuth_eigenvalue,
+                                family_bound, family_pair, ip_pair, knuth_eigenvalue,
                                 spectral_certificate)
-from oracles import (dense, dense_certificate, disj_lambda_diff_closed,
+from oracles import (block_pair, dense, dense_certificate, disj_lambda_diff_closed,
                      inner_of_rows, ip_closed_forms, johnson_matrix, operator_norm,
-                     pair_block, pair_matches, random_inner, restrict_rows,
-                     uniform_pair)
+                     pair_matches, random_inner, restrict_rows, uniform_pair)
 
 
 def assert_same_block(got, want):
-    """Equal labels and blocks."""
-    assert (got.i_a, got.i_b) == (want.i_a, want.i_b)
-    assert np.array_equal(pair_block(got), want.block)
+    """Equal side lengths and blocks."""
+    assert (got.k_a, got.k_b) == (want.k_a, want.k_b)
+    assert np.array_equal(block_pair(got).block, want.block)
 
 
 RECTANGLE_GUARD = 24
@@ -31,6 +30,7 @@ def rectangle_discrepancy(pair, g: InnerFunction) -> float:
     """Max over all sub-rectangles of |sum mu(x,y) (-1)^g(x,y)| for the
     combined distribution mu = (mu0+mu1)/2.  Exhaustive over subsets of
     the smaller side."""
+    pair = block_pair(pair)
     if pair.k_a + pair.k_b > RECTANGLE_GUARD:
         raise SizeGuardExceeded(
             f"|I_A| + |I_B| = {pair.k_a + pair.k_b} exceeds {RECTANGLE_GUARD}")
@@ -138,6 +138,10 @@ class TestPairsAndCertificates:
         pair = ip_pair(k)
         assert_same_block(pair, uniform_pair(ip_inner(k), rows=range(1, 1 << k)))
         assert pair.spectrum.gram
+        # the dominant row (K(K-1)/c^2, K/c^2) alone, c = K(K-1)/2
+        big = 1 << k
+        c = Fraction(big * (big - 1), 2)
+        assert pair.spectrum.eigen == ((big * (big - 1) / c ** 2, big / c ** 2),)
 
     @pytest.mark.parametrize("k", [3, 6, 9])
     def test_disj_pair_is_uniform_pair(self, k):
@@ -156,7 +160,7 @@ class TestPairsAndCertificates:
         pair, g = {"ip": (ip_pair, ip_inner),
                    "disj": (disj_pair, disj_le1_inner)}[family]
         pair, g = pair(k), g(k)
-        block = pair_block(pair)
+        block = block_pair(pair).block
         assert (block == 0).any() and (block == 1).any()
         assert pair_matches(pair, g)
 
@@ -195,8 +199,7 @@ class TestInnerProductPair:
         g = ip_inner(k)
         pair = ip_pair(k)
         assert pair_matches(pair, g)
-        assert pair.i_a == (1, 2, 3)
-        assert pair.i_b == (0, 1, 2, 3)
+        assert (pair.k_a, pair.k_b) == (3, 4)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_rho_bound(self, k):
@@ -214,13 +217,17 @@ class TestInnerProductPair:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_bound_met_with_equality(self, k):
-        bound, within = family_bound("ip", k, spectral_certificate(ip_pair(k)))
+        key, bound, within = family_bound("ip", k, spectral_certificate(ip_pair(k)))
         assert within
-        assert bound == 1.0 / math.sqrt((1 << k) - 1)
+        assert (key, bound) == ("bound_inv_sqrt_K_minus_1", 1.0 / math.sqrt((1 << k) - 1))
 
     def test_family_bound_needs_exact_certificate(self):
         with pytest.raises(ValueError):
             family_bound("and", 2, spectral_certificate(ip_pair(2)))
+        with pytest.raises(ValueError, match="unknown family 'and'"):
+            family_pair("and", 2)
+        assert family_pair("ip", 3) == ip_pair(3)
+        assert family_pair("disj", 6) == disj_pair(6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -364,7 +371,7 @@ class TestDisjointnessPair:
         pair = disj_pair(k)
         cert = spectral_certificate(pair)
         assert cert.rho_sq == Fraction(9, 4 * k) ** 2
-        assert family_bound("disj", k, cert) == (3.0 / k, True)
+        assert family_bound("disj", k, cert) == ("bound_3_over_k", 3.0 / k, True)
         if k <= 6:
             assert cert.rho == pytest.approx(dense_certificate(pair)[2], rel=1e-12)
 
