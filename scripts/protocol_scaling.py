@@ -17,7 +17,7 @@ import random
 import sys
 
 from blockcomp.boolcube import profile_from_values
-from blockcomp.protocols import dense_input, symmetric_and_protocol
+from blockcomp.protocols import compile_symand, dense_input
 
 
 def model(ell1: int) -> float:
@@ -40,13 +40,13 @@ def main(argv=None) -> int:
         if ell1 > args.n // 2:
             raise SystemExit(f"ell1={ell1} needs n >= {2 * ell1}")
         profile = profile_from_values([0] * (args.n + 1 - ell1) + [1] * ell1)
+        protocol = compile_symand(profile)
         worst = 0
         mean = 0.0
         for t in range(args.trials):
             x = dense_input(rng, args.n, ell1)
             y = dense_input(rng, args.n, ell1)
-            out, ledger = symmetric_and_protocol(
-                profile, x, y, seed=args.seed * 1_000_003 + t)
+            out, ledger = protocol.run(x, y, seed=args.seed * 1_000_003 + t)
             assert out == profile.values[(x & y).bit_count()]
             worst = max(worst, ledger.total)
             mean += ledger.total

@@ -192,55 +192,64 @@ def cmd_reduce(args) -> int:
     return status
 
 
+def _bcw_trials(args, rng: random.Random):
+    """(x, y, output, expected, ledger) of each bcw trial."""
+    f = load_function(args.f)
+    g = load_inner(args.g) if args.g else _inner_for(args.g_family, args.k)
+    tree = protocols.optimal_decision_tree(f)
+    # uniform on the composed domain: each block uniform on g's domain,
+    # drawn as a row-major index into g's defined cells
+    cells, values, side = g.defined_cells(), g.values, 1 << g.k
+    if not cells:
+        raise ValueError("inner function is undefined everywhere")
+    protocol = protocols.compile_bcw(tree, args.g_cost, args.repetitions,
+                                     args.inject_error)
+    randrange, count, k, table = rng.randrange, len(cells), g.k, f.table
+    seed = args.seed * 1_000_003
+    for t in range(args.trials):
+        x = y = z = 0
+        for i in range(f.n):
+            cell = cells[randrange(count)]
+            a, b = divmod(cell, side)
+            x |= a << (i * k)
+            y |= b << (i * k)
+            z |= values[cell] << i
+        out, ledger = protocol.run(z, seed + t)
+        yield x, y, out, table[z], ledger
+
+
+def _symand_trials(args, rng: random.Random):
+    """(x, y, output, expected, ledger) of each symand trial."""
+    profile = load_profile(args.f)
+    cfg = protocols.HamOracleConfig(c_ham=args.c_ham, error_prob=args.inject_error)
+    protocol = protocols.compile_symand(profile, cfg)
+    n, ell1, values = profile.n, profile.ell1, profile.values
+    seed = args.seed * 1_000_003
+    for t in range(args.trials):
+        if args.dense:
+            x = protocols.dense_input(rng, n, ell1)
+            y = protocols.dense_input(rng, n, ell1)
+        else:
+            x, y = rng.randrange(1 << n), rng.randrange(1 << n)
+        out, ledger = protocol.run(x, y, seed + t)
+        yield x, y, out, values[(x & y).bit_count()], ledger
+
+
 def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
+    trials = (_bcw_trials if args.protocol == "bcw" else _symand_trials)(args, rng)
     lines: list[str] = []
     errors = max_total_bits = 0
-    if args.protocol == "bcw":
-        f = load_function(args.f)
-        g = load_inner(args.g) if args.g else _inner_for(args.g_family, args.k)
-        tree = protocols.optimal_decision_tree(f)
-        # uniform on the composed domain: each block uniform on g's domain,
-        # drawn as a row-major index into g's defined cells
-        cells, values, side = g.defined_cells(), g.values, 1 << g.k
-        if not cells:
-            raise ValueError("inner function is undefined everywhere")
-        for t in range(args.trials):
-            x = y = z = 0
-            for i in range(f.n):
-                cell = cells[rng.randrange(len(cells))]
-                a, b = divmod(cell, side)
-                bit = values[cell]
-                x |= a << (i * g.k)
-                y |= b << (i * g.k)
-                z |= bit << i
-            expected = f.value(z)
-            out, ledger = protocols.bcw_compile_and_run(
-                tree, g, args.g_cost, args.repetitions, x, y,
-                inject_error=args.inject_error, seed=args.seed * 1_000_003 + t)
-            line, total = _trial_line(t, x, y, out, expected, ledger)
-            lines.append(line)
-            errors += out != expected
-            if total > max_total_bits:
-                max_total_bits = total
-    else:
-        profile = load_profile(args.f)
-        cfg = protocols.HamOracleConfig(c_ham=args.c_ham,
-                                        error_prob=args.inject_error)
-        for t in range(args.trials):
-            if args.dense:
-                x = protocols.dense_input(rng, profile.n, profile.ell1)
-                y = protocols.dense_input(rng, profile.n, profile.ell1)
-            else:
-                x, y = rng.randrange(1 << profile.n), rng.randrange(1 << profile.n)
-            expected = profile.values[(x & y).bit_count()]
-            out, ledger = protocols.symmetric_and_protocol(
-                profile, x, y, cfg, seed=args.seed * 1_000_003 + t)
-            line, total = _trial_line(t, x, y, out, expected, ledger)
-            lines.append(line)
-            errors += out != expected
-            if total > max_total_bits:
-                max_total_bits = total
+    prefixes: dict[tuple, str] = {}
+    for t, (x, y, out, expected, ledger) in enumerate(trials):
+        key = (out, expected, ledger)
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = prefixes[key] = _trial_prefix(out, expected, ledger)
+        lines.append(f'{prefix}{t}, "x": {x}, "y": {y}}}\n')
+        errors += out != expected
+        if ledger.total > max_total_bits:
+            max_total_bits = ledger.total
     summary = {"summary": True, "trials": args.trials, "errors": errors,
                "error_rate": errors / args.trials, "max_total_bits": max_total_bits}
     lines.append(json.dumps(summary, sort_keys=True) + "\n")
@@ -251,26 +260,27 @@ def cmd_simulate(args) -> int:
 
 
 # One trial as a JSON object, keys in the sorted order json.dumps(sort_keys=True)
-# writes them; the values other than correct and notes are ints, whose str()
-# is their JSON.
-_TRIAL_LINE = (
+# writes them.  Every key before "trial" is fixed by the trial's output,
+# expected value and ledger, so cmd_simulate formats that prefix once per
+# distinct (output, expected, ledger) and appends the trial's number, x and
+# y to it.  The values other than correct and notes are ints, whose str() is
+# their JSON.
+_TRIAL_PREFIX = (
     '{{"bits_alice": {}, "bits_bob": {}, "correct": {}, "expected": {}, '
     '"notes": {}, "output": {}, "subprotocol_bits": {}, "subprotocol_count": {}, '
-    '"total_bits": {}, "trial": {}, "x": {}, "y": {}}}\n').format
+    '"total_bits": {}, "trial": ').format
 
 
-def _trial_line(t, x, y, out, expected, ledger) -> tuple[str, int]:
-    """A trial's output line and its total bits."""
+def _trial_prefix(out: int, expected: int, ledger: protocols.CostLedger) -> str:
+    """A trial line up to its trial number."""
     sub_bits = calls = 0
     for _, cost, reps in ledger.subprotocol_invocations:
         sub_bits += cost * reps
         calls += reps
-    alice, bob = ledger.bits_sent_alice, ledger.bits_sent_bob
-    total = alice + bob + sub_bits
     notes = json.dumps(ledger.notes) if ledger.notes else "[]"
-    line = _TRIAL_LINE(alice, bob, "true" if out == expected else "false", expected,
-                       notes, out, sub_bits, calls, total, t, x, y)
-    return line, total
+    return _TRIAL_PREFIX(ledger.bits_sent_alice, ledger.bits_sent_bob,
+                         "true" if out == expected else "false", expected, notes, out,
+                         sub_bits, calls, ledger.total)
 
 
 BATCH_COLUMNS = ["f", "family", "k", "n", "degree", "rho", "sum_scaled",

@@ -3,10 +3,14 @@
 Two upper-bound constructions: a decision-tree compiler that replaces
 each query of the outer function by repeated runs of an inner-function
 subprotocol, and the Hamming-distance binary-search protocol for
-symmetric predicates composed with AND.  Subprotocol internals are
-modeled as exact-answer oracles with a charged cost and optional
-injected error; all randomness flows from one seeded generator so runs
-are reproducible bit for bit.
+symmetric predicates composed with AND.  Each is compiled once
+(``compile_bcw``, ``compile_symand``), which checks its arguments and
+computes its per-run constants, so that a run is a walk over the queries
+plus a lookup.  A run returns a frozen ``CostLedger`` shared by every run
+that takes the same query path; the ledger does not carry the seed.
+Subprotocol internals are modeled as exact-answer oracles with a charged
+cost and optional injected error; each run draws its errors from a
+generator seeded by the caller, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .boolcube import BooleanFunction, InnerFunction, SymmetricProfile
+from .boolcube import BooleanFunction, SymmetricProfile
 from .errors import ArityMismatch
 
 TREE_ARITY_CAP = 4
@@ -102,25 +106,26 @@ def optimal_decision_tree(f: BooleanFunction) -> DecisionTree:
     return DecisionTree(f.n, build(f.n, f.table, tuple(range(1, f.n + 1))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostLedger:
-    """Append-only record of everything a protocol run charged.
+    """Record of everything a protocol run charged.
 
     One ``subprotocol_invocations`` entry is one majority-voted query,
     ``(label, bits per call, calls)``: the query ran ``calls`` times at
-    ``bits per call`` each.
+    ``bits per call`` each.  ``total`` is summed once, at construction.  A
+    compiled run keeps one ledger per query path and hands the same object
+    to every run that takes that path.
     """
 
     bits_sent_alice: int = 0
     bits_sent_bob: int = 0
-    subprotocol_invocations: list[tuple[str, int, int]] = field(default_factory=list)
-    rng_seed: int | None = None
-    notes: list[str] = field(default_factory=list)
+    subprotocol_invocations: tuple[tuple[str, int, int], ...] = ()
+    notes: tuple[str, ...] = ()
+    total: int = field(init=False)
 
-    @property
-    def total(self) -> int:
-        return (self.bits_sent_alice + self.bits_sent_bob
-                + sum(c * r for _, c, r in self.subprotocol_invocations))
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.bits_sent_alice + self.bits_sent_bob
+                           + sum(c * r for _, c, r in self.subprotocol_invocations))
 
 
 def _majority(truth: int, reps: int, error_prob: float,
@@ -156,36 +161,50 @@ class HamOracleConfig:
         return math.ceil(bits)
 
 
-def bcw_compile_and_run(tree: DecisionTree, g: InnerFunction,
-                        g_protocol_cost: int, repetitions: int,
-                        x: int, y: int, inject_error: float = 0.0,
-                        seed: int | None = None) -> tuple[int, CostLedger]:
-    """Walk the tree on the composed input; every queried bit runs the
-    g-subprotocol `repetitions` times and takes the majority."""
+class CompiledBcw:
+    """A decision tree for f with every query answered by a majority of
+    `repetitions` runs of a g-subprotocol that costs `g_protocol_cost`
+    bits per call, compiled once for any number of runs."""
+
+    def __init__(self, tree: DecisionTree, g_protocol_cost: int, repetitions: int,
+                 inject_error: float):
+        self.tree = tree
+        self.repetitions = repetitions
+        self.inject_error = inject_error
+        # the ledger entry of a query to variable i, at index i - 1
+        self._entries = tuple((f"g@{i}", g_protocol_cost, repetitions)
+                              for i in range(1, tree.n + 1))
+        self._ledgers: dict[tuple[int, ...], CostLedger] = {}
+
+    def run(self, z: int, seed: int | None = None) -> tuple[int, CostLedger]:
+        """Walk the tree on the block values z, whose bit i - 1 is g on
+        block i; the randomness of the injected errors comes from `seed`."""
+        reps, error_prob = self.repetitions, self.inject_error
+        rng = random.Random(seed) if error_prob > 0.0 else None
+        path: tuple[int, ...] = ()
+        node = self.tree.root
+        while isinstance(node, Node):
+            i = node.var
+            path += (i,)
+            node = node.high if _majority((z >> (i - 1)) & 1, reps, error_prob, rng) \
+                else node.low
+        ledger = self._ledgers.get(path)
+        if ledger is None:
+            ledger = self._ledgers[path] = CostLedger(
+                subprotocol_invocations=tuple(self._entries[i - 1] for i in path))
+        return node.value, ledger
+
+
+def compile_bcw(tree: DecisionTree, g_protocol_cost: int, repetitions: int,
+                inject_error: float = 0.0) -> CompiledBcw:
+    """The BCW simulation of `tree`, its arguments checked once."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if g_protocol_cost < 0:
         raise ValueError("g_protocol_cost must be >= 0")
     if not 0.0 <= inject_error <= 1.0 / 3.0:
         raise ValueError("inject_error must lie in [0, 1/3]")
-    k = g.k
-    side = 1 << (tree.n * k)
-    if not (0 <= x < side and 0 <= y < side):
-        raise ValueError("input outside the composed cube")
-    mask = (1 << k) - 1
-    rng = random.Random(seed) if inject_error > 0.0 else None
-    ledger = CostLedger(rng_seed=seed)
-    node = tree.root
-    while isinstance(node, Node):
-        i = node.var
-        xi = (x >> ((i - 1) * k)) & mask
-        yi = (y >> ((i - 1) * k)) & mask
-        true_bit = g.value(xi, yi)
-        if true_bit is None:
-            raise ValueError(f"block {i} falls outside the inner function's domain")
-        ledger.subprotocol_invocations.append((f"g@{i}", g_protocol_cost, repetitions))
-        node = node.high if _majority(true_bit, repetitions, inject_error, rng) else node.low
-    return node.value, ledger
+    return CompiledBcw(tree, g_protocol_cost, repetitions, inject_error)
 
 
 def repetition_schedule(delta_cap: int) -> int:
@@ -214,81 +233,91 @@ def za_header_bits(ell1: int) -> int:
 
 
 def dense_input(rng: random.Random, n: int, ell1: int) -> int:
-    """An n-bit input with fewer than max(ell1, 1) zeros, at random positions."""
+    """An n-bit input with fewer than max(ell1, 1) zeros, at random positions.
+    A sample of no positions draws nothing, so none is taken."""
     zeros = rng.randrange(max(ell1, 1))
     x = (1 << n) - 1
-    for pos in rng.sample(range(n), zeros):
-        x &= ~(1 << pos)
+    if zeros:
+        for pos in rng.sample(range(n), zeros):
+            x &= ~(1 << pos)
     return x
 
 
-def symmetric_and_protocol(profile: SymmetricProfile, x: int, y: int,
-                           cfg: HamOracleConfig = HamOracleConfig(),
-                           seed: int | None = None) -> tuple[int, CostLedger]:
+class CompiledSymand:
     """Binary-search protocol for a symmetric f (with no flip in the lower
-    half of the weight range) composed with bitwise AND.
+    half of the weight range) composed with bitwise AND, compiled once for
+    any number of runs.
 
-    f is given by its weight profile (``symmetric_profile(f)``), which the
-    caller computes once for all the runs it makes; n, the values and ell1
-    are read from it.
+    f is given by its weight profile (``symmetric_profile(f)``); n, the
+    values and ell1 are read from it.  Both sides first compare their zero
+    counts against the top flip distance ell1 and output 0 early when
+    either is over the threshold.  Otherwise Alice announces her zero
+    count, the players binary-search the Hamming distance |x xor y| with
+    majority-voted threshold probes, and Bob evaluates f at the implied
+    intersection weight.  If f is 1 instead of 0 on the low plateau, the
+    complement is computed and the output flipped, with a ledger note.
 
-    Both sides first compare their zero counts against the top flip
-    distance ell1 and output 0 early when either is over the threshold.
-    Otherwise Alice announces her zero count, the players binary-search
-    the Hamming distance |x xor y| with majority-voted threshold probes,
-    and Bob evaluates f at the implied intersection weight.  If f is 1
-    instead of 0 on the low plateau, the complement is computed and the
-    output flipped, with a ledger note.
+    The ledger of a search path, with the cost of each threshold it
+    probes, is built the first time a run takes that path, so a cost that
+    overflows is an error only for the runs that probe it.
     """
+
+    def __init__(self, profile: SymmetricProfile, cfg: HamOracleConfig):
+        self.n = profile.n
+        self.cfg = cfg
+        self.flip = profile.values[0]
+        self.values = tuple(v ^ self.flip for v in profile.values)
+        notes = ("negated: f is 1 on the low plateau",) if self.flip else ()
+        self.ell1 = ell1 = profile.ell1
+        if ell1 == 0:
+            self._constant = CostLedger(notes=notes + ("constant after orientation",))
+            return
+        self._early_exit = CostLedger(1, 1, notes=notes + ("threshold early exit",))
+        self.header = za_header_bits(ell1)
+        alt = math.ceil(math.log2(max(ell1, 2)))
+        if self.header != alt:
+            notes += (f"header charged {self.header} bits (tight encoding {alt})",)
+        self._search_notes = notes
+        self.delta_cap = 2 * (ell1 - 1)
+        self.reps = repetition_schedule(self.delta_cap)
+        self._ledgers: dict[tuple[int, ...], CostLedger] = {}
+
+    def run(self, x: int, y: int, seed: int | None = None) -> tuple[int, CostLedger]:
+        """The protocol on Alice's x and Bob's y; the randomness of the
+        injected errors comes from `seed`."""
+        n, ell1 = self.n, self.ell1
+        if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
+            raise ValueError("input outside the cube")
+        if ell1 == 0:
+            return self.values[0] ^ self.flip, self._constant
+        weight_x, weight_y = x.bit_count(), y.bit_count()
+        if n - weight_x >= ell1 or n - weight_y >= ell1:
+            return self.flip, self._early_exit
+
+        reps, error_prob = self.reps, self.cfg.error_prob
+        rng = random.Random(seed) if error_prob > 0.0 else None
+        true_delta = (x ^ y).bit_count()
+        path: tuple[int, ...] = ()
+        lo, hi = 0, self.delta_cap
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            path += (mid,)
+            if _majority(true_delta >= mid, reps, error_prob, rng):
+                lo = mid
+            else:
+                hi = mid - 1
+        ledger = self._ledgers.get(path)
+        if ledger is None:
+            entries = tuple((f"ham_{d}", self.cfg.cost(d), reps) for d in path)
+            ledger = self._ledgers[path] = CostLedger(1 + self.header, 2, entries,
+                                                      self._search_notes)
+        weight = min(max((weight_x + weight_y - lo) // 2, 0), n)
+        return self.values[weight] ^ self.flip, ledger
+
+
+def compile_symand(profile: SymmetricProfile,
+                   cfg: HamOracleConfig = HamOracleConfig()) -> CompiledSymand:
+    """The symmetric-AND protocol for `profile`, which must have ell0 = 0."""
     if profile.ell0 != 0:
         raise ValueError(f"protocol requires ell0 = 0, got {profile.ell0}")
-    n = profile.n
-    if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
-        raise ValueError("input outside the cube")
-    rng = random.Random(seed) if cfg.error_prob > 0.0 else None
-    ledger = CostLedger(rng_seed=seed)
-    values = profile.values
-    flip = values[0] == 1
-    if flip:
-        values = tuple(1 - v for v in values)
-        ledger.notes.append("negated: f is 1 on the low plateau")
-    ell1 = profile.ell1
-
-    def out(bit: int) -> tuple[int, CostLedger]:
-        return (bit ^ 1 if flip else bit), ledger
-
-    if ell1 == 0:
-        ledger.notes.append("constant after orientation")
-        return out(values[0])
-
-    z_a = n - x.bit_count()
-    z_b = n - y.bit_count()
-    ledger.bits_sent_alice += 1
-    ledger.bits_sent_bob += 1
-    if z_a >= ell1 or z_b >= ell1:
-        ledger.notes.append("threshold early exit")
-        return out(0)
-
-    header = za_header_bits(ell1)
-    alt = math.ceil(math.log2(max(ell1, 2)))
-    if header != alt:
-        ledger.notes.append(f"header charged {header} bits (tight encoding {alt})")
-    ledger.bits_sent_alice += header
-
-    delta_cap = 2 * (ell1 - 1)
-    reps = repetition_schedule(delta_cap)
-    true_delta = (x ^ y).bit_count()
-    lo, hi = 0, delta_cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        ledger.subprotocol_invocations.append((f"ham_{mid}", cfg.cost(mid), reps))
-        if _majority(true_delta >= mid, reps, cfg.error_prob, rng):
-            lo = mid
-        else:
-            hi = mid - 1
-    delta = lo
-
-    weight = (x.bit_count() + y.bit_count() - delta) // 2
-    weight = min(max(weight, 0), n)
-    ledger.bits_sent_bob += 1
-    return out(values[weight])
+    return CompiledSymand(profile, cfg)

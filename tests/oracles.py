@@ -13,8 +13,8 @@ contracted over Fractions, the restricted composition and an
 explicit-approximation trace-norm bound, dense intersection matrices and
 closed-form spectra, the Paturi ratio of a symmetric function, the padding
 identity point by point, the protocol simulations one subprotocol call at
-a time, and ``simulate``'s output with one dict per trial line.  Dense
-work honours ``boolcube.MAX_MATERIALIZE``.
+a time, the dense symand input draw, and ``simulate``'s output with one
+dict per trial line.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 ip_inner, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import _check_epsilon_prime, exact_opnorm_sq
-from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig, Node,
-                                 bcw_compile_and_run, dense_input,
+from blockcomp.protocols import (DecisionTree, HamOracleConfig, Node,
                                  optimal_decision_tree, repetition_schedule,
-                                 symmetric_and_protocol, za_header_bits)
+                                 za_header_bits)
 from blockcomp.specdisc import (DISJ_K_CAP, DistributionPair, _check_kps,
                                 disj_lambda)
 
@@ -578,7 +577,8 @@ class PerCallLedger:
 def per_call_bcw(tree: DecisionTree, g: InnerFunction, g_protocol_cost: int,
                  repetitions: int, x: int, y: int, inject_error: float = 0.0,
                  seed: int | None = None) -> tuple[int, PerCallLedger]:
-    """``bcw_compile_and_run`` on valid arguments, voting call by call."""
+    """``compile_bcw(...).run`` on the blocks of x and y, read through
+    ``g.value``, voting call by call."""
     k = g.k
     mask = (1 << k) - 1
     rng = random.Random(seed)
@@ -601,7 +601,7 @@ def per_call_bcw(tree: DecisionTree, g: InnerFunction, g_protocol_cost: int,
 def per_call_symand(profile: SymmetricProfile, x: int, y: int,
                     cfg: HamOracleConfig = HamOracleConfig(),
                     seed: int | None = None) -> tuple[int, PerCallLedger]:
-    """``symmetric_and_protocol`` on valid arguments, voting call by call."""
+    """``compile_symand(...).run`` on valid arguments, voting call by call."""
     n = profile.n
     rng = random.Random(seed)
     ledger = PerCallLedger()
@@ -674,16 +674,26 @@ def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
 # simulate output, one dict per trial line
 
 
+def sampled_dense_input(rng: random.Random, n: int, ell1: int) -> int:
+    """``protocols.dense_input`` drawing its zero positions with
+    ``rng.sample`` even when there are none."""
+    zeros = rng.randrange(max(ell1, 1))
+    x = (1 << n) - 1
+    for pos in rng.sample(range(n), zeros):
+        x &= ~(1 << pos)
+    return x
+
+
 def dict_trial_line(t: int, x: int, y: int, out: int, expected: int,
-                    ledger: CostLedger) -> str:
+                    ledger: PerCallLedger) -> str:
     """One trial line of ``simulate``: a dict serialised with sorted keys."""
     return json.dumps({
         "trial": t, "x": x, "y": y, "output": out, "expected": expected,
         "correct": out == expected,
         "bits_alice": ledger.bits_sent_alice,
         "bits_bob": ledger.bits_sent_bob,
-        "subprotocol_bits": sum(c * r for _, c, r in ledger.subprotocol_invocations),
-        "subprotocol_count": sum(r for _, _, r in ledger.subprotocol_invocations),
+        "subprotocol_bits": sum(c for _, c in ledger.calls),
+        "subprotocol_count": len(ledger.calls),
         "total_bits": ledger.total,
         "notes": list(ledger.notes),
     }, sort_keys=True) + "\n"
@@ -691,9 +701,10 @@ def dict_trial_line(t: int, x: int, y: int, out: int, expected: int,
 
 def dict_simulate_text(argv: list[str]) -> str:
     """Stdout of ``blockcomp simulate`` with the arguments ``argv``: the same
-    trials through the library protocols, bcw inputs drawn by
-    ``list_sampled_inputs``, and every line a dict serialised with sorted
-    keys."""
+    trials through the per-call protocol loops, one fresh run and ledger per
+    trial, bcw inputs drawn by ``list_sampled_inputs``, symand inputs by
+    ``sampled_dense_input`` or ``randrange``, and every line a dict
+    serialised with sorted keys."""
     args = cli.build_parser().parse_args(["simulate", *argv])
     trials = []
     if args.protocol == "bcw":
@@ -702,7 +713,7 @@ def dict_simulate_text(argv: list[str]) -> str:
         tree = optimal_decision_tree(f)
         inputs = list_sampled_inputs(g, f.n, args.trials, args.seed)
         for t, (x, y, z) in enumerate(inputs):
-            out, ledger = bcw_compile_and_run(
+            out, ledger = per_call_bcw(
                 tree, g, args.g_cost, args.repetitions, x, y,
                 inject_error=args.inject_error, seed=args.seed * 1_000_003 + t)
             trials.append((t, x, y, out, f.value(z), ledger))
@@ -712,12 +723,12 @@ def dict_simulate_text(argv: list[str]) -> str:
         rng = random.Random(args.seed)
         for t in range(args.trials):
             if args.dense:
-                x = dense_input(rng, profile.n, profile.ell1)
-                y = dense_input(rng, profile.n, profile.ell1)
+                x = sampled_dense_input(rng, profile.n, profile.ell1)
+                y = sampled_dense_input(rng, profile.n, profile.ell1)
             else:
                 x, y = rng.randrange(1 << profile.n), rng.randrange(1 << profile.n)
-            out, ledger = symmetric_and_protocol(profile, x, y, cfg,
-                                                 seed=args.seed * 1_000_003 + t)
+            out, ledger = per_call_symand(profile, x, y, cfg,
+                                          seed=args.seed * 1_000_003 + t)
             trials.append((t, x, y, out, profile.values[(x & y).bit_count()], ledger))
     errors = sum(out != expected for _, _, _, out, expected, _ in trials)
     summary = {"summary": True, "trials": args.trials, "errors": errors,

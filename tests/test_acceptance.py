@@ -21,10 +21,9 @@ from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
                                 symmetric_profile)
 from blockcomp.errors import DegeneratePlan, NotSymmetric, SizeGuardExceeded
 from blockcomp.mainlemma import opnorm_bound
-from blockcomp.protocols import (HamOracleConfig, bcw_compile_and_run,
+from blockcomp.protocols import (HamOracleConfig, compile_bcw, compile_symand,
                                  dense_input, optimal_decision_tree,
-                                 repetition_schedule, symmetric_and_protocol,
-                                 za_header_bits)
+                                 repetition_schedule, za_header_bits)
 from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 ip_pair, knuth_eigenvalue,
                                 eigenspace_dimension, spectral_certificate)
@@ -193,55 +192,56 @@ def test_criterion_7_protocol_suite():
         tree2 = optimal_decision_tree(parity_function(2))
         composed2 = block_compose(parity_function(2), and_inner())
         n16 = {l1: from_profile([0] * (17 - l1) + [1] * l1) for l1 in (2, 4, 8)}
-        step4_profile = symmetric_profile(step4)
-        n16_profiles = {l1: symmetric_profile(f) for l1, f in n16.items()}
+        step4_symand = compile_symand(symmetric_profile(step4))
+        n16_symand = {l1: compile_symand(symmetric_profile(f)) for l1, f in n16.items()}
 
-        # --- 1e5 zero-error trials are exactly correct
+        # --- 1e5 zero-error trials are exactly correct; the and_inner
+        # blocks of x and y have the values x & y
         rng = random.Random(2024)
         total = 0
+        bcw = compile_bcw(tree2, 2, 1)
         for t in range(20_000):
             x, y = rng.randrange(4), rng.randrange(4)
-            out, _ = bcw_compile_and_run(tree2, and_inner(), 2, 1, x, y,
-                                         seed=1_000_003 * t)
+            out, _ = bcw.run(x & y, seed=1_000_003 * t)
             assert out == composed2.value(x, y)
             total += 1
         for t in range(40_000):
             x, y = rng.randrange(16), rng.randrange(16)
-            out, _ = symmetric_and_protocol(step4_profile, x, y, seed=1_000_003 * t)
+            out, _ = step4_symand.run(x, y, seed=1_000_003 * t)
             assert out == step4.value(x & y)
             total += 1
-        f16, f16_profile = n16[4], n16_profiles[4]
+        f16 = n16[4]
         for t in range(40_000):
             x = dense_input(rng, 16, 4)
             y = dense_input(rng, 16, 4)
-            out, _ = symmetric_and_protocol(f16_profile, x, y, seed=1_000_003 * t)
+            out, _ = n16_symand[4].run(x, y, seed=1_000_003 * t)
             assert out == f16.value(x & y)
             total += 1
         assert total == 100_000
 
         # --- 1e4 trials with the scheduled injected error stay under 1/3+0.02
         errors = 0
+        bcw = compile_bcw(tree2, 2, 33, inject_error=1 / 3)
         for t in range(5_000):
             x, y = rng.randrange(4), rng.randrange(4)
-            out, _ = bcw_compile_and_run(tree2, and_inner(), 2, 33, x, y,
-                                         inject_error=1 / 3, seed=7 * t + 1)
+            out, _ = bcw.run(x & y, seed=7 * t + 1)
             errors += out != composed2.value(x, y)
         cap = 2 * (2 - 1)
         scheduled = 1.0 / (3.0 * (math.floor(math.log2(cap)) + 1))
         cfg = HamOracleConfig(error_prob=scheduled)
+        noisy_step4 = compile_symand(symmetric_profile(step4), cfg)
         for t in range(5_000):
             x = dense_input(rng, 4, 2)
             y = dense_input(rng, 4, 2)
-            out, _ = symmetric_and_protocol(step4_profile, x, y, cfg,
-                                            seed=13 * t + 5)
+            out, _ = noisy_step4.run(x, y, seed=13 * t + 5)
             errors += out != step4.value(x & y)
         assert errors / 10_000 <= 1 / 3 + 0.02
 
         # --- ledgers never exceed the closed-form budgets
+        bcw = compile_bcw(tree2, 2, 5)
         for t in range(2_000):
             x, y = rng.randrange(4), rng.randrange(4)
-            _, ledger = bcw_compile_and_run(tree2, and_inner(), 2, 5, x, y,
-                                            seed=t)
+            _, ledger = bcw.run(x & y, seed=t)
             assert ledger.total <= tree2.depth * 5 * 2
         cfg0 = HamOracleConfig()
         worst_bits = {}
@@ -254,8 +254,7 @@ def test_criterion_7_protocol_suite():
             for t in range(2_000):
                 x = dense_input(rng, 16, l1)
                 y = dense_input(rng, 16, l1)
-                out, ledger = symmetric_and_protocol(n16_profiles[l1], x, y, cfg0,
-                                                     seed=31 * t + l1)
+                out, ledger = n16_symand[l1].run(x, y, seed=31 * t + l1)
                 assert out == f.value(x & y)
                 assert ledger.total <= budget_bits, (l1, ledger.total)
                 worst = max(worst, ledger.total)

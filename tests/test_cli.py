@@ -648,6 +648,21 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
 
+    def test_unreached_overflowing_cost_exits_0(self, capsys, tmp_path):
+        # uniform 16-bit inputs have too many zeros for ell1 = 2, so every
+        # trial exits early and no threshold cost is computed; dense inputs
+        # reach the threshold-2 probe, whose cost overflows
+        path = write_json(tmp_path, "f.json", {"profile": [0] * 15 + [1, 1]})
+        argv = ["simulate", "--protocol", "symand", "--f", path, "--c-ham", "1e308",
+                "--trials", "5"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert last_json(out)["errors"] == 0
+        assert '"threshold early exit"' in out
+        code, out, err = run(capsys, argv + ["--dense"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "overflows" in err
+
     def test_and_inner_other_k_exits_2(self, capsys, parity2):
         code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
                                       "--g-family", "and", "--k", "5", "--trials", "2"])
@@ -677,18 +692,37 @@ SIMULATE_CASES = {
     "symand-uniform": ("symand", "step4", ["--inject-error", "0.2", "--trials", "120",
                                            "--seed", "3"]),
     "symand-constant": ("symand", "ones", ["--trials", "5"]),
+    "bcw-user-g": ("bcw", "parity2", ["--g", "partial_ip2", "--repetitions", "3",
+                                      "--inject-error", "0.33", "--trials", "90",
+                                      "--seed", "8"]),
+    "bcw-arity4-ip3": ("bcw", "arity4", ["--g-family", "ip", "--k", "3", "--trials", "70",
+                                          "--seed", "6"]),
+    "symand-ell1-1": ("symand", "and4", ["--dense", "--inject-error", "0.2", "--trials", "40",
+                                         "--seed", "2"]),
 }
 SIMULATE_FUNCTIONS = {
     "parity2": {"n": 2, "bits": "0110"},
+    "arity4": {"n": 4, "bits": "0110100011010011"},
+    "and4": {"profile": [0, 0, 0, 0, 1]},  # ell1 = 1: delta_cap 0, no search
     "neg_header": {"profile": [1] * 7 + [0] * 4},  # f(0) = 1 and ell1 = 4
     "step4": {"profile": [0, 0, 0, 1, 1]},
     "ones": {"profile": [1, 1, 1, 1]},
 }
 
 
+# inner functions a case names after --g: ip2 with rows 1 and 3 and
+# column 2 undefined
+SIMULATE_INNERS = {
+    "partial_ip2": inner_of_rows(2, [[0, 0, UNDEF, 0], [UNDEF, UNDEF, UNDEF, UNDEF],
+                                     [0, 0, UNDEF, 1], [UNDEF, UNDEF, UNDEF, UNDEF]]),
+}
+
+
 def simulate_argv(tmp_path, case):
     protocol, name, rest = SIMULATE_CASES[case]
     path = write_json(tmp_path, f"{name}.json", SIMULATE_FUNCTIONS[name])
+    rest = [write_json(tmp_path, f"{arg}.json", inner_to_dict(SIMULATE_INNERS[arg]))
+            if arg in SIMULATE_INNERS else arg for arg in rest]
     return ["--protocol", protocol, "--f", path, *rest]
 
 

@@ -10,11 +10,10 @@ from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
 from blockcomp.errors import ArityMismatch, NotSymmetric
 from oracles import (and_function, block_compose, constant_function, domain,
                      or_function, parity_function, per_call_bcw, per_call_symand,
-                     projection, restrict_rows)
+                     projection)
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
-                                 Leaf, Node, bcw_compile_and_run,
-                                 optimal_decision_tree,
-                                 repetition_schedule, symmetric_and_protocol,
+                                 Leaf, Node, compile_bcw, compile_symand,
+                                 optimal_decision_tree, repetition_schedule,
                                  za_header_bits)
 
 # n=4 profile with ell0 = 0, ell1 = 2: zero up to weight 2, one above
@@ -22,6 +21,13 @@ STEP4 = from_profile([0, 0, 0, 1, 1])
 STEP4_NEG = from_profile([1, 1, 1, 0, 0])
 STEP4_PROFILE = symmetric_profile(STEP4)
 STEP4_NEG_PROFILE = symmetric_profile(STEP4_NEG)
+
+
+def block_values(g, n, x, y):
+    """z whose bit i - 1 is g on block i of x and y."""
+    mask = (1 << g.k) - 1
+    return sum(g.value((x >> (i * g.k)) & mask, (y >> (i * g.k)) & mask) << i
+               for i in range(n))
 
 
 class TestDecisionTrees:
@@ -58,9 +64,10 @@ class TestBcwCompiler:
         g = ip_inner(2)
         tree = optimal_decision_tree(f)
         composed = block_compose(f, g)
+        bcw = compile_bcw(tree, 3, 1)
         for x in range(16):
             for y in range(16):
-                out, ledger = bcw_compile_and_run(tree, g, 3, 1, x, y)
+                out, ledger = bcw.run(block_values(g, 2, x, y))
                 assert out == composed.value(x, y)
                 assert ledger.total == 3 * len(ledger.subprotocol_invocations)
                 assert len(ledger.subprotocol_invocations) == tree.depth
@@ -70,29 +77,33 @@ class TestBcwCompiler:
         g = and_inner()
         tree = optimal_decision_tree(f)
         reps, cost = 5, 7
+        bcw = compile_bcw(tree, cost, reps)
         for x in (0, 3, 7):
-            _, ledger = bcw_compile_and_run(tree, g, cost, reps, x, x)
+            _, ledger = bcw.run(block_values(g, 3, x, x))
             assert ledger.bits_sent_alice == 0 and ledger.bits_sent_bob == 0
             assert all(r == reps for _, _, r in ledger.subprotocol_invocations)
             assert ledger.total <= tree.depth * reps * cost
 
-    def test_undefined_block_rejected(self):
-        tree = optimal_decision_tree(projection(1, 1))
-        g = restrict_rows(and_inner(), (1,))
-        with pytest.raises(ValueError, match="domain"):
-            bcw_compile_and_run(tree, g, 1, 1, 0, 1)
-
     def test_parameter_validation(self):
         tree = optimal_decision_tree(projection(1, 1))
-        g = and_inner()
-        with pytest.raises(ValueError):
-            bcw_compile_and_run(tree, g, 1, 0, 0, 0)
+        with pytest.raises(ValueError, match="repetitions"):
+            compile_bcw(tree, 1, 0)
         with pytest.raises(ValueError, match="g_protocol_cost"):
-            bcw_compile_and_run(tree, g, -5, 1, 0, 0)
-        with pytest.raises(ValueError):
-            bcw_compile_and_run(tree, g, 1, 1, 0, 0, inject_error=0.5)
-        with pytest.raises(ValueError):
-            bcw_compile_and_run(tree, g, 1, 1, 4, 0)
+            compile_bcw(tree, -5, 1)
+        with pytest.raises(ValueError, match="inject_error"):
+            compile_bcw(tree, 1, 1, inject_error=0.5)
+
+    def test_one_ledger_per_query_path(self):
+        tree = optimal_decision_tree(or_function(2))
+        bcw = compile_bcw(tree, 2, 3, inject_error=0.2)
+        ledgers = {}
+        for z in range(4):
+            for seed in range(30):
+                _, ledger = bcw.run(z, seed)
+                path = tuple(int(label[2:]) for label, _, _ in
+                             ledger.subprotocol_invocations)
+                assert ledgers.setdefault(path, ledger) is ledger
+        assert set(ledgers) == {(1,), (1, 2)}
 
     def test_majority_suppresses_injected_error(self):
         f = parity_function(2)
@@ -102,22 +113,31 @@ class TestBcwCompiler:
         reps = 33
         errors = 0
         trials = 1200
+        bcw = compile_bcw(tree, 1, reps, inject_error=1.0 / 3.0)
         for t in range(trials):
             x = y = t % 4
-            out, _ = bcw_compile_and_run(
-                tree, g, 1, reps, x, y, inject_error=1.0 / 3.0, seed=t)
+            out, _ = bcw.run(x & y, seed=t)  # AND blocks: z = x & y
             errors += out != composed.value(x, y)
         # union bound over depth-many majority votes
         assert errors / trials <= tree.depth * math.exp(-reps / 18.0) + 0.05
 
     def test_deterministic_given_seed(self):
         tree = optimal_decision_tree(or_function(2))
-        g = and_inner()
-        runs = [bcw_compile_and_run(tree, g, 2, 5, 1, 3,
-                                    inject_error=0.25, seed=99)
+        # the and_inner blocks of x = 1 and y = 3 have the values 1 & 3
+        runs = [compile_bcw(tree, 2, 5, inject_error=0.25).run(1 & 3, seed=99)
                 for _ in range(2)]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+
+class TestCostLedger:
+    def test_frozen_with_total(self):
+        ledger = CostLedger(1, 2, (("g@1", 3, 5),), ("note",))
+        assert ledger.total == 1 + 2 + 3 * 5
+        with pytest.raises(AttributeError):
+            ledger.total = 0
+        with pytest.raises(AttributeError):
+            ledger.notes = ()
 
 
 class TestRepetitionSchedule:
@@ -176,50 +196,51 @@ class TestHamOracleConfig:
 class TestSymmetricAndProtocol:
     def test_ell0_nonzero_rejected(self):
         with pytest.raises(ValueError, match="ell0"):
-            symmetric_and_protocol(symmetric_profile(or_function(4)), 0, 0)
+            compile_symand(symmetric_profile(or_function(4)))
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(NotSymmetric):
-            symmetric_and_protocol(symmetric_profile(projection(3, 1)), 0, 0)
+            compile_symand(symmetric_profile(projection(3, 1)))
 
     def test_input_range(self):
-        with pytest.raises(ValueError):
-            symmetric_and_protocol(STEP4_PROFILE, 16, 0)
+        with pytest.raises(ValueError, match="cube"):
+            compile_symand(STEP4_PROFILE).run(16, 0)
 
     def test_and4_exhaustive(self):
         f = and_function(4)
-        profile = symmetric_profile(f)
+        protocol = compile_symand(symmetric_profile(f))
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(profile, x, y)
+                out, ledger = protocol.run(x, y)
                 assert out == f.value(x & y)
                 assert ledger.total <= 4  # threshold, maybe header+answer
 
     def test_step4_exhaustive(self):
+        protocol = compile_symand(STEP4_PROFILE)
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y,
-                                                     seed=x * 16 + y)
+                out, ledger = protocol.run(x, y, seed=x * 16 + y)
                 assert out == STEP4.value(x & y), (x, y)
 
     def test_negated_profile_exhaustive(self):
+        protocol = compile_symand(STEP4_NEG_PROFILE)
         seen_note = False
         for x in range(16):
             for y in range(16):
-                out, ledger = symmetric_and_protocol(STEP4_NEG_PROFILE, x, y)
+                out, ledger = protocol.run(x, y)
                 assert out == STEP4_NEG.value(x & y), (x, y)
                 seen_note = seen_note or any("negated" in n for n in ledger.notes)
         assert seen_note
 
     def test_constant_after_orientation(self):
         profile = symmetric_profile(constant_function(3, 1))
-        out, ledger = symmetric_and_protocol(profile, 5, 3)
+        out, ledger = compile_symand(profile).run(5, 3)
         assert out == 1
         assert any("constant" in n for n in ledger.notes)
         assert ledger.total == 0
 
     def test_early_exit_cost(self):
-        out, ledger = symmetric_and_protocol(STEP4_PROFILE, 0, 15)
+        out, ledger = compile_symand(STEP4_PROFILE).run(0, 15)
         assert out == 0
         assert ledger.total == 2
         assert any("early exit" in n for n in ledger.notes)
@@ -227,11 +248,11 @@ class TestSymmetricAndProtocol:
     def test_dense_run_structure(self):
         # x = y with one zero each: search must land at delta = 0
         x = y = 0b1110
-        out, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y, seed=1)
+        out, ledger = compile_symand(STEP4_PROFILE).run(x, y, seed=1)
         assert out == STEP4.value(x & y) == 1
         reps = repetition_schedule(2)
         # single probe decides delta >= 1 is false
-        assert ledger.subprotocol_invocations == [("ham_1", HamOracleConfig().cost(1), reps)]
+        assert ledger.subprotocol_invocations == (("ham_1", HamOracleConfig().cost(1), reps),)
         assert ledger.bits_sent_alice == 1 + za_header_bits(2)
         assert ledger.bits_sent_bob == 2
 
@@ -242,48 +263,56 @@ class TestSymmetricAndProtocol:
         reps = repetition_schedule(cap)
         search_iters = math.ceil(math.log2(cap + 1))
         budget = 2 + za_header_bits(ell1) + 1 + search_iters * reps * cfg.cost(cap)
+        protocol = compile_symand(STEP4_PROFILE, cfg)
         for x in range(16):
             for y in range(16):
-                _, ledger = symmetric_and_protocol(STEP4_PROFILE, x, y, cfg)
+                _, ledger = protocol.run(x, y)
                 assert ledger.total <= budget
 
     def test_header_discrepancy_note(self):
         # ell1 = 4: charged header differs from the tight encoding
         f = from_profile([0, 0, 0, 0, 0, 1, 1, 1, 1])
         x = y = 0b11111110
-        out, ledger = symmetric_and_protocol(symmetric_profile(f), x, y, seed=0)
+        out, ledger = compile_symand(symmetric_profile(f)).run(x, y, seed=0)
         assert out == f.value(x & y)
         assert any("header charged" in n for n in ledger.notes)
 
     def test_deterministic_given_seed(self):
         cfg = HamOracleConfig(error_prob=0.2)
-        runs = [symmetric_and_protocol(STEP4_PROFILE, 0b1110, 0b1101, cfg, seed=7)
+        runs = [compile_symand(STEP4_PROFILE, cfg).run(0b1110, 0b1101, seed=7)
                 for _ in range(2)]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
+    def test_threshold_cost_computed_on_first_use(self):
+        # cost(1) is finite and cost(2) overflows: a run that probes only
+        # threshold 1 succeeds, one that reaches threshold 2 raises
+        protocol = compile_symand(STEP4_PROFILE, HamOracleConfig(c_ham=1e308))
+        assert protocol.run(0, 15)[1].total == 2  # early exit, no probe
+        _, ledger = protocol.run(0b1110, 0b1110)
+        assert [label for label, _, _ in ledger.subprotocol_invocations] == ["ham_1"]
+        with pytest.raises(ValueError, match="threshold-2 call overflows"):
+            protocol.run(0b1110, 0b1101)
+
     def test_injected_error_rate(self):
         cap = 2
         target = 1.0 / (3.0 * (math.floor(math.log2(cap)) + 1))
-        cfg = HamOracleConfig(error_prob=target)
+        protocol = compile_symand(STEP4_PROFILE, HamOracleConfig(error_prob=target))
         x, y = 0b1110, 0b1101
         want = STEP4.value(x & y)
-        errors = sum(
-            symmetric_and_protocol(STEP4_PROFILE, x, y, cfg, seed=t)[0] != want
-            for t in range(800)
-        )
+        errors = sum(protocol.run(x, y, seed=t)[0] != want for t in range(800))
         assert errors / 800 <= 1.0 / 3.0 + 0.02
 
     def test_sampled_n6(self):
         import random
 
         f = from_profile([0, 0, 0, 0, 0, 1, 1])
-        profile = symmetric_profile(f)
+        protocol = compile_symand(symmetric_profile(f))
         rng = random.Random(5)
         for t in range(1500):
             x = rng.randrange(64)
             y = rng.randrange(64)
-            out, _ = symmetric_and_protocol(profile, x, y, seed=t)
+            out, _ = protocol.run(x, y, seed=t)
             assert out == f.value(x & y), (x, y)
 
 
@@ -291,22 +320,21 @@ ERROR_PROBS = (0.0, 0.1, 1.0 / 3.0)
 INNERS = (and_inner(), ip_inner(2), disj_le1_inner(3))
 
 
-def assert_matches_per_call(got, want, seed):
+def assert_matches_per_call(got, want):
     (out, ledger), (want_out, want_ledger) = got, want
     assert out == want_out
     assert ledger.total == want_ledger.total
     assert sum(r for _, _, r in ledger.subprotocol_invocations) == len(want_ledger.calls)
     assert ledger.bits_sent_alice == want_ledger.bits_sent_alice
     assert ledger.bits_sent_bob == want_ledger.bits_sent_bob
-    assert ledger.notes == want_ledger.notes
-    assert ledger.rng_seed == seed
+    assert list(ledger.notes) == want_ledger.notes
     expanded = [(label, c) for label, c, r in ledger.subprotocol_invocations
                 for _ in range(r)]
     assert expanded == want_ledger.calls
 
 
 class TestRunLengthLedger:
-    """Each protocol against its one-entry-per-call reference loop."""
+    """Each compiled protocol against its one-entry-per-call reference loop."""
 
     @given(st.data(), st.integers(1, 3), st.sampled_from(INNERS),
            st.integers(0, 5), st.integers(1, 9), st.sampled_from(ERROR_PROBS),
@@ -316,14 +344,15 @@ class TestRunLengthLedger:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
         tree = optimal_decision_tree(BooleanFunction(n, tuple(bits)))
         cells = list(domain(g))
-        x = y = 0
+        x = y = z = 0
         for i in range(n):
             a, b = data.draw(st.sampled_from(cells))
             x |= a << (i * g.k)
             y |= b << (i * g.k)
+            z |= g.value(a, b) << i
         assert_matches_per_call(
-            bcw_compile_and_run(tree, g, cost, reps, x, y, inject_error=p, seed=seed),
-            per_call_bcw(tree, g, cost, reps, x, y, inject_error=p, seed=seed), seed)
+            compile_bcw(tree, cost, reps, inject_error=p).run(z, seed),
+            per_call_bcw(tree, g, cost, reps, x, y, inject_error=p, seed=seed))
 
     @given(st.data(), st.integers(2, 12), st.integers(0, 1),
            st.sampled_from((0.5, 1.0, 2.0)), st.sampled_from(ERROR_PROBS),
@@ -344,5 +373,5 @@ class TestRunLengthLedger:
 
         x, y = draw_input(), draw_input()
         cfg = HamOracleConfig(c_ham=c_ham, error_prob=p)
-        assert_matches_per_call(symmetric_and_protocol(profile, x, y, cfg, seed=seed),
-                                per_call_symand(profile, x, y, cfg, seed=seed), seed)
+        assert_matches_per_call(compile_symand(profile, cfg).run(x, y, seed),
+                                per_call_symand(profile, x, y, cfg, seed=seed))
