@@ -14,16 +14,15 @@ Each input takes one route to the degree d.  A symmetric f (a profile
 file, or a table whose weight classes agree) has an epsilon-approximation
 of degree D exactly when a univariate polynomial of degree D has one on
 its n+1 weights (Minsky-Papert symmetrization), so `weight_degree` reads d
-off an (n+1)-point LP in the binomial basis, and the 2^n-row table system
-is solved once, at the one D whose solution is used: the primal at D = d
-for `approx_degree` (`blockcomp approxdeg` prints its coefficients), the
-Farkas alternative at D = d-1 for `farkas_sweep` (its solution is the raw
-witness of `dual_witness`, used by `witness` and `mainlemma`).  Callers
-that read only d (`batch`, `reduce`) take `degree_of` or `weight_degree`
-and solve no table system.  A table that is not symmetric keeps the
-sweeps over D = 0, 1, ...: the primal sweep returns the coefficients at
-the first feasible D, and the Farkas sweep stops at the first D whose
-alternative has no solution, with the raw witness at D = d-1.
+off an (n+1)-point LP in the binomial basis.  Any other table sweeps the
+Farkas alternative over D = 0, 1, ...: d is the first D without a
+solution, and the solution at D = d-1 is the raw witness.  Each caller
+then solves at most one more 2^n-row table system, at the D whose solution
+it uses: `approx_degree` the primal at D = d (`blockcomp approxdeg` prints
+its coefficients), and `dual_witness` (used by `witness` and `mainlemma`)
+the Farkas system at D = d-1 for a symmetric f.  Callers that read only d
+(`batch`, `reduce`) take `degree_of`, which solves no table system for a
+symmetric f.
 """
 
 from __future__ import annotations
@@ -43,13 +42,14 @@ from .simplex import solve_feasibility
 # process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
 # A symmetric f solves one table system:
 # the Farkas system at d-1 for `witness`, the primal at d for `approxdeg`,
-# whose printed coefficients need that vertex.  A seeded table still sweeps,
-# and its `witness` and MAJ_n's `approxdeg` hold the cap at 7:
+# whose printed coefficients need that vertex.  A seeded table sweeps the
+# Farkas system up to d, and its `approxdeg` adds the primal at d; the
+# seeded table and MAJ_n's `approxdeg` hold the cap at 7:
 #        witness                       approxdeg
-#   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n
-#   6    0.01 s   0.06 s   0.17 s      0.11 s   0.38 s
-#   7    0.01 s   0.21 s   11.5 s      2.1 s    20 s
-#   8    0.01 s   6.6 s    (not run)   53 s     245 s
+#   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n    seeded
+#   6    0.01 s   0.06 s   0.17 s      0.11 s   0.38 s   0.80 s
+#   7    0.01 s   0.21 s   11.5 s      2.1 s    20 s     41 s
+#   8    0.01 s   6.6 s    (not run)   53 s     245 s    (not run)
 LP_ARITY_CAP = 7
 
 
@@ -181,41 +181,6 @@ def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
     return n
 
 
-def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[Fraction, int | None]:
-    """The checked epsilon and, when f is symmetric, its degree by
-    ``weight_degree``; None for a table whose weight classes disagree.
-    Refuses n past LP_ARITY_CAP before any solve."""
-    epsilon = _check_epsilon(epsilon)
-    _check_arity(f.n)
-    try:
-        values = symmetric_profile(f).values
-    except NotSymmetric:
-        return epsilon, None
-    return epsilon, weight_degree(values, epsilon)
-
-
-def _contradiction(system: str, degree: int) -> RuntimeError:
-    return RuntimeError(f"the weight LP gives degree {degree} but the table "
-                        f"{system} has no solution where it must")
-
-
-def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
-    """Smallest D with lp_feasible nonempty and the coefficients there: for a
-    symmetric f, D from ``weight_degree`` and one primal solve at D;
-    otherwise by linear sweep D = 0, 1, ..."""
-    epsilon, degree = _route(f, epsilon)
-    if degree is not None:
-        coeffs = lp_feasible(f, epsilon, degree)
-        if coeffs is None:
-            raise _contradiction("primal", degree)
-        return ApproxDegreeResult(epsilon, degree, coeffs)
-    for degree in range(f.n + 1):
-        coeffs = lp_feasible(f, epsilon, degree)
-        if coeffs is not None:
-            return ApproxDegreeResult(epsilon, degree, coeffs)
-    raise RuntimeError("degree n is always feasible; sweep must terminate")
-
-
 def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
                         ) -> dict[int, Fraction] | None:
     """Solve the alternative (Farkas) system against support |w| <= degree_cap:
@@ -247,52 +212,68 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return q
 
 
-def farkas_sweep(f: BooleanFunction, epsilon: Fraction
-                 ) -> tuple[int, dict[int, Fraction] | None]:
-    """deg~_eps(f) = d and the raw (unnormalized) witness, the solution of
-    dual_system_witness at D = d-1; the witness is None when d = 0.
+def _degree(f: BooleanFunction, epsilon: Fraction
+            ) -> tuple[Fraction, int, dict[int, Fraction] | None]:
+    """The checked epsilon, deg~_eps(f) = d and the raw (unnormalized)
+    witness found at D = d-1, refusing n past LP_ARITY_CAP before any solve.
 
-    By the theorem of alternatives (Farkas' lemma), dual_system_witness at
-    cap D has a solution exactly when lp_feasible at cap D has none.  A
-    symmetric f takes d from ``weight_degree`` and solves the alternative
-    at D = d-1 alone.  Any other f sweeps the alternative system over
-    D = 0, 1, ...: d is the first D without a solution.  At D = n the
-    equality rows force q = 0 and the certificate row reads 0 <= -1, so the
-    sweep ends at D = n-1: feasible there means d = n.
+    A symmetric f takes d from ``weight_degree`` and no witness.  Any other
+    table sweeps dual_system_witness over D = 0, 1, ...: by the theorem of
+    alternatives (Farkas' lemma) it has a solution at cap D exactly when
+    lp_feasible at cap D has none, so d is the first D without one.  At
+    D = n the equality rows force q = 0 and the certificate row reads
+    0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.  Such
+    a table is not constant, so d >= 1 and the witness is never None.
     """
-    epsilon, degree = _route(f, epsilon)
-    if degree == 0:
-        return 0, None
-    if degree is not None:
-        raw = dual_system_witness(f, epsilon, degree - 1)
-        if raw is None:
-            raise _contradiction("Farkas system", degree)
-        return degree, raw
-    degree, raw = 0, None
-    while degree < f.n:
-        certificate = dual_system_witness(f, epsilon, degree)
-        if certificate is None:
-            break
-        degree, raw = degree + 1, certificate
-    return degree, raw
+    epsilon = _check_epsilon(epsilon)
+    _check_arity(f.n)
+    try:
+        values = symmetric_profile(f).values
+    except NotSymmetric:
+        degree, raw = 0, None
+        while degree < f.n:
+            certificate = dual_system_witness(f, epsilon, degree)
+            if certificate is None:
+                break
+            degree, raw = degree + 1, certificate
+        return epsilon, degree, raw
+    return epsilon, weight_degree(values, epsilon), None
+
+
+def _contradiction(source: str, system: str, degree: int) -> RuntimeError:
+    return RuntimeError(f"the {source} gives degree {degree} but the table "
+                        f"{system} has no solution where it must")
+
+
+def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
+    """Smallest D with lp_feasible nonempty and the coefficients there: D
+    from ``_degree``, then one primal solve at D."""
+    epsilon, degree, raw = _degree(f, epsilon)
+    coeffs = lp_feasible(f, epsilon, degree)
+    if coeffs is None:
+        source = "weight LP" if raw is None else "Farkas sweep"
+        raise _contradiction(source, "primal", degree)
+    return ApproxDegreeResult(epsilon, degree, coeffs)
 
 
 def degree_of(f: BooleanFunction, epsilon: Fraction) -> int:
     """deg~_eps(f) alone, for callers that need no coefficients and no
-    witness: ``weight_degree`` for a symmetric f, which solves no table
-    system, else ``farkas_sweep``."""
-    epsilon, degree = _route(f, epsilon)
-    return farkas_sweep(f, epsilon)[0] if degree is None else degree
+    witness: a symmetric f solves no table system."""
+    return _degree(f, epsilon)[1]
 
 
 def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
-    """Find deg~_eps(f) = d and its raw witness by ``farkas_sweep``, then
-    normalize (q.f = 1) and verify."""
-    epsilon = _check_epsilon(epsilon)
-    degree, raw = farkas_sweep(f, epsilon)
+    """Find deg~_eps(f) = d and its raw witness at D = d-1 (the sweep's for a
+    table, one Farkas solve for a symmetric f), then normalize (q.f = 1) and
+    verify."""
+    epsilon, degree, raw = _degree(f, epsilon)
     if degree == 0:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")
+    if raw is None:
+        raw = dual_system_witness(f, epsilon, degree - 1)
+        if raw is None:
+            raise _contradiction("weight LP", "Farkas system", degree)
     scale = sum((v for x, v in raw.items() if f.table[x]), Fraction(0))
     if scale <= 0:
         # cannot occur: the certificate row forces q.f >= 1 + eps*||q||_1

@@ -29,9 +29,6 @@ TREE_ARITY_CAP = 4
 class Leaf:
     value: int
 
-    def depth(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class Node:
@@ -39,24 +36,11 @@ class Node:
     low: "Node | Leaf"  # taken when the queried bit is 0
     high: "Node | Leaf"
 
-    def depth(self) -> int:
-        return 1 + max(self.low.depth(), self.high.depth())
-
 
 @dataclass(frozen=True)
 class DecisionTree:
     n: int
     root: Node | Leaf
-
-    @property
-    def depth(self) -> int:
-        return self.root.depth()
-
-    def evaluate(self, x: int) -> int:
-        node = self.root
-        while isinstance(node, Node):
-            node = node.high if (x >> (node.var - 1)) & 1 else node.low
-        return node.value
 
 
 def _restrict(n: int, table: tuple[int, ...], i: int, b: int) -> tuple[int, ...]:

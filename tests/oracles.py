@@ -11,10 +11,12 @@ block and full spectrum rebuilt from its family and k, its cell-by-cell
 masses, dense SVD norms of a pair and of its witness matrix h, ||h||^2
 contracted over Fractions, the restricted composition and an
 explicit-approximation trace-norm bound, dense intersection matrices and
-closed-form spectra, the Paturi ratio of a symmetric function, the padding
-identity point by point, the protocol simulations one subprotocol call at
-a time, the dense symand input draw, and ``simulate``'s output with one
-dict per trial line.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
+closed-form spectra, the approximate degree and its coefficients by the
+primal sweep, the Paturi ratio of a symmetric function, the padding
+identity point by point, a decision tree's depth and value, the protocol
+simulations one subprotocol call at a time, the dense symand input draw,
+and ``simulate``'s output with one dict per trial line.  Dense work
+honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ import numpy as np
 
 from blockcomp import boolcube, cli
 from blockcomp.applications import ReductionPlan
-from blockcomp.approxdeg import DualWitness, approx_degree
+from blockcomp.approxdeg import (ApproxDegreeResult, DualWitness, approx_degree,
+                                lp_feasible)
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, disj_le1_inner, from_predicate,
                                 ip_inner, weight_subsets)
 from blockcomp.errors import ArityMismatch, DegeneratePlan, SizeGuardExceeded
 from blockcomp.mainlemma import _check_epsilon_prime, exact_opnorm_sq
-from blockcomp.protocols import (DecisionTree, HamOracleConfig, Node,
+from blockcomp.protocols import (DecisionTree, HamOracleConfig, Leaf, Node,
                                  optimal_decision_tree, repetition_schedule,
                                  za_header_bits)
 from blockcomp.specdisc import (DISJ_K_CAP, DistributionPair, _check_kps,
@@ -483,6 +486,21 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the approximate degree by the primal sweep
+
+
+def primal_sweep_result(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
+    """``approx_degree`` by sweeping the primal over D = 0, 1, ...: the
+    coefficients at the first D where ``lp_feasible`` has a solution."""
+    epsilon = Fraction(epsilon)
+    for degree in range(f.n + 1):
+        coeffs = lp_feasible(f, epsilon, degree)
+        if coeffs is not None:
+            return ApproxDegreeResult(epsilon, degree, coeffs)
+    raise AssertionError("the primal at D = n always interpolates")
+
+
+# ---------------------------------------------------------------------------
 # the Paturi ratio of a symmetric function
 
 
@@ -558,6 +576,23 @@ def enumerated_identity_check(plan: ReductionPlan, profile: SymmetricProfile) ->
 
 # ---------------------------------------------------------------------------
 # protocol simulations, one subprotocol call at a time
+
+
+def tree_depth(tree: DecisionTree) -> int:
+    """The longest root-to-leaf query path of a decision tree."""
+    def depth(node: Node | Leaf) -> int:
+        if isinstance(node, Leaf):
+            return 0
+        return 1 + max(depth(node.low), depth(node.high))
+    return depth(tree.root)
+
+
+def tree_evaluate(tree: DecisionTree, x: int) -> int:
+    """The leaf value a decision tree reaches on input x (bit i - 1 is x_i)."""
+    node = tree.root
+    while isinstance(node, Node):
+        node = node.high if (x >> (node.var - 1)) & 1 else node.low
+    return node.value
 
 
 @dataclass

@@ -29,7 +29,7 @@ from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 eigenspace_dimension, spectral_certificate)
 from oracles import (and_function, block_compose, dense, disj_lambda_diff_closed,
                      johnson_matrix, operator_norm, or_function, parity_function,
-                     require_materialized, restricted_composition)
+                     require_materialized, restricted_composition, tree_depth)
 
 THIRD = Fraction(1, 3)
 
@@ -242,7 +242,7 @@ def test_criterion_7_protocol_suite():
         for t in range(2_000):
             x, y = rng.randrange(4), rng.randrange(4)
             _, ledger = bcw.run(x & y, seed=t)
-            assert ledger.total <= tree2.depth * 5 * 2
+            assert ledger.total <= tree_depth(tree2) * 5 * 2
         cfg0 = HamOracleConfig()
         worst_bits = {}
         for l1, f in n16.items():

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from blockcomp import approxdeg
 from blockcomp.approxdeg import (DualWitness, approx_degree, degree_of,
-                                 dual_system_witness, dual_witness, farkas_sweep,
+                                 dual_system_witness, dual_witness,
                                  lp_feasible, monomials_up_to, verify_witness,
                                  weight_degree)
 from blockcomp.boolcube import (BooleanFunction, from_profile, spectrum_of_values,
                                 symmetric_profile)
 from blockcomp.errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
-from oracles import (SWEEP_FUNCTIONS, and_function, constant_function, or_function,
-                     parity_function, paturi_check, projection, seeded_table)
+from oracles import (SWEEP_FUNCTIONS, all_functions, and_function, constant_function,
+                     or_function, parity_function, paturi_check, primal_sweep_result,
+                     projection, seeded_table)
 
 THIRD = Fraction(1, 3)
 
@@ -217,7 +218,7 @@ class TestFarkasSweep:
     @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
     def test_matches_primal_sweep(self, epsilon):
         for f in SWEEP_FUNCTIONS:
-            degree = approx_degree(f, epsilon).degree
+            degree = primal_sweep_result(f, epsilon).degree
             if degree == 0:
                 with pytest.raises(WitnessNotApplicable):
                     dual_witness(f, epsilon)
@@ -317,9 +318,25 @@ SYMMETRIC = [or_function(4), from_profile([0, 0, 0, 1, 1, 1]), parity_function(3
              and_function(3), from_profile([0, 0, 1, 1, 1, 1, 1])]
 
 
+PRIMAL_REFERENCE = ([f for n in (1, 2, 3) for f in all_functions(n)]
+                    + [seeded_table(4, seed) for seed in range(4)] + [seeded_table(5, 0)])
+
+
+class TestPrimalSweepReference:
+    """approx_degree takes d from the Farkas sweep or the weight LP and solves
+    the primal once; the primal sweep's first feasible D and its vertex must
+    be the same."""
+
+    def test_matches_primal_sweep(self):
+        for f in PRIMAL_REFERENCE:
+            got, want = approx_degree(f, THIRD), primal_sweep_result(f, THIRD)
+            assert (got.degree, got.coefficients) == (want.degree, want.coefficients), f.table
+
+
 class TestSymmetricRoute:
     """A symmetric f solves each table system once, at the D whose solution
-    is used; any other table keeps the sweeps."""
+    is used; any other table sweeps the Farkas system once and adds one
+    primal solve, at D = d, for approx_degree."""
 
     @pytest.mark.parametrize("f", SYMMETRIC, ids=("OR_4", "MAJ_5", "PAR_3", "AND_3",
                                                   "THR2_6"))
@@ -340,7 +357,7 @@ class TestSymmetricRoute:
         farkas = record_caps(monkeypatch, "dual_system_witness")
         primal = record_caps(monkeypatch, "lp_feasible")
         f = constant_function(3, 1)
-        assert farkas_sweep(f, THIRD) == (0, None)
+        assert degree_of(f, THIRD) == 0
         assert approx_degree(f, THIRD).degree == 0
         assert (farkas, primal) == ([], [0])
 
@@ -350,16 +367,18 @@ class TestSymmetricRoute:
         with pytest.raises(NotSymmetric):
             symmetric_profile(f)
         degree = table_sweep_degree(f, THIRD)
+        sweep = list(range(min(degree + 1, n)))
         farkas = record_caps(monkeypatch, "dual_system_witness")
         primal = record_caps(monkeypatch, "lp_feasible")
-        assert farkas_sweep(f, THIRD)[0] == degree
-        assert farkas == list(range(min(degree + 1, n)))
-        farkas.clear()
         assert approx_degree(f, THIRD).degree == degree
-        assert (farkas, primal) == ([], list(range(degree + 1)))
+        assert (farkas, primal) == (sweep, [degree])
+        farkas.clear()
         primal.clear()
+        assert dual_witness(f, THIRD).degree == degree
+        assert (farkas, primal) == (sweep, [])
+        farkas.clear()
         assert degree_of(f, THIRD) == degree
-        assert farkas == list(range(min(degree + 1, n))) and primal == []
+        assert (farkas, primal) == (sweep, [])
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_contradiction_raises(self, monkeypatch, shift):
@@ -375,7 +394,7 @@ class TestSymmetricRoute:
 
     def test_arity_cap_before_any_solve(self):
         f = constant_function(approxdeg.LP_ARITY_CAP + 1, 0)
-        for operation in (approx_degree, farkas_sweep, degree_of):
+        for operation in (approx_degree, dual_witness, degree_of):
             with pytest.raises(ValueError, match="LP operations support"):
                 operation(f, THIRD)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from blockcomp import approxdeg, boolcube, cli
-from blockcomp.approxdeg import LP_ARITY_CAP, approx_degree
+from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
 from oracles import (dict_simulate_text, domain, inner_of_rows, inner_to_dict,
-                     list_sampled_inputs, restrict_rows, seeded_table)
+                     list_sampled_inputs, primal_sweep_result, restrict_rows,
+                     seeded_table)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -876,7 +878,7 @@ def refuse_primal(*args, **kwargs):
 class TestDegreeFromFarkasSweep:
     """batch and reduce read only the degree, which they take without the
     primal (from the weight LP for a symmetric f, else the Farkas sweep); it
-    must be the degree approx_degree finds."""
+    must be the degree the primal sweep finds."""
 
     def test_batch_degrees(self, capsys, monkeypatch, tmp_path):
         paths = {name: write_json(tmp_path, f"{name}.json", payload)
@@ -891,7 +893,7 @@ class TestDegreeFromFarkasSweep:
         assert [row[0] for row in rows] == list(paths.values())
         for row in rows:
             assert row[-1] == ""
-            want = approx_degree(cli.load_function(row[0]), Fraction(1, 3)).degree
+            want = primal_sweep_result(cli.load_function(row[0]), Fraction(1, 3)).degree
             assert int(row[4]) == want, row[0]
 
     @pytest.mark.parametrize("bits,c", REDUCE_PROFILES)
@@ -906,7 +908,7 @@ class TestDegreeFromFarkasSweep:
         ones, arity = plan["ones_pad"], plan["source_arity"]
         assert 2 <= arity <= 6
         source = boolcube.from_profile(values[ones:ones + arity + 1])
-        assert plan["degree"] == approx_degree(source, Fraction(1, 3)).degree
+        assert plan["degree"] == primal_sweep_result(source, Fraction(1, 3)).degree
 
 
 class TestDegreeWithoutTableSystem:
@@ -1068,6 +1070,30 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: the weight LP gives degree")
+        assert "Traceback" not in err
+
+    def test_table_contradiction_exits_3(self, capsys, monkeypatch, tmp_path):
+        """A table takes its degree from the Farkas sweep; a primal with no
+        solution at that degree is an internal failure."""
+        f = seeded_table(4, 0)
+        path = write_json(tmp_path, "t.json", {"n": 4, "bits": "".join(map(str, f.table))})
+        monkeypatch.setattr(approxdeg, "lp_feasible", lambda *args: None)
+        code, out, err = run(capsys, ["approxdeg", "--f", path])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: the Farkas sweep gives degree")
+        assert "Traceback" not in err
+
+    def test_failed_witness_check_exits_3(self, capsys, monkeypatch, or4):
+        """dual_witness re-verifies its witness; a failed check is an internal
+        failure, never exit 1, and nothing is printed."""
+        real = approxdeg.verify_witness
+        monkeypatch.setattr(approxdeg, "verify_witness", lambda w, f: dataclasses.replace(
+            real(w, f), check_a=False))
+        code, out, err = run(capsys, ["witness", "--f", or4])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: extracted witness failed verification")
         assert "Traceback" not in err
 
 

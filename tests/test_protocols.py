@@ -10,7 +10,7 @@ from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
 from blockcomp.errors import ArityMismatch, NotSymmetric
 from oracles import (and_function, block_compose, constant_function, domain,
                      or_function, parity_function, per_call_bcw, per_call_symand,
-                     projection)
+                     projection, tree_depth, tree_evaluate)
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, compile_bcw, compile_symand,
                                  optimal_decision_tree, repetition_schedule,
@@ -32,11 +32,11 @@ def block_values(g, n, x, y):
 
 class TestDecisionTrees:
     def test_depths(self):
-        assert optimal_decision_tree(constant_function(3, 1)).depth == 0
-        assert optimal_decision_tree(and_function(3)).depth == 3
-        assert optimal_decision_tree(or_function(2)).depth == 2
-        assert optimal_decision_tree(parity_function(3)).depth == 3
-        assert optimal_decision_tree(projection(3, 2)).depth == 1
+        assert tree_depth(optimal_decision_tree(constant_function(3, 1))) == 0
+        assert tree_depth(optimal_decision_tree(and_function(3))) == 3
+        assert tree_depth(optimal_decision_tree(or_function(2))) == 2
+        assert tree_depth(optimal_decision_tree(parity_function(3))) == 3
+        assert tree_depth(optimal_decision_tree(projection(3, 2))) == 1
 
     def test_arity_guard(self):
         with pytest.raises(ArityMismatch):
@@ -48,14 +48,14 @@ class TestDecisionTrees:
     ], ids=("f0", "f1", "f2", "f3", "f4"))
     def test_tree_evaluates_f_at_optimal_depth(self, f, depth):
         tree = optimal_decision_tree(f)
-        assert tree.depth == depth
+        assert tree_depth(tree) == depth
         for x in range(1 << f.n):
-            assert tree.evaluate(x) == f.value(x)
+            assert tree_evaluate(tree, x) == f.value(x)
 
     def test_manual_tree(self):
         tree = DecisionTree(2, Node(1, Leaf(0), Node(2, Leaf(0), Leaf(1))))
-        assert tree.depth == 2
-        assert [tree.evaluate(x) for x in range(4)] == [0, 0, 0, 1]
+        assert tree_depth(tree) == 2
+        assert [tree_evaluate(tree, x) for x in range(4)] == [0, 0, 0, 1]
 
 
 class TestBcwCompiler:
@@ -70,7 +70,7 @@ class TestBcwCompiler:
                 out, ledger = bcw.run(block_values(g, 2, x, y))
                 assert out == composed.value(x, y)
                 assert ledger.total == 3 * len(ledger.subprotocol_invocations)
-                assert len(ledger.subprotocol_invocations) == tree.depth
+                assert len(ledger.subprotocol_invocations) == tree_depth(tree)
 
     def test_ledger_bound(self):
         f = or_function(3)
@@ -82,7 +82,7 @@ class TestBcwCompiler:
             _, ledger = bcw.run(block_values(g, 3, x, x))
             assert ledger.bits_sent_alice == 0 and ledger.bits_sent_bob == 0
             assert all(r == reps for _, _, r in ledger.subprotocol_invocations)
-            assert ledger.total <= tree.depth * reps * cost
+            assert ledger.total <= tree_depth(tree) * reps * cost
 
     def test_parameter_validation(self):
         tree = optimal_decision_tree(projection(1, 1))
@@ -119,7 +119,7 @@ class TestBcwCompiler:
             out, _ = bcw.run(x & y, seed=t)  # AND blocks: z = x & y
             errors += out != composed.value(x, y)
         # union bound over depth-many majority votes
-        assert errors / trials <= tree.depth * math.exp(-reps / 18.0) + 0.05
+        assert errors / trials <= tree_depth(tree) * math.exp(-reps / 18.0) + 0.05
 
     def test_deterministic_given_seed(self):
         tree = optimal_decision_tree(or_function(2))
