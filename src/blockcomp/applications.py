@@ -44,7 +44,6 @@ class ReductionPlan:
     degree: int | None
     degree_symbolic: str | None
     k_overridden: bool
-    n_prime_overridden: bool
     checks: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -70,8 +69,7 @@ def _source_degree(values: tuple[int, ...], arity: int, ones: int, zeros: int,
 
 
 def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
-                   k_override: int | None = None,
-                   n_prime_override: int | None = None) -> ReductionPlan:
+                   k_override: int | None = None) -> ReductionPlan:
     """Select and instantiate the reduction case for the symmetric f with
     weight profile `profile` (``symmetric_profile(f)``).
 
@@ -79,9 +77,9 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
     small-ell0 case and the rest the large-ell0 case.  The source function
     is f with ones_pad ones and zeros_pad zeros appended, whose profile is
     a window of f's, and its degree comes from the weight LP on that window,
-    within LP_ARITY_CAP; no step builds a truth table.  Overrides substitute
-    toy values for k (and optionally n'); overridden plans skip the degree
-    LP and mark themselves, and every non-negativity the argument needs "by
+    within LP_ARITY_CAP; no step builds a truth table.  k_override
+    substitutes a toy value for k; an overridden plan skips the degree LP
+    and marks itself, and every non-negativity the argument needs "by
     direct inspection" lands in the checks dict instead of being assumed.
     """
     if not 0 < c < math.inf:  # also refuses NaN
@@ -94,12 +92,11 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
         # constant, or (odd n) a lone flip at the middle boundary that
         # neither scan range covers
         raise DegeneratePlan("degenerate profile: both flip distances are zero")
-    skip_lp = k_override is not None or n_prime_override is not None
+    skip_lp = k_override is not None
 
     if 0 < ell0 <= alpha * n:
         case = "small-l0"
-        n_prime = n_prime_override if n_prime_override is not None \
-            else math.floor(beta * n ** (2.0 / 3.0) * ell0 ** (1.0 / 3.0))
+        n_prime = math.floor(beta * n ** (2.0 / 3.0) * ell0 ** (1.0 / 3.0))
         arity = n_prime
         ones = 0
         zeros = n - n_prime
@@ -131,9 +128,7 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
             if not math.isfinite(quotient):
                 raise ValueError(f"c = {c} is too small: 6*sqrt(2)*e/c overflows")
             k = math.ceil(quotient)
-        if n_prime_override is not None:
-            n_prime = n_prime_override
-        elif ell0 == 0:
+        if ell0 == 0:
             n_prime = ell1 // (2 * k - 1)
         else:
             n_prime = min((n - ell0 + 1) // (2 * k - 1), ell0 - 1)
@@ -161,8 +156,7 @@ def reduction_plan(profile: SymmetricProfile, c: float = 1.0,
         zeros_pad=zeros, composed_ones_pad=c_ones,
         composed_zeros_pad=c_zeros,
         degree=degree, degree_symbolic=None if degree is not None else symbolic,
-        k_overridden=k_override is not None,
-        n_prime_overridden=n_prime_override is not None, checks=checks)
+        k_overridden=k_override is not None, checks=checks)
 
 
 def padding_identity_check(plan: ReductionPlan, profile: SymmetricProfile) -> bool:

@@ -9,7 +9,7 @@ class NotSymmetric(ValueError):
     """Raised when a weight-profile operation meets a non-symmetric function."""
 
 
-class SizeGuardExceeded(RuntimeError):
+class SizeGuardExceeded(ValueError):
     """A dense materialization would exceed the configured size limit."""
 
 

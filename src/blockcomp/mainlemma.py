@@ -12,10 +12,9 @@ the trace norm of every entrywise approximation of the composition, which
 in turn lower-bounds quantum communication.
 
 ||h|| has one route (``exact_opnorm_sq``): exact from the witness and the
-pair's per-block spectrum.  The analytic binomial-tail bound
-(``opnorm_bound``) is reported next to it.  The trace-norm bound comes from
-the exact ||h|| alone; the paper's closed form scale * e^(d/2) / 24 is
-reported as ``closed_form_lb`` for comparison and never feeds it.
+pair's per-block spectrum.  The trace-norm bound comes from it alone.  The
+paper's binomial-tail bound on ||h|| (``opnorm_bound``) is reported next to
+it, and the CLI checks that the exact norm does not exceed it.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from fractions import Fraction
 
 from .approxdeg import DualWitness, dual_witness
 from .boolcube import BooleanFunction
-from .specdisc import (DistributionPair, SpectralDiscrepancyCert,
-                       spectral_certificate)
+from .specdisc import DistributionPair, spectral_certificate
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -70,32 +68,14 @@ def exact_opnorm_sq(witness: DualWitness, pair: DistributionPair) -> Fraction:
     return Fraction(top * top, den * den)
 
 
-@dataclass(frozen=True)
-class OpnormBound:
-    """Analytic bound bound_r on ||h||, the binomial-tail form.  final_valid
-    marks the regime rho <= d/(2en) of the paper's closed weakening
-    2/(eps * scale) * exp(-d/2)."""
-
-    n: int
-    degree: int
-    rho: float
-    epsilon: float
-    scale: float
-    bound_r: float
-    final_valid: bool
-
-
-def opnorm_bound(q: DualWitness, cert: SpectralDiscrepancyCert) -> OpnormBound:
-    if not cert.rho < 1:
-        raise ValueError(f"rho = {cert.rho} must be < 1 for the bound to decay")
-    n, d = q.n, q.degree
-    rho = cert.rho
-    eps = float(q.epsilon)
-    scale = math.sqrt(cert.pair.k_a * cert.pair.k_b) ** n
+def opnorm_bound(witness: DualWitness, rho: float, scale: float) -> float:
+    """The paper's binomial-tail bound on ||h||:
+    (1 + rho)^n / (eps * scale) * sum_{l >= d} C(n, l) rho^l."""
+    if not rho < 1:
+        raise ValueError(f"rho = {rho} must be < 1 for the bound to decay")
+    n, d = witness.n, witness.degree
     tail = sum(math.comb(n, ell) * rho ** ell for ell in range(d, n + 1))
-    bound_r = (1.0 + rho) ** n / (eps * scale) * tail
-    final_valid = bool(rho <= d / (2.0 * math.e * n))
-    return OpnormBound(n, d, rho, eps, scale, bound_r, final_valid)
+    return (1.0 + rho) ** n / (float(witness.epsilon) * scale) * tail
 
 
 def _check_epsilon_prime(epsilon_prime: Fraction, epsilon: Fraction) -> Fraction:
@@ -124,8 +104,6 @@ class CertificateReport:
     h_opnorm_exact: float
     h_opnorm_bound: float
     tracenorm_lb: float
-    closed_form_valid: bool
-    closed_form_lb: float | None
     implied_degree_bound: float
     qcc_bits: float
     norm_source: str = "exact_spectrum"
@@ -137,26 +115,21 @@ def mainlemma_certify(f: BooleanFunction, pair: DistributionPair,
                       epsilon_prime: Fraction = Fraction(1, 6)
                       ) -> CertificateReport:
     """Run the full chain: dual witness, the correlation and L1 mass of h
-    (the witness's q.f and ||q||_1), norm bounds, trace-norm lower bound,
-    and the implied communication bound in bits.  The trace-norm bound is
-    (1 - eps'/eps) / ||h|| from the exact ||h||; closed_form_lb is reported
-    beside it, only inside its regime."""
+    (the witness's q.f and ||q||_1), the exact ||h|| and its binomial-tail
+    bound, the trace-norm lower bound (1 - eps'/eps) / ||h||, and the
+    implied communication bound in bits."""
     epsilon_prime = _check_epsilon_prime(epsilon_prime, epsilon)
     witness = dual_witness(f, epsilon)
     cert = spectral_certificate(pair)
-    bounds = opnorm_bound(witness, cert)
+    scale = math.sqrt(pair.k_a * pair.k_b) ** witness.n
+    bound = opnorm_bound(witness, cert.rho, scale)
     denom = math.sqrt(exact_opnorm_sq(witness, pair))
     numerator = 1.0 - float(epsilon_prime) / float(epsilon)
     route_lb = numerator / denom if denom > 0 else math.inf
-    closed_lb = None
-    if bounds.final_valid:
-        closed_lb = bounds.scale * math.exp(0.5 * witness.degree) / 24.0
-    qcc = math.log2(route_lb / bounds.scale) if math.isfinite(route_lb) else math.inf
+    qcc = math.log2(route_lb / scale) if math.isfinite(route_lb) else math.inf
     return CertificateReport(
         n=witness.n, degree=witness.degree, epsilon=epsilon,
-        epsilon_prime=epsilon_prime, rho=cert.rho, scale=bounds.scale,
+        epsilon_prime=epsilon_prime, rho=cert.rho, scale=scale,
         h_l1=witness.l1(), inner_product=witness.dot(f), h_opnorm_exact=denom,
-        h_opnorm_bound=bounds.bound_r,
-        tracenorm_lb=route_lb, closed_form_valid=bounds.final_valid,
-        closed_form_lb=closed_lb, implied_degree_bound=float(witness.degree),
-        qcc_bits=qcc)
+        h_opnorm_bound=bound, tracenorm_lb=route_lb,
+        implied_degree_bound=float(witness.degree), qcc_bits=qcc)

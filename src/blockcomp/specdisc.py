@@ -69,7 +69,6 @@ class SpectralDiscrepancyCert:
     """Scaled norms of a pair and the minimal r they certify; rho_sq is
     rho^2 exactly."""
 
-    pair: DistributionPair
     sum_scaled: float
     diff_scaled: float
     rho: float
@@ -91,7 +90,7 @@ def spectral_certificate(pair: DistributionPair) -> SpectralDiscrepancyCert:
     if sum_sq > 1:
         # both built-in pairs have uniform marginals, so sum_scaled = 1
         raise ValueError("exact rho needs sum_scaled <= 1")
-    return SpectralDiscrepancyCert(pair, math.sqrt(sum_sq), math.sqrt(diff_sq),
+    return SpectralDiscrepancyCert(math.sqrt(sum_sq), math.sqrt(diff_sq),
                                    math.sqrt(diff_sq), diff_sq)
 
 

@@ -134,7 +134,8 @@ def test_criterion_5_mainlemma_chain():
             mat = require_materialized(w.q, w.n, pair)
             assert np.abs(mat).sum() == pytest.approx(float(w.l1()), abs=1e-9)
             exact = operator_norm(mat)
-            bound = opnorm_bound(w, spectral_certificate(pair)).bound_r
+            scale = math.sqrt(pair.k_a * pair.k_b) ** w.n
+            bound = opnorm_bound(w, spectral_certificate(pair).rho, scale)
             assert exact <= bound + 1e-9
             values, defined = restricted_composition(f, g, pair)
             rng = np.random.default_rng(hash((f.table, pair.k_a)) & 0xFFFF)

@@ -156,7 +156,7 @@ class TestReductionPlanSelection:
 
     def test_override_flags_and_lp_skip(self):
         plan = reduction_plan(symmetric_profile(L1_TOY), k_override=3)
-        assert plan.k_overridden and not plan.n_prime_overridden
+        assert plan.k_overridden
         assert plan.degree is None and plan.degree_symbolic is not None
         natural = reduction_plan(symmetric_profile(SMALL_L0_TOY), c=12.0)
         assert not natural.k_overridden

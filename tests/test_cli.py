@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from blockcomp import approxdeg, boolcube, cli
+from blockcomp import applications, approxdeg, boolcube, cli, mainlemma, protocols, specdisc
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
 from oracles import (dict_simulate_text, domain, inner_of_rows, inner_to_dict,
@@ -310,19 +310,20 @@ class TestLowerBoundDigests:
          "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
         ("table6", ["witness"],
          "c82d7b735697d42bf1dd123b071db9cd03c4cced594995386d639472453fd6c1"),
+        # the mainlemma digests are those of the stdout the chain printed
+        # while it also reported the paper's closed form, with its two keys
+        # (closed_form_lb, closed_form_valid) removed and the rest
+        # re-serialized: every other key keeps every byte
         ("or3", ["mainlemma", "--family", "ip", "--k", "3"],
-         "36d7288d23be283148476b908e4ba7930aee27e4b4fa0831bd00a633ce691545"),
+         "47cb749ece283b681e6566d346bf9a119bd2eed388d3717700b950067d363187"),
         ("or4", ["mainlemma", "--family", "disj", "--k", "6"],
-         "930c09a9cebcbbcbd98a7e25ab96ad5a8dc0661c37c8fe0d8b3b8766bb44b1b5"),
-        # closed_form_valid cells, recorded while tracenorm_lb was the larger
-        # of the exact route and closed_form_lb: the exact route alone must
-        # reproduce every byte
+         "e77e69c644e5cd7f1ac88bc739a348bfb9963ecd980ae711b21859a50ef5edeb"),
         ("or4", ["mainlemma", "--family", "ip", "--k", "9"],
-         "f534dbcc3d7ea982f63641525e3661edddfc888e85bb723eafc9790ebe09356d"),
+         "3e4336dea9739bc382c83e8a32c9925598f3df4e2c56b41df14bb59f9b08251c"),
         ("or4", ["mainlemma", "--family", "ip", "--k", "9", "--epsilon-prime", "3/10"],
-         "e0eb07b47a7ab9c6cdf2ca35b03f4ef4f50b7b2f5461c069fe91a904f02c31e7"),
+         "f7ad75c2bdbd4e1d97e9896b2aa6833a1849626750fdd949c6917bba4f667b7e"),
         ("table6", ["mainlemma", "--family", "ip", "--k", "9"],
-         "50ee58b945ee2669d3d65a62ee67b409e608549dbc9f94569d0d2a20ceebd825"),
+         "0bd0770d7d50126bc791b4bf7340b789d6bda54c1a4c14af23365efd4a93aca5"),
         # recorded while every degree came from a sweep over the 2^n-row
         # table systems: the weight LP and one table solve must reproduce
         # every byte, and a symmetric table prints what its profile prints
@@ -1124,3 +1125,53 @@ class TestDeterminism:
         assert main(argvs + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().endswith(b"\n")
+
+
+class TestCertifiedCheckFailures:
+    """Exit 1 means a certified check failed, and the report that failed it
+    is still printed: one case per check, each made to fail by a patch."""
+
+    def test_mainlemma_norm_above_bound(self, capsys, monkeypatch, or4):
+        # ||h|| is 9.3e-14 on this cell, so a slack of even 1e-9 on the
+        # comparison would let any bound below it pass
+        monkeypatch.setattr(mainlemma, "opnorm_bound", lambda *args: 1e-30)
+        code, out, _ = run(capsys, ["mainlemma", "--f", or4,
+                                    "--family", "ip", "--k", "9"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["h_opnorm_bound"] == 1e-30
+        assert 0 < payload["h_opnorm_exact"] < 1e-9
+
+    def test_specdisc_outside_family_bound(self, capsys, monkeypatch):
+        real = specdisc.family_bound
+        monkeypatch.setattr(specdisc, "family_bound",
+                            lambda *args: (*real(*args)[:2], False))
+        code, out, _ = run(capsys, ["specdisc", "--family", "ip", "--k", "3"])
+        assert code == 1
+        assert json.loads(out)["within_bound"] is False
+        assert '"within_bound": false' in out
+
+    def test_reduce_identity_fails(self, capsys, monkeypatch, l1_toy):
+        monkeypatch.setattr(applications, "padding_identity_check", lambda *args: False)
+        code, out, _ = run(capsys, ["reduce", "--f", l1_toy,
+                                    "--k-override", "3", "--check-identity"])
+        assert code == 1
+        assert json.loads(out)["identity_holds"] is False
+        assert '"identity_holds": false' in out
+
+    def test_simulate_bcw_wrong_output(self, capsys, monkeypatch, parity2):
+        real = protocols.CompiledBcw.run
+
+        def flipped(self, z, seed=None):
+            out, ledger = real(self, z, seed)
+            return 1 - out, ledger
+
+        monkeypatch.setattr(protocols.CompiledBcw, "run", flipped)
+        code, out, _ = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                    "--g-family", "and", "--trials", "20",
+                                    "--inject-error", "0"])
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 21
+        assert last_json(out)["errors"] == 20
+        assert all(json.loads(line)["correct"] is False for line in lines[:-1])

@@ -163,17 +163,16 @@ class TestOpnormBound:
         pair, _ = PAIRS[0]
         w = dual_witness(parity_function(1), THIRD)
         cert = spectral_certificate(pair)
-        b = opnorm_bound(w, cert)
         scale = math.sqrt(pair.k_a * pair.k_b)
         want = (1 + cert.rho) * cert.rho / (float(THIRD) * scale)
-        assert b.bound_r == pytest.approx(want, rel=1e-12)
+        assert opnorm_bound(w, cert.rho, scale) == pytest.approx(want, rel=1e-12)
 
     def test_rho_at_least_one_rejected(self):
         cert = spectral_certificate(ip_pair(1))
         assert cert.rho_sq == 1 and cert.rho >= 1
         w = dual_witness(parity_function(2), THIRD)
-        with pytest.raises(ValueError):
-            opnorm_bound(w, cert)
+        with pytest.raises(ValueError, match="must be < 1"):
+            opnorm_bound(w, cert.rho, 1.0)
 
     # f3 x disj9 (OR_4, 84^4 rows per side) is far past the guard: bound only
     @pytest.mark.parametrize("f", OUTERS + [or_function(4), or_function(2)])
@@ -188,8 +187,8 @@ class TestOpnormBound:
         if max(witness_shape(w.n, pair)) <= 1024:
             dense = np.linalg.norm(require_materialized(w.q, w.n, pair), 2)
             assert exact == pytest.approx(dense, rel=1e-12)
-        b = opnorm_bound(w, spectral_certificate(pair))
-        assert exact <= b.bound_r
+        scale = math.sqrt(pair.k_a * pair.k_b) ** w.n
+        assert exact <= opnorm_bound(w, spectral_certificate(pair).rho, scale)
 
     def test_disjointness_norm_is_rational(self):
         w = dual_witness(or_function(3), THIRD)
@@ -201,11 +200,13 @@ class TestOpnormBound:
     def test_final_form_weaker_when_valid(self):
         pair = ip_pair(5)
         w = dual_witness(parity_function(2), THIRD)
-        b = opnorm_bound(w, spectral_certificate(pair))
-        if b.final_valid:
+        rho = spectral_certificate(pair).rho
+        scale = math.sqrt(pair.k_a * pair.k_b) ** w.n
+        bound = opnorm_bound(w, rho, scale)
+        if rho <= w.degree / (2.0 * math.e * w.n):
             # the paper's closed weakening of the binomial tail
-            final = 2.0 / (b.epsilon * b.scale) * math.exp(-0.5 * b.degree)
-            assert b.bound_r <= final + 1e-12
+            final = 2.0 / (float(w.epsilon) * scale) * math.exp(-0.5 * w.degree)
+            assert bound <= final + 1e-12
 
 
 class TestIntegerContraction:
@@ -305,7 +306,7 @@ class TestCertifyChain:
         assert report.inner_product == 1
         assert report.norm_source == "exact_spectrum"
         assert report.h_opnorm_exact is not None
-        assert report.h_opnorm_exact <= report.h_opnorm_bound + 1e-9
+        assert report.h_opnorm_exact <= report.h_opnorm_bound
         route = (1 - float(report.epsilon_prime) / float(report.epsilon)) \
             / report.h_opnorm_exact
         assert report.tracenorm_lb == route
@@ -313,23 +314,16 @@ class TestCertifyChain:
             math.log2(report.tracenorm_lb / report.scale))
         assert report.qcc_constant_note == "no hidden constant applied"
 
-    def test_closed_form_route(self):
-        pair = ip_pair(9)
-        report = mainlemma_certify(parity_function(2), pair)
-        assert report.closed_form_valid
-        assert report.closed_form_lb == pytest.approx(
-            report.scale * math.exp(0.5 * report.degree) / 24.0)
-        assert report.tracenorm_lb >= report.closed_form_lb - 1e-9
-
-    def test_closed_form_never_feeds_the_bound(self):
-        # closed_form_lb's 1/24 ignores eps', so near eps it overstates; on
-        # OR_2 x ip7 at eps' = 33/100 it exceeds the exact route, which
-        # alone gives tracenorm_lb
+    def test_exact_route_is_the_only_bound(self):
+        # the paper's closed form scale * e^(d/2) / 24 ignores eps' and
+        # overstates the certified bound on this cell, so the report carries
+        # no closed form: tracenorm_lb is the exact route
         report = mainlemma_certify(or_function(2), ip_pair(7),
                                    epsilon_prime=Fraction(33, 100))
-        assert report.closed_form_valid
+        assert not [name for name in dataclasses.asdict(report)
+                    if name.startswith("closed_form")]
         route = (1 - 33 / 100 / (1 / 3)) / report.h_opnorm_exact
-        assert report.tracenorm_lb == route < report.closed_form_lb
+        assert report.tracenorm_lb == route
         assert report.qcc_bits == math.log2(route / report.scale)
 
     def test_epsilon_ordering(self):

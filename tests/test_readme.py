@@ -1,6 +1,6 @@
 """The README tracks the code: every ``blockcomp`` line in its code blocks
-parses, every script it names exists, and the caps it states are the
-constants' values."""
+parses, every script and identifier it names exists, and the caps it states
+are the constants' values."""
 
 import re
 import shlex
@@ -41,6 +41,21 @@ def test_named_scripts_exist():
     assert scripts
     for script in scripts:
         assert (ROOT / script).is_file(), script
+
+
+def test_named_identifiers_exist():
+    # every snake_case token in an inline code span of the prose (fenced
+    # blocks dropped) is a name in the library or scripts, or a file stem
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.S | re.M)
+    tokens = {token for span in re.findall(r"`([^`]+)`", prose)
+              for token in re.findall(r"\b[a-z][a-z0-9]*(?:_[a-z0-9]+)+\b", span)}
+    assert tokens
+    code = "".join(path.read_text() for pattern in ("src/blockcomp/*.py", "scripts/*.py")
+                   for path in ROOT.glob(pattern))
+    stems = {path.stem for folder in ("scripts", "tests")
+             for path in (ROOT / folder).iterdir() if path.is_file()}
+    missing = sorted(t for t in tokens if t not in code and t not in stems)
+    assert not missing, missing
 
 
 @pytest.mark.parametrize("name,value", [("LP_ARITY_CAP", LP_ARITY_CAP),
