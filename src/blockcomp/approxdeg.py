@@ -12,17 +12,20 @@ which this module extracts and verifies in exact rational arithmetic.
 
 Each input takes one route to the degree d.  A symmetric f (a profile
 file, or a table whose weight classes agree) has an epsilon-approximation
-of degree D exactly when a univariate polynomial of degree D has one on
-its n+1 weights (Minsky-Papert symmetrization), so `weight_degree` reads d
-off an (n+1)-point LP in the binomial basis.  Any other table sweeps the
-Farkas alternative over D = 0, 1, ...: d is the first D without a
-solution, and the solution at D = d-1 is the raw witness.  Each caller
-then solves at most one more 2^n-row table system, at the D whose solution
-it uses: `approx_degree` the primal at D = d (`blockcomp approxdeg` prints
-its coefficients), and `dual_witness` (used by `witness` and `mainlemma`)
-the Farkas system at D = d-1 for a symmetric f.  Callers that read only d
-(`batch`, `reduce`) take `degree_of`, which solves no table system for a
-symmetric f.
+of degree D exactly when a univariate polynomial P of degree D has one on
+its n+1 weights (Minsky-Papert symmetrization), so `weight_polynomial`
+finds d and P(k) = sum_j c_j C(k, j) from an (n+1)-point LP in the
+binomial basis.  `approx_degree` expands P(|x|) into the characters
+chi_w, |w| <= d, and checks that expansion exactly, so `blockcomp
+approxdeg` solves no 2^n-row table system for a symmetric f (MAJ_7 in
+milliseconds, 17 s when it solved the table primal at d).  Any other
+table sweeps the Farkas alternative over D = 0, 1, ...: d is the first D
+without a solution, and the solution at D = d-1 is the raw witness.
+`approx_degree` then solves the table primal once, at D = d, for the
+coefficients it prints, and `dual_witness` (used by `witness` and
+`mainlemma`) solves the Farkas system at D = d-1 once for a symmetric f.
+Callers that read only d (`batch`, `reduce`) take `degree_of` or
+`weight_degree`, which solve no table system for a symmetric f.
 """
 
 from __future__ import annotations
@@ -33,23 +36,23 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
-                       symmetric_profile)
+                       symmetric_profile, walsh_transform)
 from .errors import (ArityMismatch, EpsilonOutOfRange, NotSymmetric,
                      WitnessNotApplicable)
 from .simplex import solve_feasibility
 
 # Seconds of one `cli.main` call at eps = 1/3, interpreter start excluded, one
 # process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
-# A symmetric f solves one table system:
-# the Farkas system at d-1 for `witness`, the primal at d for `approxdeg`,
-# whose printed coefficients need that vertex.  A seeded table sweeps the
-# Farkas system up to d, and its `approxdeg` adds the primal at d; the
-# seeded table and MAJ_n's `approxdeg` hold the cap at 7:
+# A symmetric f solves no table system for `approxdeg`, which expands the
+# weight LP's polynomial (MAJ_7 took 17-20 s when it solved the table primal
+# at d), and one for `witness`: the Farkas system at d-1.  A seeded table
+# sweeps the Farkas system up to d, and its `approxdeg` adds the primal at d;
+# the seeded table holds the cap at 7:
 #        witness                       approxdeg
 #   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n    seeded
-#   6    0.01 s   0.06 s   0.17 s      0.11 s   0.38 s   0.80 s
-#   7    0.01 s   0.21 s   11.5 s      2.1 s    20 s     41 s
-#   8    0.01 s   6.6 s    (not run)   53 s     245 s    (not run)
+#   6    0.01 s   0.06 s   0.17 s      0.003 s  0.003 s  0.80 s
+#   7    0.01 s   0.21 s   11.5 s      0.003 s  0.004 s  41 s
+#   8    0.01 s   6.6 s    (not run)   0.004 s  0.006 s  (not run)
 LP_ARITY_CAP = 7
 
 
@@ -161,24 +164,33 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return None if coeffs is None else dict(zip(monos, coeffs))
 
 
-def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
-    """deg~_eps of the symmetric function whose value at weight k is
-    values[k], k = 0..n: the smallest D with coefficients c_0..c_D such that
-    |sum_j c_j C(k, j) - values[k]| <= eps for every k.
+def weight_polynomial(values: Sequence[int], epsilon: Fraction) -> list[Fraction]:
+    """Coefficients c_0..c_d of the least degree d such that
+    |sum_j c_j C(k, j) - values[k]| <= eps for every k = 0..n, where
+    values[k] is the value of a symmetric function at weight k.
 
     The binomials C(k, j), j <= D, span the univariate polynomials of
     degree <= D, and symmetrizing an approximation of the table gives one on
-    the weights, so this is the table degree.  D = n always interpolates,
-    so the sweep solves D = 0..n-1 only.
+    the weights, so d is the table degree.  D = n always interpolates, so
+    the sweep solves D = 0..n-1 only; at d = n the coefficients are the
+    forward differences of values, whose polynomial is values itself.
     """
     epsilon = _check_epsilon(epsilon)
     n = len(values) - 1
     for degree in range(n):
         points = (([math.comb(k, j) for j in range(degree + 1)], fk)
                   for k, fk in enumerate(values))
-        if _split_feasible(degree + 1, points, epsilon) is not None:
-            return degree
-    return n
+        coeffs = _split_feasible(degree + 1, points, epsilon)
+        if coeffs is not None:
+            return coeffs
+    return [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
+                         for i in range(j + 1))) for j in range(n + 1)]
+
+
+def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
+    """deg~_eps of the symmetric function whose value at weight k is
+    values[k], k = 0..n: the degree of ``weight_polynomial``."""
+    return len(weight_polynomial(values, epsilon)) - 1
 
 
 def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
@@ -212,31 +224,45 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     return q
 
 
-def _degree(f: BooleanFunction, epsilon: Fraction
-            ) -> tuple[Fraction, int, dict[int, Fraction] | None]:
-    """The checked epsilon, deg~_eps(f) = d and the raw (unnormalized)
-    witness found at D = d-1, refusing n past LP_ARITY_CAP before any solve.
-
-    A symmetric f takes d from ``weight_degree`` and no witness.  Any other
-    table sweeps dual_system_witness over D = 0, 1, ...: by the theorem of
-    alternatives (Farkas' lemma) it has a solution at cap D exactly when
-    lp_feasible at cap D has none, so d is the first D without one.  At
-    D = n the equality rows force q = 0 and the certificate row reads
-    0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.  Such
-    a table is not constant, so d >= 1 and the witness is never None.
-    """
+def _prepare(f: BooleanFunction, epsilon: Fraction
+             ) -> tuple[Fraction, tuple[int, ...] | None]:
+    """The checked epsilon and f's weight profile, None if f is not
+    symmetric, refusing n past LP_ARITY_CAP before any solve."""
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
     try:
-        values = symmetric_profile(f).values
+        return epsilon, symmetric_profile(f).values
     except NotSymmetric:
-        degree, raw = 0, None
-        while degree < f.n:
-            certificate = dual_system_witness(f, epsilon, degree)
-            if certificate is None:
-                break
-            degree, raw = degree + 1, certificate
-        return epsilon, degree, raw
+        return epsilon, None
+
+
+def _farkas_sweep(f: BooleanFunction, epsilon: Fraction
+                  ) -> tuple[int, dict[int, Fraction] | None]:
+    """deg~_eps(f) = d of a table and the raw (unnormalized) witness found
+    at D = d-1, by sweeping dual_system_witness over D = 0, 1, ...: by the
+    theorem of alternatives (Farkas' lemma) it has a solution at cap D
+    exactly when lp_feasible at cap D has none, so d is the first D without
+    one.  At D = n the equality rows force q = 0 and the certificate row
+    reads 0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.
+    """
+    degree, raw = 0, None
+    while degree < f.n:
+        certificate = dual_system_witness(f, epsilon, degree)
+        if certificate is None:
+            break
+        degree, raw = degree + 1, certificate
+    return degree, raw
+
+
+def _degree(f: BooleanFunction, epsilon: Fraction
+            ) -> tuple[Fraction, int, dict[int, Fraction] | None]:
+    """The checked epsilon, deg~_eps(f) = d and the raw witness at D = d-1:
+    ``weight_degree`` and no witness for a symmetric f, the Farkas sweep for
+    any other table.  Such a table is not constant, so d >= 1 and its
+    witness is never None."""
+    epsilon, values = _prepare(f, epsilon)
+    if values is None:
+        return (epsilon, *_farkas_sweep(f, epsilon))
     return epsilon, weight_degree(values, epsilon), None
 
 
@@ -245,14 +271,41 @@ def _contradiction(source: str, system: str, degree: int) -> RuntimeError:
                         f"{system} has no solution where it must")
 
 
+def _symmetric_approximation(n: int, values: tuple[int, ...], epsilon: Fraction
+                             ) -> ApproxDegreeResult:
+    """The weight polynomial P of degree d, expanded into the characters:
+    alpha_w is the Walsh coefficient of the table x -> P(|x|).  Each C(|x|, j)
+    has Fourier degree j, so no |w| > d carries mass, and |P(k) - f_k| <=
+    eps at every weight k then makes alpha a degree-d eps-approximation;
+    both are checked exactly."""
+    coeffs = weight_polynomial(values, epsilon)
+    degree = len(coeffs) - 1
+    poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs)) for k in range(n + 1)]
+    for k, (pk, fk) in enumerate(zip(poly, values)):
+        if abs(pk - fk) > epsilon:
+            raise RuntimeError(f"the weight LP polynomial of degree {degree} is "
+                               f"{pk} at weight {k}, more than {epsilon} from {fk}")
+    out = walsh_transform([poly[x.bit_count()] for x in range(1 << n)])
+    for w, v in enumerate(out):
+        if v and w.bit_count() > degree:
+            raise RuntimeError(f"the weight LP polynomial of degree {degree} "
+                               f"expands onto character {w} of degree {w.bit_count()}")
+    return ApproxDegreeResult(epsilon, degree, {w: Fraction(out[w], 1 << n)
+                                                for w in monomials_up_to(n, degree)})
+
+
 def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
-    """Smallest D with lp_feasible nonempty and the coefficients there: D
-    from ``_degree``, then one primal solve at D."""
-    epsilon, degree, raw = _degree(f, epsilon)
+    """Smallest D with lp_feasible nonempty and coefficients there.  A
+    symmetric f expands its weight polynomial and solves no table system;
+    any other table takes D from the Farkas sweep, then solves the primal
+    once at D."""
+    epsilon, values = _prepare(f, epsilon)
+    if values is not None:
+        return _symmetric_approximation(f.n, values, epsilon)
+    degree, _ = _farkas_sweep(f, epsilon)
     coeffs = lp_feasible(f, epsilon, degree)
     if coeffs is None:
-        source = "weight LP" if raw is None else "Farkas sweep"
-        raise _contradiction(source, "primal", degree)
+        raise _contradiction("Farkas sweep", "primal", degree)
     return ApproxDegreeResult(epsilon, degree, coeffs)
 
 

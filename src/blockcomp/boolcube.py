@@ -214,8 +214,11 @@ def and_inner() -> InnerFunction:
 
 
 def _check_table_side(k: int) -> None:
-    """Refuse a 2^k x 2^k table past the materialization guard."""
-    if 1 << k > MAX_MATERIALIZE:
+    """Refuse a negative k, and a 2^k x 2^k table past the materialization
+    guard; compares exponents, so no 2^k is formed first."""
+    if k < 0:
+        raise ValueError(f"inner k must be >= 0, got k = {k}")
+    if k > MAX_MATERIALIZE.bit_length() - 1:
         raise SizeGuardExceeded(
             f"inner table side 2^{k} exceeds the guard {MAX_MATERIALIZE}")
 
@@ -273,13 +276,16 @@ def disj_le1_inner(k: int) -> InnerFunction:
 def function_from_dict(obj: dict) -> BooleanFunction:
     n = int(obj["n"])
     bits = obj["bits"]
-    if not isinstance(bits, str) or len(bits) != 1 << n or set(bits) - {"0", "1"}:
-        raise ValueError(f"bits must be a 0/1 string of length 2^{n}")
+    # n is compared with the length's exponent before 2^n is formed
+    if not isinstance(bits, str) or n != len(bits).bit_length() - 1 \
+            or len(bits) != 1 << n or set(bits) - {"0", "1"}:
+        raise ValueError(f"bits must be a 0/1 string of length 2^n, n = {n}")
     return BooleanFunction(n, tuple(int(c) for c in bits))
 
 
 def inner_from_dict(obj: dict) -> InnerFunction:
     k = int(obj["k"])
+    _check_table_side(k)
     side = 1 << k
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != side \

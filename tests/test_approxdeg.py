@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -323,20 +324,103 @@ PRIMAL_REFERENCE = ([f for n in (1, 2, 3) for f in all_functions(n)]
 
 
 class TestPrimalSweepReference:
-    """approx_degree takes d from the Farkas sweep or the weight LP and solves
-    the primal once; the primal sweep's first feasible D and its vertex must
-    be the same."""
+    """approx_degree takes d from the Farkas sweep or the weight LP.  A table
+    that is not symmetric solves the primal once, so the primal sweep's first
+    feasible D and its vertex must be the same; a symmetric f prints its
+    weight polynomial instead, at the same D."""
 
     def test_matches_primal_sweep(self):
         for f in PRIMAL_REFERENCE:
             got, want = approx_degree(f, THIRD), primal_sweep_result(f, THIRD)
-            assert (got.degree, got.coefficients) == (want.degree, want.coefficients), f.table
+            try:
+                symmetric_profile(f)
+            except NotSymmetric:
+                assert got.coefficients == want.coefficients, f.table
+            assert got.degree == want.degree, f.table
+
+
+def realized(n, coefficients):
+    """sum_w alpha_w chi_w(x) at every x, by direct summation over one
+    common denominator."""
+    den = math.lcm(*(c.denominator for c in coefficients.values()))
+    ints = [(w, int(c * den)) for w, c in coefficients.items()]
+    return [Fraction(sum(-a if (w & x).bit_count() & 1 else a for w, a in ints), den)
+            for x in range(1 << n)]
+
+
+def record_rows(monkeypatch):
+    """Patch approxdeg's ``solve_feasibility`` to record the row count of
+    each system it solves."""
+    rows = []
+
+    def recording(n_vars, eq_rows=(), ub_rows=()):
+        rows.append(len(eq_rows) + len(ub_rows))
+        return solve_feasibility(n_vars, eq_rows=eq_rows, ub_rows=ub_rows)
+
+    monkeypatch.setattr(approxdeg, "solve_feasibility", recording)
+    return rows
+
+
+class TestSymmetricApproximation:
+    """approx_degree on a symmetric f expands the weight LP's polynomial P
+    into the characters: an exact degree-d eps-approximation of the table,
+    equal to P(|x|) at every x, whose coefficients depend only on |w|."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_profile_realizes_exactly(self, n):
+        for values in profiles(n):
+            if len(set(values)) == 1:
+                continue
+            f = from_profile(values)
+            result = approx_degree(f, THIRD)
+            assert sorted(result.coefficients) == monomials_up_to(n, result.degree)
+            by_weight = {}
+            for w, c in result.coefficients.items():
+                assert by_weight.setdefault(w.bit_count(), c) == c, (values, w)
+            coeffs = approxdeg.weight_polynomial(values, THIRD)
+            poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs))
+                    for k in range(n + 1)]
+            for x, value in enumerate(realized(n, result.coefficients)):
+                assert value == poly[x.bit_count()], (values, x)
+                assert abs(value - f.table[x]) <= THIRD, (values, x)
+            assert result.degree == len(coeffs) - 1
+            # the table sweep takes about 0.25 s a profile at n = 6; four of
+            # them are checked in TestWeightDegree
+            if n <= 5:
+                assert result.degree == table_sweep_degree(f, THIRD), values
+
+    @pytest.mark.parametrize("f", SYMMETRIC + [constant_function(3, 1), parity_function(5)],
+                             ids=("OR_4", "MAJ_5", "PAR_3", "AND_3", "THR2_6", "ONE_3",
+                                  "PAR_5"))
+    def test_solves_no_table_system(self, monkeypatch, f):
+        def refuse(*args, **kwargs):
+            raise AssertionError("approx_degree solved a table system")
+
+        degree = weight_degree(symmetric_profile(f).values, THIRD)
+        monkeypatch.setattr(approxdeg, "lp_feasible", refuse)
+        monkeypatch.setattr(approxdeg, "dual_system_witness", refuse)
+        rows = record_rows(monkeypatch)
+        assert approx_degree(f, THIRD).degree == degree
+        assert rows == [2 * (f.n + 1)] * min(degree + 1, f.n)
+
+    def test_profiles_at_the_arity_cap_stay_on_the_weights(self, monkeypatch):
+        n = approxdeg.LP_ARITY_CAP
+        rows = record_rows(monkeypatch)
+        for values in profiles(n):
+            approx_degree(from_profile(values), THIRD)
+        assert max(rows) == 2 * (n + 1)
+
+    def test_full_degree_interpolates(self):
+        # parity has degree n at eps = 1/3, where the sweep solves nothing
+        # and the polynomial is the profile's forward differences
+        assert approxdeg.weight_polynomial((0, 1, 0, 1, 0), THIRD) == [0, 1, -2, 4, -8]
 
 
 class TestSymmetricRoute:
-    """A symmetric f solves each table system once, at the D whose solution
-    is used; any other table sweeps the Farkas system once and adds one
-    primal solve, at D = d, for approx_degree."""
+    """A symmetric f solves no table system for approx_degree and degree_of,
+    and one Farkas system, at d - 1, for dual_witness; any other table sweeps
+    the Farkas system once and adds one primal solve, at D = d, for
+    approx_degree."""
 
     @pytest.mark.parametrize("f", SYMMETRIC, ids=("OR_4", "MAJ_5", "PAR_3", "AND_3",
                                                   "THR2_6"))
@@ -348,18 +432,17 @@ class TestSymmetricRoute:
         assert (farkas, primal) == ([degree - 1], [])
         farkas.clear()
         assert approx_degree(f, THIRD).degree == degree
-        assert (farkas, primal) == ([], [degree])
-        primal.clear()
+        assert (farkas, primal) == ([], [])
         assert degree_of(f, THIRD) == degree
         assert (farkas, primal) == ([], [])
 
-    def test_constant_solves_primal_at_zero_only(self, monkeypatch):
+    def test_constant_solves_no_table_system(self, monkeypatch):
         farkas = record_caps(monkeypatch, "dual_system_witness")
         primal = record_caps(monkeypatch, "lp_feasible")
         f = constant_function(3, 1)
         assert degree_of(f, THIRD) == 0
         assert approx_degree(f, THIRD).degree == 0
-        assert (farkas, primal) == ([], [0])
+        assert (farkas, primal) == ([], [])
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0)])
     def test_seeded_table_keeps_sweeps(self, monkeypatch, n, seed):
@@ -382,15 +465,30 @@ class TestSymmetricRoute:
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_contradiction_raises(self, monkeypatch, shift):
-        real = approxdeg.weight_degree
-        monkeypatch.setattr(approxdeg, "weight_degree",
-                            lambda values, epsilon: real(values, epsilon) + shift)
         f = or_function(4)
+        if shift < 0:
+            # a weight polynomial whose constant term is off by one misses f
+            # at every weight: the exact self-check refuses it
+            real = approxdeg.weight_polynomial
+            monkeypatch.setattr(approxdeg, "weight_polynomial", lambda values, epsilon: [
+                c + (j == 0) for j, c in enumerate(real(values, epsilon))])
+            with pytest.raises(RuntimeError, match="weight LP polynomial of degree 2"):
+                approx_degree(f, THIRD)
+            return
+        real_degree = approxdeg.weight_degree
+        monkeypatch.setattr(approxdeg, "weight_degree",
+                            lambda values, epsilon: real_degree(values, epsilon) + shift)
         with pytest.raises(RuntimeError, match="weight LP gives degree"):
-            if shift < 0:
-                approx_degree(f, THIRD)  # no primal solution below d
-            else:
-                dual_witness(f, THIRD)  # no Farkas solution at d
+            dual_witness(f, THIRD)  # no Farkas solution at d
+
+    def test_high_character_raises(self, monkeypatch):
+        # a table off P(|x|) at x = 0 alone has every character in its
+        # expansion: the exact self-check refuses it
+        real = approxdeg.walsh_transform
+        monkeypatch.setattr(approxdeg, "walsh_transform",
+                            lambda values: real([values[0] + 1] + list(values[1:])))
+        with pytest.raises(RuntimeError, match="expands onto character"):
+            approx_degree(or_function(4), THIRD)
 
     def test_arity_cap_before_any_solve(self):
         f = constant_function(approxdeg.LP_ARITY_CAP + 1, 0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -343,6 +344,57 @@ class TestBlockCompose:
                     else:
                         assert len(set(maps.values())) == 1
         assert seen_g and seen_neg
+
+
+HUGE = 1 << 28  # 2^HUGE bits would take 32 MB
+
+
+def peak_bytes(call):
+    """Peak bytes traced while ``call`` runs, and the exception it raises."""
+    tracemalloc.start()
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the caller inspects it
+        raised = exc
+    else:
+        raised = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, raised
+
+
+class TestSizeGuards:
+    """Every guard on a user-given exponent refuses it before 2^n or 2^k is
+    formed, and names the field and its value."""
+
+    @pytest.mark.parametrize("call,kind,message", [
+        (lambda: ip_inner(HUGE), SizeGuardExceeded, f"inner table side 2^{HUGE} exceeds"),
+        (lambda: disj_le1_inner(3 * (HUGE // 3)), SizeGuardExceeded,
+         f"inner table side 2^{3 * (HUGE // 3)} exceeds"),
+        (lambda: ip_inner(-1), ValueError, "inner k must be >= 0, got k = -1"),
+        (lambda: inner_from_dict({"k": HUGE, "rows": []}), SizeGuardExceeded,
+         f"inner table side 2^{HUGE} exceeds"),
+        (lambda: inner_from_dict({"k": -1, "rows": []}), ValueError,
+         "inner k must be >= 0, got k = -1"),
+        (lambda: function_from_dict({"n": HUGE, "bits": "01"}), ValueError,
+         f"bits must be a 0/1 string of length 2^n, n = {HUGE}"),
+        (lambda: function_from_dict({"n": -1, "bits": "01"}), ValueError,
+         "bits must be a 0/1 string of length 2^n, n = -1"),
+    ], ids=("ip", "disj", "ip-negative", "inner-file", "inner-file-negative",
+            "bits-file", "bits-file-negative"))
+    def test_refused_before_any_shift(self, call, kind, message):
+        peak, raised = peak_bytes(call)
+        assert isinstance(raised, kind)
+        assert str(raised).startswith(message)
+        assert peak < 1 << 20
+
+    def test_largest_admitted_side(self):
+        k = boolcube.MAX_MATERIALIZE.bit_length() - 1
+        assert 1 << k == boolcube.MAX_MATERIALIZE
+        boolcube._check_table_side(k)
+        with pytest.raises(SizeGuardExceeded):
+            boolcube._check_table_side(k + 1)
 
 
 class TestJsonIO:

@@ -93,6 +93,22 @@ class TestApproxdegCommand:
         assert code == 0
         assert json.loads(out)["n"] == 4
 
+    @pytest.mark.parametrize("profile,degree", [
+        ([0, 0, 0, 0, 1, 1, 1, 1], 3), ([0] + [1] * 7, 2), ([0, 1] * 4, 7),
+        ([0, 0] + [1] * 6, 2)], ids=("MAJ_7", "OR_7", "PAR_7", "THR2_7"))
+    def test_symmetric_at_arity_cap(self, capsys, tmp_path, profile, degree):
+        """Each printed polynomial is checked exactly on all 128 points."""
+        n = len(profile) - 1
+        path = write_json(tmp_path, "f.json", {"profile": profile})
+        code, out, _ = run(capsys, ["approxdeg", "--f", path])
+        payload = json.loads(out)
+        assert (code, payload["n"], payload["degree"]) == (0, n, degree)
+        coeffs = {int(w): Fraction(c) for w, c in payload["coefficients"].items()}
+        assert sorted(coeffs) == approxdeg.monomials_up_to(n, degree)
+        for x in range(1 << n):
+            value = sum(-c if (w & x).bit_count() & 1 else c for w, c in coeffs.items())
+            assert abs(value - profile[x.bit_count()]) <= Fraction(1, 3), x
+
     def test_bad_epsilon(self, capsys, or4):
         code, _, err = run(capsys, ["approxdeg", "--f", or4, "--epsilon", "2/3"])
         assert code == 2
@@ -329,20 +345,28 @@ class TestLowerBoundDigests:
         # every byte, and a symmetric table prints what its profile prints
         ("maj7", ["witness"],
          "1b211d1523edbc66c952b97716d0c0fa7e5be7159f67369570a1cf11ed3993f7"),
-        ("or5", ["approxdeg"],
-         "f5e691b9a2bdef56cb1eb56fd15dc3737a58fd40d4dd358654739f31afe709bc"),
-        ("par4", ["approxdeg"],
-         "64b782b63e4ff0e073735fd2b38fd77be25f9d5371a2188024b3544a53448e9e"),
         ("maj5_bits", ["witness"],
          "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
+        # re-recorded when approxdeg on a symmetric f began to print the
+        # weight LP's polynomial expanded into the characters instead of a
+        # vertex of the table primal: the degree and the keys are those the
+        # table primal printed, and a symmetric table still prints what its
+        # profile prints
+        ("or5", ["approxdeg"],
+         "c7352e95c95bcc3e7bbbadc5b4fd5345c3f52e9d5c44815f054822e1c7661b69"),
+        ("par4", ["approxdeg"],
+         "6724ad3edff9e046dfb3b1cc98f69bcb53584b9d0e705db0b8ae1573f75d8e33"),
         ("thr2_6", ["approxdeg"],
-         "43460c48bc4af10e04a5ab369f1c70afd793fb8f5a00c823fdcea7090317be23"),
+         "dba03ce44c0d43d7ea762e5bab967a0029daaf54bd4119fcf3726b94a778f4ef"),
         ("thr2_6_bits", ["approxdeg"],
-         "43460c48bc4af10e04a5ab369f1c70afd793fb8f5a00c823fdcea7090317be23"),
+         "dba03ce44c0d43d7ea762e5bab967a0029daaf54bd4119fcf3726b94a778f4ef"),
+        ("maj7", ["approxdeg"],
+         "9ae41ca4eeb238670ffc0f71f73568cd103396eab1929ccb5ca8402602488d45"),
     ], ids=("witness-or4", "witness-maj5", "witness-table6", "mainlemma-or3-ip3",
             "mainlemma-or4-disj6", "mainlemma-or4-ip9", "mainlemma-or4-ip9-eps3/10",
-            "mainlemma-table6-ip9", "witness-maj7", "approxdeg-or5", "approxdeg-par4",
-            "witness-maj5-bits", "approxdeg-thr2_6", "approxdeg-thr2_6-bits"))
+            "mainlemma-table6-ip9", "witness-maj7", "witness-maj5-bits", "approxdeg-or5",
+            "approxdeg-par4", "approxdeg-thr2_6", "approxdeg-thr2_6-bits",
+            "approxdeg-maj7"))
     def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
         path = write_json(tmp_path, f"{name}.json", DIGEST_FUNCTIONS[name])
         code, out, _ = run(capsys, [*argv, "--f", path])
@@ -1043,6 +1067,36 @@ class TestStdlibOnly:
         assert json.loads(done.stdout) == {"codes": [0] * len(argvs), "numpy": False}
 
 
+class TestExponentGuards:
+    """An exponent past a guard exits 2 with a message naming it, and
+    negative shift counts never surface."""
+
+    HUGE = 1 << 28
+
+    @pytest.mark.parametrize("k,message", [
+        (HUGE, f"error: inner table side 2^{HUGE} exceeds the guard"),
+        (-1, "error: inner k must be >= 0, got k = -1")], ids=("huge", "negative"))
+    def test_inner_file(self, capsys, tmp_path, parity2, k, message):
+        path = write_json(tmp_path, "g.json", {"k": k, "rows": []})
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g", path, "--trials", "5"])
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
+    def test_inner_family(self, capsys, parity2):
+        code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
+                                      "--g-family", "ip", "--k", str(self.HUGE)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: inner table side 2^{self.HUGE} exceeds the guard")
+
+    @pytest.mark.parametrize("n", [HUGE, -1], ids=("huge", "negative"))
+    def test_bits_file(self, capsys, tmp_path, n):
+        path = write_json(tmp_path, "f.json", {"n": n, "bits": "01"})
+        code, out, err = run(capsys, ["approxdeg", "--f", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: bits must be a 0/1 string of length 2^n, n = {n}\n"
+
+
 class TestInternalErrors:
     def test_pivot_limit_exits_3(self, capsys, monkeypatch, or4):
         from blockcomp import approxdeg
@@ -1061,16 +1115,24 @@ class TestInternalErrors:
     @pytest.mark.parametrize("command,shift", [("approxdeg", -1), ("witness", 1)])
     def test_weight_contradiction_exits_3(self, capsys, monkeypatch, or4, command,
                                           shift):
-        """A weight degree off by one leaves the one table solve without the
-        solution it must have: the primal below the degree, the Farkas
-        system at it."""
-        real = approxdeg.weight_degree
-        monkeypatch.setattr(approxdeg, "weight_degree",
-                            lambda values, epsilon: real(values, epsilon) + shift)
+        """approxdeg checks the weight polynomial it expands: one whose
+        constant term is off by one misses f and fails that check.  witness
+        solves the Farkas system at the weight degree minus one: a degree off
+        by one leaves it without the solution it must have."""
+        if command == "approxdeg":
+            real = approxdeg.weight_polynomial
+            monkeypatch.setattr(approxdeg, "weight_polynomial", lambda values, epsilon: [
+                c + (j == 0) for j, c in enumerate(real(values, epsilon))])
+            message = "internal error: the weight LP polynomial of degree 2"
+        else:
+            real = approxdeg.weight_degree
+            monkeypatch.setattr(approxdeg, "weight_degree",
+                                lambda values, epsilon: real(values, epsilon) + shift)
+            message = "internal error: the weight LP gives degree"
         code, out, err = run(capsys, [command, "--f", or4])
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: the weight LP gives degree")
+        assert err.startswith(message)
         assert "Traceback" not in err
 
     def test_table_contradiction_exits_3(self, capsys, monkeypatch, tmp_path):
