@@ -10,22 +10,23 @@ measure q on the cube with
 
 which this module extracts and verifies in exact rational arithmetic.
 
-Each input takes one route to the degree d.  A symmetric f (a profile
-file, or a table whose weight classes agree) has an epsilon-approximation
-of degree D exactly when a univariate polynomial P of degree D has one on
-its n+1 weights (Minsky-Papert symmetrization), so `weight_polynomial`
-finds d and P(k) = sum_j c_j C(k, j) from an (n+1)-point LP in the
-binomial basis.  `approx_degree` expands P(|x|) into the characters
-chi_w, |w| <= d, and checks that expansion exactly, so `blockcomp
-approxdeg` solves no 2^n-row table system for a symmetric f (MAJ_7 in
-milliseconds, 17 s when it solved the table primal at d).  Any other
-table sweeps the Farkas alternative over D = 0, 1, ...: d is the first D
-without a solution, and the solution at D = d-1 is the raw witness.
-`approx_degree` then solves the table primal once, at D = d, for the
-coefficients it prints, and `dual_witness` (used by `witness` and
-`mainlemma`) solves the Farkas system at D = d-1 once for a symmetric f.
-Callers that read only d (`batch`, `reduce`) take `degree_of` or
-`weight_degree`, which solve no table system for a symmetric f.
+Every input takes one route: a sweep of the Farkas alternative over
+D = 0, 1, ... on a set of points, each a basis row and a value of f.  d is
+the first D without a solution, and the solution at D = d-1 is the raw
+witness.  A table's points are its 2^n inputs x with the characters
+chi_w(x), |w| <= D.  A symmetric f (a profile file, or a table whose
+weight classes agree) has an epsilon-approximation of degree D exactly
+when a univariate polynomial of degree D has one on its n+1 weights
+(Minsky-Papert symmetrization), and a symmetric q is orthogonal to every
+chi_w, |w| <= D, exactly when its weight masses psi_k are orthogonal to
+the binomials C(k, j), j <= D.  So its points are its n+1 weights k with
+those binomials, its witness is q(x) = psi_|x| / C(n, |x|), and no
+subcommand solves a 2^n-row system for it.  `approx_degree` then solves
+the primal once, at d, on the same points: a table prints the table
+primal's coefficients, and a symmetric f expands the weight polynomial
+P(k) = sum_j c_j C(k, j) into the characters chi_w, |w| <= d, and checks
+that expansion exactly.  Callers that read only d (`batch`, `reduce`)
+take `degree_of` or `weight_degree`, which solve no primal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
                        symmetric_profile, walsh_transform)
@@ -41,18 +42,19 @@ from .errors import (ArityMismatch, EpsilonOutOfRange, NotSymmetric,
                      WitnessNotApplicable)
 from .simplex import solve_feasibility
 
+T = TypeVar("T")
+
 # Seconds of one `cli.main` call at eps = 1/3, interpreter start excluded, one
 # process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
-# A symmetric f solves no table system for `approxdeg`, which expands the
-# weight LP's polynomial (MAJ_7 took 17-20 s when it solved the table primal
-# at d), and one for `witness`: the Farkas system at d-1.  A seeded table
-# sweeps the Farkas system up to d, and its `approxdeg` adds the primal at d;
-# the seeded table holds the cap at 7:
+# A symmetric f solves only systems on its n+1 weights (MAJ_n is 1 above
+# weight n/2).  A seeded table sweeps the Farkas system on its 2^n points up
+# to d, and its `approxdeg` adds the primal at d; the seeded table holds the
+# cap at 7:
 #        witness                       approxdeg
 #   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n    seeded
-#   6    0.01 s   0.06 s   0.17 s      0.003 s  0.003 s  0.80 s
-#   7    0.01 s   0.21 s   11.5 s      0.003 s  0.004 s  41 s
-#   8    0.01 s   6.6 s    (not run)   0.004 s  0.006 s  (not run)
+#   6    0.003 s  0.003 s  0.17 s      0.003 s  0.004 s  0.80 s
+#   7    0.004 s  0.006 s  11.5 s      0.004 s  0.006 s  41 s
+#   8    0.008 s  0.009 s  (not run)   0.006 s  0.009 s  (not run)
 LP_ARITY_CAP = 7
 
 
@@ -147,6 +149,35 @@ def _split_feasible(m: int, points: Iterable[tuple[list[int], int]],
     return [solution[t] - solution[m + t] for t in range(m)]
 
 
+def _farkas(points: Sequence[tuple[list[int], int]], epsilon: Fraction
+            ) -> list[Fraction] | None:
+    """The alternative of ``_split_feasible`` on the same points: an
+    unnormalized q_p at each point, orthogonal to every basis column, with
+    q.f >= 1 + eps*||q||_1, or None when there is none, i.e. exactly when
+    the primal has a solution.  q = q_minus - q_plus; the certificate row
+    scales the strict Farkas inequality to <= -1."""
+    size = len(points)
+    eq_rows = [(list(column) + [-b for b in column], 0)
+               for column in zip(*(basis for basis, _ in points))]
+    row = [value + epsilon for _, value in points]
+    row += [epsilon - value for _, value in points]
+    solution = solve_feasibility(2 * size, eq_rows=eq_rows, ub_rows=[(row, Fraction(-1))])
+    if solution is None:
+        return None
+    return [solution[size + p] - solution[p] for p in range(size)]
+
+
+def _table_points(f: BooleanFunction, monos: list[int]) -> list[tuple[list[int], int]]:
+    """The 2^n inputs x with their characters chi_w(x), w in monos."""
+    return [([_chi(w, x) for w in monos], f.table[x]) for x in range(1 << f.n)]
+
+
+def _weight_points(values: Sequence[int], degree: int) -> list[tuple[list[int], int]]:
+    """The n+1 weights k with their binomials C(k, j), j <= degree."""
+    return [([math.comb(k, j) for j in range(degree + 1)], fk)
+            for k, fk in enumerate(values)]
+
+
 def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
                 ) -> dict[int, Fraction] | None:
     """Coefficients alpha_w realizing an epsilon-approximation with support
@@ -159,38 +190,8 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     if not 0 <= degree_cap <= f.n:
         raise ValueError(f"degree cap must lie in [0, {f.n}]")
     monos = monomials_up_to(f.n, degree_cap)
-    points = (([_chi(w, x) for w in monos], f.table[x]) for x in range(1 << f.n))
-    coeffs = _split_feasible(len(monos), points, epsilon)
+    coeffs = _split_feasible(len(monos), _table_points(f, monos), epsilon)
     return None if coeffs is None else dict(zip(monos, coeffs))
-
-
-def weight_polynomial(values: Sequence[int], epsilon: Fraction) -> list[Fraction]:
-    """Coefficients c_0..c_d of the least degree d such that
-    |sum_j c_j C(k, j) - values[k]| <= eps for every k = 0..n, where
-    values[k] is the value of a symmetric function at weight k.
-
-    The binomials C(k, j), j <= D, span the univariate polynomials of
-    degree <= D, and symmetrizing an approximation of the table gives one on
-    the weights, so d is the table degree.  D = n always interpolates, so
-    the sweep solves D = 0..n-1 only; at d = n the coefficients are the
-    forward differences of values, whose polynomial is values itself.
-    """
-    epsilon = _check_epsilon(epsilon)
-    n = len(values) - 1
-    for degree in range(n):
-        points = (([math.comb(k, j) for j in range(degree + 1)], fk)
-                  for k, fk in enumerate(values))
-        coeffs = _split_feasible(degree + 1, points, epsilon)
-        if coeffs is not None:
-            return coeffs
-    return [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
-                         for i in range(j + 1))) for j in range(n + 1)]
-
-
-def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
-    """deg~_eps of the symmetric function whose value at weight k is
-    values[k], k = 0..n: the degree of ``weight_polynomial``."""
-    return len(weight_polynomial(values, epsilon)) - 1
 
 
 def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
@@ -202,84 +203,76 @@ def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     """
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
-    size = 1 << f.n
-    monos = monomials_up_to(f.n, degree_cap)
-    eq_rows = []
-    for w in monos:
-        signs = [_chi(w, x) for x in range(size)]
-        eq_rows.append((signs + [-s for s in signs], 0))
-    # q = q_minus - q_plus; the certificate row scales the strict Farkas
-    # inequality to <= -1
-    row = [f.table[x] + epsilon for x in range(size)]
-    row += [epsilon - f.table[x] for x in range(size)]
-    ub_rows = [(row, Fraction(-1))]
-    solution = solve_feasibility(2 * size, eq_rows=eq_rows, ub_rows=ub_rows)
-    if solution is None:
-        return None
-    q = {}
-    for x in range(size):
-        v = solution[size + x] - solution[x]
-        if v:
-            q[x] = v
-    return q
+    raw = _farkas(_table_points(f, monomials_up_to(f.n, degree_cap)), epsilon)
+    return None if raw is None else {x: v for x, v in enumerate(raw) if v}
 
 
-def _prepare(f: BooleanFunction, epsilon: Fraction
-             ) -> tuple[Fraction, tuple[int, ...] | None]:
-    """The checked epsilon and f's weight profile, None if f is not
-    symmetric, refusing n past LP_ARITY_CAP before any solve."""
-    epsilon = _check_epsilon(epsilon)
-    _check_arity(f.n)
-    try:
-        return epsilon, symmetric_profile(f).values
-    except NotSymmetric:
-        return epsilon, None
-
-
-def _farkas_sweep(f: BooleanFunction, epsilon: Fraction
-                  ) -> tuple[int, dict[int, Fraction] | None]:
-    """deg~_eps(f) = d of a table and the raw (unnormalized) witness found
-    at D = d-1, by sweeping dual_system_witness over D = 0, 1, ...: by the
-    theorem of alternatives (Farkas' lemma) it has a solution at cap D
-    exactly when lp_feasible at cap D has none, so d is the first D without
-    one.  At D = n the equality rows force q = 0 and the certificate row
-    reads 0 <= -1, so the sweep ends at D = n-1: feasible there means d = n.
-    """
+def _sweep(n: int, farkas: Callable[[int], T | None]) -> tuple[int, T | None]:
+    """d, the first D = 0, 1, ... at which ``farkas(D)`` has no solution,
+    and its solution at D = d-1 (None when d = 0).  By the theorem of
+    alternatives (Farkas' lemma) it has one exactly when the primal at D
+    has none.  At D = n the basis spans every function on the points, so
+    the equality rows force q = 0 and the certificate row reads 0 <= -1:
+    the sweep ends at D = n-1, and a solution there means d = n."""
     degree, raw = 0, None
-    while degree < f.n:
-        certificate = dual_system_witness(f, epsilon, degree)
+    while degree < n:
+        certificate = farkas(degree)
         if certificate is None:
             break
         degree, raw = degree + 1, certificate
     return degree, raw
 
 
-def _degree(f: BooleanFunction, epsilon: Fraction
-            ) -> tuple[Fraction, int, dict[int, Fraction] | None]:
-    """The checked epsilon, deg~_eps(f) = d and the raw witness at D = d-1:
-    ``weight_degree`` and no witness for a symmetric f, the Farkas sweep for
-    any other table.  Such a table is not constant, so d >= 1 and its
-    witness is never None."""
-    epsilon, values = _prepare(f, epsilon)
-    if values is None:
-        return (epsilon, *_farkas_sweep(f, epsilon))
-    return epsilon, weight_degree(values, epsilon), None
+def _weight_sweep(values: Sequence[int], epsilon: Fraction
+                  ) -> tuple[int, list[Fraction] | None]:
+    """The sweep on the n+1 weights: d and the raw weight masses psi."""
+    return _sweep(len(values) - 1,
+                  lambda degree: _farkas(_weight_points(values, degree), epsilon))
 
 
-def _contradiction(source: str, system: str, degree: int) -> RuntimeError:
-    return RuntimeError(f"the {source} gives degree {degree} but the table "
-                        f"{system} has no solution where it must")
+def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
+    """deg~_eps of the symmetric function whose value at weight k is
+    values[k], k = 0..n, from the sweep on its weights alone."""
+    return _weight_sweep(values, _check_epsilon(epsilon))[0]
 
 
-def _symmetric_approximation(n: int, values: tuple[int, ...], epsilon: Fraction
-                             ) -> ApproxDegreeResult:
-    """The weight polynomial P of degree d, expanded into the characters:
-    alpha_w is the Walsh coefficient of the table x -> P(|x|).  Each C(|x|, j)
-    has Fourier degree j, so no |w| > d carries mass, and |P(k) - f_k| <=
-    eps at every weight k then makes alpha a degree-d eps-approximation;
-    both are checked exactly."""
-    coeffs = weight_polynomial(values, epsilon)
-    degree = len(coeffs) - 1
+def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[
+        Fraction, tuple[int, ...] | None, int, list[Fraction] | dict[int, Fraction] | None]:
+    """The checked epsilon, f's weight profile (None if f is not symmetric),
+    deg~_eps(f) = d and the raw witness at D = d-1: psi on the weights for a
+    symmetric f, q on the table for any other.  n past LP_ARITY_CAP is
+    refused before any solve."""
+    epsilon = _check_epsilon(epsilon)
+    _check_arity(f.n)
+    try:
+        values = symmetric_profile(f).values
+    except NotSymmetric:
+        return (epsilon, None,
+                *_sweep(f.n, lambda degree: dual_system_witness(f, epsilon, degree)))
+    return epsilon, values, *_weight_sweep(values, epsilon)
+
+
+def _missing_primal(route: str, degree: int) -> RuntimeError:
+    return RuntimeError(f"the Farkas sweep gives degree {degree} but the {route} "
+                        f"primal has no solution where it must")
+
+
+def _symmetric_approximation(n: int, values: tuple[int, ...], epsilon: Fraction,
+                             degree: int) -> ApproxDegreeResult:
+    """The weight polynomial P(k) = sum_j c_j C(k, j) of degree d, expanded
+    into the characters: alpha_w is the Walsh coefficient of the table
+    x -> P(|x|).  Below d = n, c solves the weight primal at d; at d = n it
+    is the forward differences of values, whose polynomial is values itself.
+    Each C(|x|, j) has Fourier degree j, so no |w| > d carries mass, and
+    |P(k) - f_k| <= eps at every weight k then makes alpha a degree-d
+    eps-approximation; both are checked exactly."""
+    if degree == n:
+        coeffs = [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
+                               for i in range(j + 1))) for j in range(n + 1)]
+    else:
+        coeffs = _split_feasible(degree + 1, _weight_points(values, degree), epsilon)
+        if coeffs is None:
+            raise _missing_primal("weight", degree)
     poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs)) for k in range(n + 1)]
     for k, (pk, fk) in enumerate(zip(poly, values)):
         if abs(pk - fk) > epsilon:
@@ -295,38 +288,36 @@ def _symmetric_approximation(n: int, values: tuple[int, ...], epsilon: Fraction
 
 
 def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
-    """Smallest D with lp_feasible nonempty and coefficients there.  A
-    symmetric f expands its weight polynomial and solves no table system;
-    any other table takes D from the Farkas sweep, then solves the primal
-    once at D."""
-    epsilon, values = _prepare(f, epsilon)
+    """Smallest D with lp_feasible nonempty and coefficients there: D from
+    the Farkas sweep, then the primal once at D on the same points.  A
+    symmetric f expands its weight polynomial; any other table prints the
+    table primal's coefficients."""
+    epsilon, values, degree, _ = _route(f, epsilon)
     if values is not None:
-        return _symmetric_approximation(f.n, values, epsilon)
-    degree, _ = _farkas_sweep(f, epsilon)
+        return _symmetric_approximation(f.n, values, epsilon, degree)
     coeffs = lp_feasible(f, epsilon, degree)
     if coeffs is None:
-        raise _contradiction("Farkas sweep", "primal", degree)
+        raise _missing_primal("table", degree)
     return ApproxDegreeResult(epsilon, degree, coeffs)
 
 
 def degree_of(f: BooleanFunction, epsilon: Fraction) -> int:
     """deg~_eps(f) alone, for callers that need no coefficients and no
-    witness: a symmetric f solves no table system."""
-    return _degree(f, epsilon)[1]
+    witness: the Farkas sweep and no primal."""
+    return _route(f, epsilon)[2]
 
 
 def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
-    """Find deg~_eps(f) = d and its raw witness at D = d-1 (the sweep's for a
-    table, one Farkas solve for a symmetric f), then normalize (q.f = 1) and
-    verify."""
-    epsilon, degree, raw = _degree(f, epsilon)
+    """Find deg~_eps(f) = d and the sweep's raw witness at D = d-1, expand
+    weight masses psi to q(x) = psi_|x| / C(n, |x|) for a symmetric f, then
+    normalize (q.f = 1) and verify."""
+    epsilon, values, degree, raw = _route(f, epsilon)
     if degree == 0:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")
-    if raw is None:
-        raw = dual_system_witness(f, epsilon, degree - 1)
-        if raw is None:
-            raise _contradiction("weight LP", "Farkas system", degree)
+    if values is not None:
+        raw = {x: raw[x.bit_count()] / math.comb(f.n, x.bit_count())
+               for x in range(1 << f.n) if raw[x.bit_count()]}
     scale = sum((v for x, v in raw.items() if f.table[x]), Fraction(0))
     if scale <= 0:
         # cannot occur: the certificate row forces q.f >= 1 + eps*||q||_1

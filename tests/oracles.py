@@ -12,11 +12,11 @@ masses, dense SVD norms of a pair and of its witness matrix h, ||h||^2
 contracted over Fractions, the restricted composition and an
 explicit-approximation trace-norm bound, dense intersection matrices and
 closed-form spectra, the approximate degree and its coefficients by the
-primal sweep, the Paturi ratio of a symmetric function, the padding
-identity point by point, a decision tree's depth and value, the protocol
-simulations one subprotocol call at a time, the dense symand input draw,
-and ``simulate``'s output with one dict per trial line.  Dense work
-honours ``boolcube.MAX_MATERIALIZE``.
+primal sweeps on the table and on the weights, the Paturi ratio of a
+symmetric function, the padding identity point by point, a decision
+tree's depth and value, the protocol simulations one subprotocol call at
+a time, the dense symand input draw, and ``simulate``'s output with one
+dict per trial line.  Dense work honours ``boolcube.MAX_MATERIALIZE``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from blockcomp.mainlemma import _check_epsilon_prime, exact_opnorm_sq
 from blockcomp.protocols import (DecisionTree, HamOracleConfig, Leaf, Node,
                                  optimal_decision_tree, repetition_schedule,
                                  za_header_bits)
+from blockcomp.simplex import solve_feasibility
 from blockcomp.specdisc import (DISJ_K_CAP, DistributionPair, _check_kps,
                                 disj_lambda)
 
@@ -486,7 +487,7 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the approximate degree by the primal sweep
+# the approximate degree by the primal sweeps, on the table and on the weights
 
 
 def primal_sweep_result(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
@@ -498,6 +499,31 @@ def primal_sweep_result(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeRe
         if coeffs is not None:
             return ApproxDegreeResult(epsilon, degree, coeffs)
     raise AssertionError("the primal at D = n always interpolates")
+
+
+def weight_primal_sweep(values: Sequence[int], epsilon: Fraction) -> list[Fraction]:
+    """Coefficients c_0..c_d at the least degree d with
+    |sum_j c_j C(k, j) - values[k]| <= eps at every weight k = 0..n: the
+    degree of the symmetric function whose value at weight k is values[k].
+    The split primal is swept over D = 0..n-1 on the weights, two rows per
+    weight (upper bound, then lower), the rows ``approx_degree`` solves at
+    d; at d = n the coefficients are the forward differences of values,
+    whose polynomial is values itself."""
+    epsilon = Fraction(epsilon)
+    n = len(values) - 1
+    for degree in range(n):
+        m = degree + 1
+        ub_rows = []
+        for k, value in enumerate(values):
+            row_up = [math.comb(k, j) for j in range(m)]
+            row_up += [-b for b in row_up]
+            ub_rows.append((row_up, value + epsilon))
+            ub_rows.append(([-c for c in row_up], epsilon - value))
+        solution = solve_feasibility(2 * m, ub_rows=ub_rows)
+        if solution is not None:
+            return [solution[t] - solution[m + t] for t in range(m)]
+    return [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
+                         for i in range(j + 1))) for j in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

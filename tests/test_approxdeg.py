@@ -16,7 +16,7 @@ from blockcomp.errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicab
 from blockcomp.simplex import solve_feasibility
 from oracles import (SWEEP_FUNCTIONS, all_functions, and_function, constant_function,
                      or_function, parity_function, paturi_check, primal_sweep_result,
-                     projection, seeded_table)
+                     projection, seeded_table, weight_primal_sweep)
 
 THIRD = Fraction(1, 3)
 
@@ -214,7 +214,10 @@ class TestDualWitness:
 
 class TestFarkasSweep:
     """dual_witness reads the degree off the alternative system alone; it
-    must agree with the primal sweep and never solve the primal."""
+    must agree with the primal sweep and never solve the primal.  A table
+    that is not symmetric normalizes the table system's solution at d - 1;
+    a symmetric f expands the solution on its weights, so its q is constant
+    on each weight class."""
 
     @pytest.mark.parametrize("epsilon", [THIRD, Fraction(1, 5)], ids=("1/3", "1/5"))
     def test_matches_primal_sweep(self, epsilon):
@@ -226,6 +229,13 @@ class TestFarkasSweep:
                 continue
             w = dual_witness(f, epsilon)
             assert w.degree == degree, f.table
+            try:
+                symmetric_profile(f)
+            except NotSymmetric:
+                pass
+            else:
+                assert constant_on_weight_classes(f.n, w.q), f.table
+                continue
             raw = dual_system_witness(f, epsilon, degree - 1)
             scale = sum(v for x, v in raw.items() if f.table[x])
             assert w.q == {x: v / scale for x, v in raw.items()}, f.table
@@ -245,12 +255,14 @@ class TestFarkasSweep:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_parity_skips_full_degree_solve(self, monkeypatch, n):
-        # parity is symmetric: the weight LP gives d = n and the table system
-        # is solved once, at d - 1, never at D = n
+        # parity is symmetric: the sweep on its n+1 weights has a solution at
+        # every D < n, so d = n, and it never solves D = n or a table system
         caps = record_caps(monkeypatch, "dual_system_witness")
+        solves = record_solves(monkeypatch)
         w = dual_witness(parity_function(n), THIRD)
         assert w.degree == n
-        assert caps == [n - 1]
+        assert caps == []
+        assert solves == weight_solves(n, n, primal=False)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_non_symmetric_full_degree_sweeps(self, monkeypatch, n):
@@ -275,6 +287,11 @@ def record_caps(monkeypatch, name):
 
     monkeypatch.setattr(approxdeg, name, recording)
     return caps
+
+
+def constant_on_weight_classes(n, q):
+    """Whether q takes one value on each weight class of the cube."""
+    return len({(x.bit_count(), q.get(x, 0)) for x in range(1 << n)}) == n + 1
 
 
 def table_sweep_degree(f, epsilon):
@@ -348,23 +365,35 @@ def realized(n, coefficients):
             for x in range(1 << n)]
 
 
-def record_rows(monkeypatch):
-    """Patch approxdeg's ``solve_feasibility`` to record the row count of
-    each system it solves."""
-    rows = []
+def record_solves(monkeypatch):
+    """Patch approxdeg's ``solve_feasibility`` to record the (columns, rows)
+    of each system it solves."""
+    solves = []
 
     def recording(n_vars, eq_rows=(), ub_rows=()):
-        rows.append(len(eq_rows) + len(ub_rows))
+        solves.append((n_vars, len(eq_rows) + len(ub_rows)))
         return solve_feasibility(n_vars, eq_rows=eq_rows, ub_rows=ub_rows)
 
     monkeypatch.setattr(approxdeg, "solve_feasibility", recording)
-    return rows
+    return solves
+
+
+def weight_solves(n, degree, primal):
+    """The (columns, rows) of the solves on the n+1 weights up to degree d:
+    the Farkas system at D = 0..min(d, n-1), two columns per weight and D+1
+    binomial rows plus the certificate row, then, when ``primal`` and d < n,
+    the weight primal at d, two rows per weight."""
+    solves = [(2 * (n + 1), cap + 2) for cap in range(min(degree + 1, n))]
+    if primal and degree < n:
+        solves.append((2 * (degree + 1), 2 * (n + 1)))
+    return solves
 
 
 class TestSymmetricApproximation:
-    """approx_degree on a symmetric f expands the weight LP's polynomial P
-    into the characters: an exact degree-d eps-approximation of the table,
-    equal to P(|x|) at every x, whose coefficients depend only on |w|."""
+    """approx_degree on a symmetric f expands the weight primal's polynomial
+    P at d into the characters: an exact degree-d eps-approximation of the
+    table, equal to P(|x|) at every x, whose coefficients depend only on
+    |w|.  P is the vertex the weight primal sweep ends on."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_profile_realizes_exactly(self, n):
@@ -377,7 +406,7 @@ class TestSymmetricApproximation:
             by_weight = {}
             for w, c in result.coefficients.items():
                 assert by_weight.setdefault(w.bit_count(), c) == c, (values, w)
-            coeffs = approxdeg.weight_polynomial(values, THIRD)
+            coeffs = weight_primal_sweep(values, THIRD)
             poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs))
                     for k in range(n + 1)]
             for x, value in enumerate(realized(n, result.coefficients)):
@@ -393,48 +422,52 @@ class TestSymmetricApproximation:
                              ids=("OR_4", "MAJ_5", "PAR_3", "AND_3", "THR2_6", "ONE_3",
                                   "PAR_5"))
     def test_solves_no_table_system(self, monkeypatch, f):
-        def refuse(*args, **kwargs):
-            raise AssertionError("approx_degree solved a table system")
-
-        degree = weight_degree(symmetric_profile(f).values, THIRD)
-        monkeypatch.setattr(approxdeg, "lp_feasible", refuse)
-        monkeypatch.setattr(approxdeg, "dual_system_witness", refuse)
-        rows = record_rows(monkeypatch)
+        degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
+        refuse_table_systems(monkeypatch)
+        solves = record_solves(monkeypatch)
         assert approx_degree(f, THIRD).degree == degree
-        assert rows == [2 * (f.n + 1)] * min(degree + 1, f.n)
+        assert solves == weight_solves(f.n, degree, primal=True)
 
     def test_profiles_at_the_arity_cap_stay_on_the_weights(self, monkeypatch):
         n = approxdeg.LP_ARITY_CAP
-        rows = record_rows(monkeypatch)
+        solves = record_solves(monkeypatch)
         for values in profiles(n):
             approx_degree(from_profile(values), THIRD)
-        assert max(rows) == 2 * (n + 1)
+        assert max(max(solve) for solve in solves) == 2 * (n + 1)
 
-    def test_full_degree_interpolates(self):
-        # parity has degree n at eps = 1/3, where the sweep solves nothing
-        # and the polynomial is the profile's forward differences
-        assert approxdeg.weight_polynomial((0, 1, 0, 1, 0), THIRD) == [0, 1, -2, 4, -8]
+    def test_full_degree_interpolates(self, monkeypatch):
+        # parity has degree n at eps = 1/3: the sweep has a solution at every
+        # D < n, no primal is solved, and the polynomial is the profile's
+        # forward differences, the weight primal's one solution at D = n
+        values = (0, 1, 0, 1, 0)
+        assert weight_primal_sweep(values, THIRD) == [0, 1, -2, 4, -8]
+        solves = record_solves(monkeypatch)
+        result = approx_degree(from_profile(values), THIRD)
+        assert solves == weight_solves(4, 4, primal=False)
+        assert realized(4, result.coefficients) == [values[x.bit_count()] for x in range(16)]
 
 
 class TestSymmetricRoute:
-    """A symmetric f solves no table system for approx_degree and degree_of,
-    and one Farkas system, at d - 1, for dual_witness; any other table sweeps
-    the Farkas system once and adds one primal solve, at D = d, for
+    """A symmetric f solves no table system: approx_degree, degree_of and
+    dual_witness sweep the Farkas system on its n+1 weights, and
+    approx_degree adds the weight primal at d.  Any other table sweeps the
+    table Farkas system and adds one table primal solve, at D = d, for
     approx_degree."""
 
     @pytest.mark.parametrize("f", SYMMETRIC, ids=("OR_4", "MAJ_5", "PAR_3", "AND_3",
                                                   "THR2_6"))
-    def test_one_table_solve(self, monkeypatch, f):
-        degree = weight_degree(symmetric_profile(f).values, THIRD)
-        farkas = record_caps(monkeypatch, "dual_system_witness")
-        primal = record_caps(monkeypatch, "lp_feasible")
+    def test_no_table_solve(self, monkeypatch, f):
+        degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
+        refuse_table_systems(monkeypatch)
+        solves = record_solves(monkeypatch)
         assert dual_witness(f, THIRD).degree == degree
-        assert (farkas, primal) == ([degree - 1], [])
-        farkas.clear()
+        assert solves == weight_solves(f.n, degree, primal=False)
+        solves.clear()
         assert approx_degree(f, THIRD).degree == degree
-        assert (farkas, primal) == ([], [])
+        assert solves == weight_solves(f.n, degree, primal=True)
+        solves.clear()
         assert degree_of(f, THIRD) == degree
-        assert (farkas, primal) == ([], [])
+        assert solves == weight_solves(f.n, degree, primal=False)
 
     def test_constant_solves_no_table_system(self, monkeypatch):
         farkas = record_caps(monkeypatch, "dual_system_witness")
@@ -465,21 +498,13 @@ class TestSymmetricRoute:
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_contradiction_raises(self, monkeypatch, shift):
-        f = or_function(4)
-        if shift < 0:
-            # a weight polynomial whose constant term is off by one misses f
-            # at every weight: the exact self-check refuses it
-            real = approxdeg.weight_polynomial
-            monkeypatch.setattr(approxdeg, "weight_polynomial", lambda values, epsilon: [
-                c + (j == 0) for j, c in enumerate(real(values, epsilon))])
-            with pytest.raises(RuntimeError, match="weight LP polynomial of degree 2"):
-                approx_degree(f, THIRD)
-            return
-        real_degree = approxdeg.weight_degree
-        monkeypatch.setattr(approxdeg, "weight_degree",
-                            lambda values, epsilon: real_degree(values, epsilon) + shift)
-        with pytest.raises(RuntimeError, match="weight LP gives degree"):
-            dual_witness(f, THIRD)  # no Farkas solution at d
+        # a weight polynomial whose constant term is off by one, either way,
+        # misses f at every weight: the exact self-check refuses it
+        real = approxdeg._split_feasible
+        monkeypatch.setattr(approxdeg, "_split_feasible", lambda m, points, epsilon: [
+            c + shift * (j == 0) for j, c in enumerate(real(m, points, epsilon))])
+        with pytest.raises(RuntimeError, match="weight LP polynomial of degree 2"):
+            approx_degree(or_function(4), THIRD)
 
     def test_high_character_raises(self, monkeypatch):
         # a table off P(|x|) at x = 0 alone has every character in its
@@ -495,6 +520,43 @@ class TestSymmetricRoute:
         for operation in (approx_degree, dual_witness, degree_of):
             with pytest.raises(ValueError, match="LP operations support"):
                 operation(f, THIRD)
+
+
+def refuse_table_systems(monkeypatch):
+    """Patch approxdeg's two table solves to fail the test if called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table system was solved")
+
+    monkeypatch.setattr(approxdeg, "lp_feasible", refuse)
+    monkeypatch.setattr(approxdeg, "dual_system_witness", refuse)
+
+
+WITNESS_PROFILES = ([(n, THIRD) for n in range(1, 8)]
+                    + [(n, Fraction(1, 5)) for n in range(1, 6)])
+
+
+class TestWeightWitness:
+    """dual_witness on a symmetric f expands the sweep's weight masses psi
+    into q(x) = psi_|x| / C(n, |x|): on every profile q is constant on each
+    weight class and passes the exact verify_witness, and its degree is the
+    weight primal sweep's and, for n <= 5, the table Farkas sweep's."""
+
+    @pytest.mark.parametrize("n,epsilon", WITNESS_PROFILES,
+                             ids=[f"{n}-{e}" for n, e in WITNESS_PROFILES])
+    def test_every_profile(self, n, epsilon):
+        for values in profiles(n):
+            f = from_profile(values)
+            degree = len(weight_primal_sweep(values, epsilon)) - 1
+            if degree == 0:
+                with pytest.raises(WitnessNotApplicable):
+                    dual_witness(f, epsilon)
+                continue
+            w = dual_witness(f, epsilon)
+            assert w.degree == degree, values
+            assert constant_on_weight_classes(n, w.q), values
+            assert verify_witness(w, f).all_pass, values
+            if n <= 5:
+                assert degree == table_sweep_degree(f, epsilon), values
 
 
 class TestPaturi:

@@ -322,16 +322,12 @@ class TestLowerBoundDigests:
     @pytest.mark.parametrize("name,argv,digest", [
         ("or4", ["witness"],
          "2b03d859869dc4edcd2b384c48906dfca456dc612e42becb415d8d6089c8a1a4"),
-        ("maj5", ["witness"],
-         "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
         ("table6", ["witness"],
          "c82d7b735697d42bf1dd123b071db9cd03c4cced594995386d639472453fd6c1"),
         # the mainlemma digests are those of the stdout the chain printed
         # while it also reported the paper's closed form, with its two keys
         # (closed_form_lb, closed_form_valid) removed and the rest
         # re-serialized: every other key keeps every byte
-        ("or3", ["mainlemma", "--family", "ip", "--k", "3"],
-         "47cb749ece283b681e6566d346bf9a119bd2eed388d3717700b950067d363187"),
         ("or4", ["mainlemma", "--family", "disj", "--k", "6"],
          "e77e69c644e5cd7f1ac88bc739a348bfb9963ecd980ae711b21859a50ef5edeb"),
         ("or4", ["mainlemma", "--family", "ip", "--k", "9"],
@@ -340,13 +336,20 @@ class TestLowerBoundDigests:
          "f7ad75c2bdbd4e1d97e9896b2aa6833a1849626750fdd949c6917bba4f667b7e"),
         ("table6", ["mainlemma", "--family", "ip", "--k", "9"],
          "0bd0770d7d50126bc791b4bf7340b789d6bda54c1a4c14af23365efd4a93aca5"),
-        # recorded while every degree came from a sweep over the 2^n-row
-        # table systems: the weight LP and one table solve must reproduce
-        # every byte, and a symmetric table prints what its profile prints
-        ("maj7", ["witness"],
-         "1b211d1523edbc66c952b97716d0c0fa7e5be7159f67369570a1cf11ed3993f7"),
+        # re-recorded when the witness of a symmetric f began to come from
+        # the Farkas sweep on its n+1 weights, expanded to
+        # q(x) = psi_|x| / C(n, |x|), instead of the 2^n-point table system
+        # at d - 1: the degree is unchanged, q is another vertex (OR_4's is
+        # the same one), and a symmetric table still prints what its profile
+        # prints
+        ("maj5", ["witness"],
+         "dfdd9c993afda616204fd334b263a14fbf73bd58f332824faf44f0940ca0798f"),
         ("maj5_bits", ["witness"],
-         "9186a074cf38753f052c36565e8458d6e7697b37ee480b94663780b47f267073"),
+         "dfdd9c993afda616204fd334b263a14fbf73bd58f332824faf44f0940ca0798f"),
+        ("maj7", ["witness"],
+         "c33f04a44af59438f68bbe2bccb20b2540e737768000fef32b200d24c59d2b9f"),
+        ("or3", ["mainlemma", "--family", "ip", "--k", "3"],
+         "9ff05747407a02ced0e64d5d7438714195de9a12cf5e7b827e7dd3e3295a8ee2"),
         # re-recorded when approxdeg on a symmetric f began to print the
         # weight LP's polynomial expanded into the characters instead of a
         # vertex of the table primal: the degree and the keys are those the
@@ -362,9 +365,9 @@ class TestLowerBoundDigests:
          "dba03ce44c0d43d7ea762e5bab967a0029daaf54bd4119fcf3726b94a778f4ef"),
         ("maj7", ["approxdeg"],
          "9ae41ca4eeb238670ffc0f71f73568cd103396eab1929ccb5ca8402602488d45"),
-    ], ids=("witness-or4", "witness-maj5", "witness-table6", "mainlemma-or3-ip3",
-            "mainlemma-or4-disj6", "mainlemma-or4-ip9", "mainlemma-or4-ip9-eps3/10",
-            "mainlemma-table6-ip9", "witness-maj7", "witness-maj5-bits", "approxdeg-or5",
+    ], ids=("witness-or4", "witness-table6", "mainlemma-or4-disj6", "mainlemma-or4-ip9",
+            "mainlemma-or4-ip9-eps3/10", "mainlemma-table6-ip9", "witness-maj5",
+            "witness-maj5-bits", "witness-maj7", "mainlemma-or3-ip3", "approxdeg-or5",
             "approxdeg-par4", "approxdeg-thr2_6", "approxdeg-thr2_6-bits",
             "approxdeg-maj7"))
     def test_golden_digest(self, capsys, tmp_path, name, argv, digest):
@@ -902,7 +905,7 @@ def refuse_primal(*args, **kwargs):
 
 class TestDegreeFromFarkasSweep:
     """batch and reduce read only the degree, which they take without the
-    primal (from the weight LP for a symmetric f, else the Farkas sweep); it
+    primal, from the Farkas sweep (on the weights for a symmetric f); it
     must be the degree the primal sweep finds."""
 
     def test_batch_degrees(self, capsys, monkeypatch, tmp_path):
@@ -937,8 +940,9 @@ class TestDegreeFromFarkasSweep:
 
 
 class TestDegreeWithoutTableSystem:
-    """A symmetric f's degree in batch and reduce comes from the weight LP
-    alone: no table system is solved, and reduce builds no truth table."""
+    """A symmetric f's degree in batch and reduce comes from the sweep on
+    its weights alone: no table system is solved, and reduce builds no truth
+    table."""
 
     def test_batch_symmetric_rows(self, capsys, monkeypatch, tmp_path):
         paths = [write_json(tmp_path, f"{name}.json", payload)
@@ -1115,25 +1119,45 @@ class TestInternalErrors:
     @pytest.mark.parametrize("command,shift", [("approxdeg", -1), ("witness", 1)])
     def test_weight_contradiction_exits_3(self, capsys, monkeypatch, or4, command,
                                           shift):
-        """approxdeg checks the weight polynomial it expands: one whose
-        constant term is off by one misses f and fails that check.  witness
-        solves the Farkas system at the weight degree minus one: a degree off
-        by one leaves it without the solution it must have."""
-        if command == "approxdeg":
-            real = approxdeg.weight_polynomial
-            monkeypatch.setattr(approxdeg, "weight_polynomial", lambda values, epsilon: [
-                c + (j == 0) for j, c in enumerate(real(values, epsilon))])
-            message = "internal error: the weight LP polynomial of degree 2"
-        else:
-            real = approxdeg.weight_degree
-            monkeypatch.setattr(approxdeg, "weight_degree",
-                                lambda values, epsilon: real(values, epsilon) + shift)
-            message = "internal error: the weight LP gives degree"
+        """Each output on the weights is checked exactly before it is
+        printed.  approxdeg expands the weight polynomial: one whose constant
+        term is off by one misses f and fails that check.  witness expands
+        the weight masses psi: one whose mass at weight 0 is off by one is no
+        longer orthogonal to the constants and fails verify_witness.  OR_4's
+        table is symmetric, so no table system is solved on the way."""
+        name = "_split_feasible" if command == "approxdeg" else "_farkas"
+        real = getattr(approxdeg, name)
+
+        def shifted(*args):
+            solution = real(*args)
+            if solution is None:
+                return None
+            return [c + shift * (j == 0) for j, c in enumerate(solution)]
+
+        monkeypatch.setattr(approxdeg, name, shifted)
+        for table_solve in ("lp_feasible", "dual_system_witness"):
+            monkeypatch.setattr(approxdeg, table_solve, refuse_primal)
         code, out, err = run(capsys, [command, "--f", or4])
         assert code == 3
         assert out == ""
-        assert err.startswith(message)
+        assert err.startswith("internal error: the weight LP polynomial of degree 2"
+                              if command == "approxdeg" else
+                              "internal error: extracted witness failed verification")
         assert "Traceback" not in err
+
+    def test_missing_primal_exits_3(self, capsys, monkeypatch, tmp_path):
+        """approxdeg solves the primal once, at the degree the Farkas sweep
+        gives, on the same points: the n+1 weights of a profile, the 2^n
+        inputs of a table.  A primal with no solution there fails both alike."""
+        monkeypatch.setattr(approxdeg, "_split_feasible", lambda *args: None)
+        bits = "".join(map(str, seeded_table(4, 0).table))
+        for payload, degree, route in (({"profile": [0, 1, 1, 1, 1]}, 2, "weight"),
+                                       ({"n": 4, "bits": bits}, 3, "table")):
+            code, out, err = run(capsys, ["approxdeg", "--f",
+                                          write_json(tmp_path, "f.json", payload)])
+            assert (code, out) == (3, "")
+            assert err == (f"internal error: the Farkas sweep gives degree {degree} but "
+                           f"the {route} primal has no solution where it must\n")
 
     def test_table_contradiction_exits_3(self, capsys, monkeypatch, tmp_path):
         """A table takes its degree from the Farkas sweep; a primal with no
