@@ -21,12 +21,12 @@ when a univariate polynomial of degree D has one on its n+1 weights
 chi_w, |w| <= D, exactly when its weight masses psi_k are orthogonal to
 the binomials C(k, j), j <= D.  So its points are its n+1 weights k with
 those binomials, its witness is q(x) = psi_|x| / C(n, |x|), and no
-subcommand solves a 2^n-row system for it.  `approx_degree` then solves
-the primal once, at d, on the same points: a table prints the table
-primal's coefficients, and a symmetric f expands the weight polynomial
-P(k) = sum_j c_j C(k, j) into the characters chi_w, |w| <= d, and checks
-that expansion exactly.  Callers that read only d (`batch`, `reduce`)
-take `degree_of` or `weight_degree`, which solve no primal.
+subcommand solves a 2^n-row system for it.  The solve at D = d is
+infeasible, and its Farkas certificate is a degree-d approximation P on
+the same points (see ``_farkas``).  `approx_degree` reads it from there and
+solves no primal: a table's P, or x -> P(|x|) for a symmetric f, is
+Walsh-transformed into alpha_w, |w| <= d, and checked exactly.  Callers
+that read only d (`batch`, `reduce`) take `degree_of` or `weight_degree`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
                        symmetric_profile, walsh_transform)
@@ -48,12 +48,12 @@ T = TypeVar("T")
 # process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
 # A symmetric f solves only systems on its n+1 weights (MAJ_n is 1 above
 # weight n/2).  A seeded table sweeps the Farkas system on its 2^n points up
-# to d, and its `approxdeg` adds the primal at d; the seeded table holds the
-# cap at 7:
+# to d, for `witness` and `approxdeg` alike; the seeded table holds the cap
+# at 7:
 #        witness                       approxdeg
 #   n    OR_n     MAJ_n    seeded      OR_n     MAJ_n    seeded
-#   6    0.003 s  0.003 s  0.17 s      0.003 s  0.004 s  0.80 s
-#   7    0.004 s  0.006 s  11.5 s      0.004 s  0.006 s  41 s
+#   6    0.003 s  0.003 s  0.17 s      0.003 s  0.004 s  0.25 s
+#   7    0.004 s  0.006 s  12-16 s     0.004 s  0.006 s  17 s
 #   8    0.008 s  0.009 s  (not run)   0.006 s  0.009 s  (not run)
 LP_ARITY_CAP = 7
 
@@ -132,39 +132,27 @@ class DualWitness:
         return sum((v for x, v in self.q.items() if f.table[x]), Fraction(0))
 
 
-def _split_feasible(m: int, points: Iterable[tuple[list[int], int]],
-                    epsilon: Fraction) -> list[Fraction] | None:
-    """Coefficients c_0..c_{m-1} with |basis . c - value| <= epsilon at every
-    (basis, value) point, or None if there are none.  Each free c_t is split
-    c_t = u_t - v_t with u, v >= 0 before the phase-1 solve, two rows per
-    point: the upper bound, then the lower."""
-    ub_rows = []
-    for basis, value in points:
-        row_up = basis + [-b for b in basis]
-        ub_rows.append((row_up, value + epsilon))
-        ub_rows.append(([-c for c in row_up], epsilon - value))
-    solution = solve_feasibility(2 * m, ub_rows=ub_rows)
-    if solution is None:
-        return None
-    return [solution[t] - solution[m + t] for t in range(m)]
-
-
 def _farkas(points: Sequence[tuple[list[int], int]], epsilon: Fraction
-            ) -> list[Fraction] | None:
-    """The alternative of ``_split_feasible`` on the same points: an
+            ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """The alternative to an approximation P in the span of the basis
+    columns with |P_p - value_p| <= eps at every (basis, value) point: an
     unnormalized q_p at each point, orthogonal to every basis column, with
-    q.f >= 1 + eps*||q||_1, or None when there is none, i.e. exactly when
-    the primal has a solution.  q = q_minus - q_plus; the certificate row
-    scales the strict Farkas inequality to <= -1."""
+    q.f >= 1 + eps*||q||_1.  q = z_(N+p) - z_p; the certificate row scales
+    the strict Farkas inequality to <= -1.  Returns (q, None) or, when no q
+    exists, (None, P).  P is read off the infeasible solve's certificate
+    r: its simplex multipliers over mu weight the basis columns, so
+    P_p = value_p + eps - r_p = value_p - eps + r_(N+p), and r >= 0 puts P
+    within eps of every value."""
     size = len(points)
     eq_rows = [(list(column) + [-b for b in column], 0)
                for column in zip(*(basis for basis, _ in points))]
     row = [value + epsilon for _, value in points]
     row += [epsilon - value for _, value in points]
-    solution = solve_feasibility(2 * size, eq_rows=eq_rows, ub_rows=[(row, Fraction(-1))])
-    if solution is None:
-        return None
-    return [solution[size + p] - solution[p] for p in range(size)]
+    x, certificate = solve_feasibility(2 * size, eq_rows=eq_rows,
+                                       ub_rows=[(row, Fraction(-1))])
+    if x is None:
+        return None, [value + epsilon - r for (_, value), r in zip(points, certificate)]
+    return [x[size + p] - x[p] for p in range(size)], None
 
 
 def _table_points(f: BooleanFunction, monos: list[int]) -> list[tuple[list[int], int]]:
@@ -178,54 +166,40 @@ def _weight_points(values: Sequence[int], degree: int) -> list[tuple[list[int], 
             for k, fk in enumerate(values)]
 
 
-def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
-                ) -> dict[int, Fraction] | None:
-    """Coefficients alpha_w realizing an epsilon-approximation with support
-    |w| <= degree_cap, or None if the system is infeasible.
-
-    Solved by ``_split_feasible`` over the characters chi_w.
-    """
-    epsilon = _check_epsilon(epsilon)
-    _check_arity(f.n)
-    if not 0 <= degree_cap <= f.n:
-        raise ValueError(f"degree cap must lie in [0, {f.n}]")
-    monos = monomials_up_to(f.n, degree_cap)
-    coeffs = _split_feasible(len(monos), _table_points(f, monos), epsilon)
-    return None if coeffs is None else dict(zip(monos, coeffs))
-
-
 def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
-                        ) -> dict[int, Fraction] | None:
-    """Solve the alternative (Farkas) system against support |w| <= degree_cap:
-    an unnormalized q orthogonal to all chi_w, |w| <= degree_cap, with
-    q.f >= 1 + eps*||q||_1.  Returns None when no certificate exists, i.e.
-    exactly when the primal system at the same cap is feasible.
+                        ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
+    """``_farkas`` on the table against support |w| <= degree_cap: an
+    unnormalized q orthogonal to all chi_w, |w| <= degree_cap, with
+    q.f >= 1 + eps*||q||_1, as (q, None), or, when there is none, (None, P)
+    with P(x) within eps of f(x) at every input x and spanned by the chi_w.
     """
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
-    raw = _farkas(_table_points(f, monomials_up_to(f.n, degree_cap)), epsilon)
-    return None if raw is None else {x: v for x, v in enumerate(raw) if v}
+    raw, poly = _farkas(_table_points(f, monomials_up_to(f.n, degree_cap)), epsilon)
+    return (None if raw is None else {x: v for x, v in enumerate(raw) if v}), poly
 
 
-def _sweep(n: int, farkas: Callable[[int], T | None]) -> tuple[int, T | None]:
+def _sweep(n: int, farkas: Callable[[int], tuple[T | None, list[Fraction] | None]]
+           ) -> tuple[int, T | None, list[Fraction] | None]:
     """d, the first D = 0, 1, ... at which ``farkas(D)`` has no solution,
-    and its solution at D = d-1 (None when d = 0).  By the theorem of
-    alternatives (Farkas' lemma) it has one exactly when the primal at D
-    has none.  At D = n the basis spans every function on the points, so
-    the equality rows force q = 0 and the certificate row reads 0 <= -1:
-    the sweep ends at D = n-1, and a solution there means d = n."""
-    degree, raw = 0, None
+    its solution at D = d-1 (None when d = 0), and the approximation P read
+    off the infeasible solve at D = d (None when d = n).  By the theorem of
+    alternatives (Farkas' lemma) it has one exactly when no degree-D
+    approximation exists.  At D = n the basis spans every function on the
+    points, so the equality rows force q = 0 and the certificate row reads
+    0 <= -1: the sweep ends at D = n-1, and a solution there means d = n."""
+    degree, raw, poly = 0, None, None
     while degree < n:
-        certificate = farkas(degree)
-        if certificate is None:
+        witness, poly = farkas(degree)
+        if witness is None:
             break
-        degree, raw = degree + 1, certificate
-    return degree, raw
+        degree, raw = degree + 1, witness
+    return degree, raw, poly
 
 
 def _weight_sweep(values: Sequence[int], epsilon: Fraction
-                  ) -> tuple[int, list[Fraction] | None]:
-    """The sweep on the n+1 weights: d and the raw weight masses psi."""
+                  ) -> tuple[int, list[Fraction] | None, list[Fraction] | None]:
+    """The sweep on the n+1 weights: d, the raw weight masses psi and P."""
     return _sweep(len(values) - 1,
                   lambda degree: _farkas(_weight_points(values, degree), epsilon))
 
@@ -237,11 +211,13 @@ def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
 
 
 def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[
-        Fraction, tuple[int, ...] | None, int, list[Fraction] | dict[int, Fraction] | None]:
+        Fraction, tuple[int, ...] | None, int, list[Fraction] | dict[int, Fraction] | None,
+        list[Fraction] | None]:
     """The checked epsilon, f's weight profile (None if f is not symmetric),
-    deg~_eps(f) = d and the raw witness at D = d-1: psi on the weights for a
-    symmetric f, q on the table for any other.  n past LP_ARITY_CAP is
-    refused before any solve."""
+    deg~_eps(f) = d, the raw witness at D = d-1 and the approximation P at
+    d (None when d = n): psi and P on the weights for a symmetric f, q and P
+    on the table for any other.  n past LP_ARITY_CAP is refused before any
+    solve."""
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
     try:
@@ -252,53 +228,28 @@ def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[
     return epsilon, values, *_weight_sweep(values, epsilon)
 
 
-def _missing_primal(route: str, degree: int) -> RuntimeError:
-    return RuntimeError(f"the Farkas sweep gives degree {degree} but the {route} "
-                        f"primal has no solution where it must")
-
-
-def _symmetric_approximation(n: int, values: tuple[int, ...], epsilon: Fraction,
-                             degree: int) -> ApproxDegreeResult:
-    """The weight polynomial P(k) = sum_j c_j C(k, j) of degree d, expanded
-    into the characters: alpha_w is the Walsh coefficient of the table
-    x -> P(|x|).  Below d = n, c solves the weight primal at d; at d = n it
-    is the forward differences of values, whose polynomial is values itself.
-    Each C(|x|, j) has Fourier degree j, so no |w| > d carries mass, and
-    |P(k) - f_k| <= eps at every weight k then makes alpha a degree-d
-    eps-approximation; both are checked exactly."""
-    if degree == n:
-        coeffs = [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
-                               for i in range(j + 1))) for j in range(n + 1)]
-    else:
-        coeffs = _split_feasible(degree + 1, _weight_points(values, degree), epsilon)
-        if coeffs is None:
-            raise _missing_primal("weight", degree)
-    poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs)) for k in range(n + 1)]
-    for k, (pk, fk) in enumerate(zip(poly, values)):
-        if abs(pk - fk) > epsilon:
-            raise RuntimeError(f"the weight LP polynomial of degree {degree} is "
-                               f"{pk} at weight {k}, more than {epsilon} from {fk}")
-    out = walsh_transform([poly[x.bit_count()] for x in range(1 << n)])
+def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
+    """d from the Farkas sweep and, from the certificate of its infeasible
+    solve at d, a degree-d eps-approximation P on the sweep's points (f
+    itself at d = n).  A symmetric f's P on the weights is spread to
+    x -> P(|x|).  alpha_w is the table's Walsh coefficient; |P(x) - f(x)|
+    <= eps at every x and no mass on |w| > d are both checked exactly."""
+    epsilon, values, degree, _, poly = _route(f, epsilon)
+    if poly is None:  # d = n: f is its own approximation
+        poly = f.table if values is None else values
+    table = poly if values is None else [poly[x.bit_count()] for x in range(1 << f.n)]
+    for x, (px, fx) in enumerate(zip(table, f.table)):
+        if abs(px - fx) > epsilon:
+            raise RuntimeError(f"the degree-{degree} polynomial read off the Farkas "
+                               f"certificate is {px} at {x}, more than {epsilon} from {fx}")
+    out = walsh_transform(table)
     for w, v in enumerate(out):
         if v and w.bit_count() > degree:
-            raise RuntimeError(f"the weight LP polynomial of degree {degree} "
-                               f"expands onto character {w} of degree {w.bit_count()}")
-    return ApproxDegreeResult(epsilon, degree, {w: Fraction(out[w], 1 << n)
-                                                for w in monomials_up_to(n, degree)})
-
-
-def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
-    """Smallest D with lp_feasible nonempty and coefficients there: D from
-    the Farkas sweep, then the primal once at D on the same points.  A
-    symmetric f expands its weight polynomial; any other table prints the
-    table primal's coefficients."""
-    epsilon, values, degree, _ = _route(f, epsilon)
-    if values is not None:
-        return _symmetric_approximation(f.n, values, epsilon, degree)
-    coeffs = lp_feasible(f, epsilon, degree)
-    if coeffs is None:
-        raise _missing_primal("table", degree)
-    return ApproxDegreeResult(epsilon, degree, coeffs)
+            raise RuntimeError(f"the degree-{degree} polynomial read off the Farkas "
+                               f"certificate expands onto character {w} of degree "
+                               f"{w.bit_count()}")
+    return ApproxDegreeResult(epsilon, degree, {w: Fraction(out[w], 1 << f.n)
+                                                for w in monomials_up_to(f.n, degree)})
 
 
 def degree_of(f: BooleanFunction, epsilon: Fraction) -> int:
@@ -311,7 +262,7 @@ def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
     """Find deg~_eps(f) = d and the sweep's raw witness at D = d-1, expand
     weight masses psi to q(x) = psi_|x| / C(n, |x|) for a symmetric f, then
     normalize (q.f = 1) and verify."""
-    epsilon, values, degree, raw = _route(f, epsilon)
+    epsilon, values, degree, raw, _ = _route(f, epsilon)
     if degree == 0:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")

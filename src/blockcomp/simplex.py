@@ -5,6 +5,13 @@ so callers can certify strict (in)equalities with zero tolerance.
 Pivoting uses Bland's rule, which cannot cycle; an iteration cap guards
 against implementation bugs.
 
+A feasible system returns a basic solution x.  An infeasible one ends
+phase 1 with artificial mass mu > 0 and returns its Farkas certificate:
+the final objective row's reduced costs over the variable columns,
+divided by mu.  With y the final simplex multipliers (y.b = mu), entry j
+is -y.A_j / mu, and phase 1 stops only when every reduced cost is >= 0:
+so y.A <= 0 < y.b, Farkas' proof that no x >= 0 solves the system.
+
 Each row, the phase-1 objective included, is a list of ints over one
 positive denominator; a pivot updates a row only where the pivot row is
 nonzero, then reduces it by one gcd.  Bland's path is that of a Fraction
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MAX_PIVOTS = 1_000_000
 
@@ -26,13 +33,21 @@ class PivotLimitExceeded(RuntimeError):
     pass
 
 
+class Feasibility(NamedTuple):
+    """Exactly one field is set: a feasible nonnegative x, or the Farkas
+    certificate of an infeasible system (see the module docstring)."""
+
+    x: list[Fraction] | None
+    certificate: list[Fraction] | None
+
+
 def solve_feasibility(
     n_vars: int,
     eq_rows: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
     ub_rows: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
-) -> list[Fraction] | None:
-    """Return a feasible nonnegative x, or None if the system is infeasible.
-    Coefficients and right-hand sides are ints or Fractions."""
+) -> Feasibility:
+    """Solve phase 1 for a feasible nonnegative x or, failing that, the
+    certificate.  Coefficients and right-hand sides are ints or Fractions."""
     # columns: [vars | slacks | rhs]; row i stands for rows[i] / dens[i]
     n_slack = len(ub_rows)
     rows: list[list[int]] = []
@@ -91,13 +106,13 @@ def solve_feasibility(
         obj, obj_den = _pivot(rows, dens, obj, obj_den, leave, enter)
         basis[leave] = enter
 
-    if obj[-1] != 0:  # residual artificial mass
-        return None
+    if obj[-1] != 0:  # residual artificial mass mu = -obj[-1] / obj_den
+        return Feasibility(None, [Fraction(v, -obj[-1]) for v in obj[:n_vars]])
     x = [Fraction(0)] * n_vars
     for i, b in enumerate(basis):
         if b < n_vars:
             x[b] = Fraction(rows[i][-1], dens[i])
-    return x
+    return Feasibility(x, None)
 
 
 def _pivot(rows: list[list[int]], dens: list[int], obj: list[int], obj_den: int,

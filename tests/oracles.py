@@ -12,7 +12,8 @@ masses, dense SVD norms of a pair and of its witness matrix h, ||h||^2
 contracted over Fractions, the restricted composition and an
 explicit-approximation trace-norm bound, dense intersection matrices and
 closed-form spectra, the approximate degree and its coefficients by the
-primal sweeps on the table and on the weights, the Paturi ratio of a
+primal sweeps on the table and on the weights (with a guard that lets
+``approxdeg`` solve Farkas systems only), the Paturi ratio of a
 symmetric function, the padding identity point by point, a decision
 tree's depth and value, the protocol simulations one subprotocol call at
 a time, the dense symand input draw, and ``simulate``'s output with one
@@ -33,10 +34,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from blockcomp import boolcube, cli
+from blockcomp import approxdeg, boolcube, cli
 from blockcomp.applications import ReductionPlan
-from blockcomp.approxdeg import (ApproxDegreeResult, DualWitness, approx_degree,
-                                lp_feasible)
+from blockcomp.approxdeg import (ApproxDegreeResult, DualWitness, _check_arity,
+                                _check_epsilon, _table_points, _weight_points,
+                                approx_degree, monomials_up_to)
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, disj_le1_inner, from_predicate,
                                 ip_inner, weight_subsets)
@@ -490,6 +492,51 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
 # the approximate degree by the primal sweeps, on the table and on the weights
 
 
+def split_feasible(m: int, points: Sequence[tuple[list[int], int]],
+                   epsilon: Fraction) -> list[Fraction] | None:
+    """The primal on (basis, value) points: coefficients c_0..c_{m-1} with
+    |basis . c - value| <= epsilon at every point, or None if there are
+    none.  Each free c_t is split c_t = u_t - v_t with u, v >= 0 before the
+    phase-1 solve, two rows per point: the upper bound, then the lower."""
+    ub_rows = []
+    for basis, value in points:
+        row_up = basis + [-b for b in basis]
+        ub_rows.append((row_up, value + epsilon))
+        ub_rows.append(([-c for c in row_up], epsilon - value))
+    x, _ = solve_feasibility(2 * m, ub_rows=ub_rows)
+    return None if x is None else [x[t] - x[m + t] for t in range(m)]
+
+
+def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
+                ) -> dict[int, Fraction] | None:
+    """The table primal: coefficients alpha_w realizing an
+    epsilon-approximation with support |w| <= degree_cap, or None if there
+    are none, by ``split_feasible`` over the characters chi_w."""
+    epsilon = _check_epsilon(epsilon)
+    _check_arity(f.n)
+    if not 0 <= degree_cap <= f.n:
+        raise ValueError(f"degree cap must lie in [0, {f.n}]")
+    monos = monomials_up_to(f.n, degree_cap)
+    coeffs = split_feasible(len(monos), _table_points(f, monos), epsilon)
+    return None if coeffs is None else dict(zip(monos, coeffs))
+
+
+def farkas_only(monkeypatch) -> list[tuple[int, int]]:
+    """Patch approxdeg's ``solve_feasibility`` to fail the test on any
+    system but a Farkas alternative (one certificate row, right-hand side
+    -1, after the orthogonality rows), and record the (columns, rows) of
+    each system it solves."""
+    solves = []
+
+    def farkas(n_vars, eq_rows=(), ub_rows=()):
+        assert len(ub_rows) == 1 and ub_rows[0][1] == -1, "a primal system was solved"
+        solves.append((n_vars, len(eq_rows) + 1))
+        return solve_feasibility(n_vars, eq_rows=eq_rows, ub_rows=ub_rows)
+
+    monkeypatch.setattr(approxdeg, "solve_feasibility", farkas)
+    return solves
+
+
 def primal_sweep_result(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
     """``approx_degree`` by sweeping the primal over D = 0, 1, ...: the
     coefficients at the first D where ``lp_feasible`` has a solution."""
@@ -505,23 +552,15 @@ def weight_primal_sweep(values: Sequence[int], epsilon: Fraction) -> list[Fracti
     """Coefficients c_0..c_d at the least degree d with
     |sum_j c_j C(k, j) - values[k]| <= eps at every weight k = 0..n: the
     degree of the symmetric function whose value at weight k is values[k].
-    The split primal is swept over D = 0..n-1 on the weights, two rows per
-    weight (upper bound, then lower), the rows ``approx_degree`` solves at
-    d; at d = n the coefficients are the forward differences of values,
-    whose polynomial is values itself."""
+    ``split_feasible`` is swept over D = 0..n-1 on the weights; at d = n the
+    coefficients are the forward differences of values, whose polynomial is
+    values itself."""
     epsilon = Fraction(epsilon)
     n = len(values) - 1
     for degree in range(n):
-        m = degree + 1
-        ub_rows = []
-        for k, value in enumerate(values):
-            row_up = [math.comb(k, j) for j in range(m)]
-            row_up += [-b for b in row_up]
-            ub_rows.append((row_up, value + epsilon))
-            ub_rows.append(([-c for c in row_up], epsilon - value))
-        solution = solve_feasibility(2 * m, ub_rows=ub_rows)
-        if solution is not None:
-            return [solution[t] - solution[m + t] for t in range(m)]
+        coeffs = split_feasible(degree + 1, _weight_points(values, degree), epsilon)
+        if coeffs is not None:
+            return coeffs
     return [Fraction(sum((-1) ** (j - i) * math.comb(j, i) * values[i]
                          for i in range(j + 1))) for j in range(n + 1)]
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from blockcomp import cli
-from blockcomp.approxdeg import (approx_degree, dual_system_witness,
-                                 dual_witness, lp_feasible)
+from blockcomp.approxdeg import approx_degree, dual_system_witness, dual_witness
 from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
                                 from_profile, ip_inner, spectrum_of_values,
@@ -28,8 +27,9 @@ from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 ip_pair, knuth_eigenvalue,
                                 eigenspace_dimension, spectral_certificate)
 from oracles import (and_function, block_compose, dense, disj_lambda_diff_closed,
-                     johnson_matrix, operator_norm, or_function, parity_function,
-                     require_materialized, restricted_composition, tree_depth)
+                     johnson_matrix, lp_feasible, operator_norm, or_function,
+                     parity_function, require_materialized, restricted_composition,
+                     tree_depth)
 
 THIRD = Fraction(1, 3)
 
@@ -117,7 +117,7 @@ def test_criterion_4_dual_witness_suite():
             assert all(wi.bit_count() >= w.degree for wi in sp.coeffs)
             for cap in range(f.n + 1):
                 primal = lp_feasible(f, THIRD, cap)
-                alt = dual_system_witness(f, THIRD, cap)
+                alt, _ = dual_system_witness(f, THIRD, cap)
                 assert (primal is None) != (alt is None), (f.table, cap)
         for n in range(1, 6):
             assert approx_degree(parity_function(n), THIRD).degree == n

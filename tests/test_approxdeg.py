@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from blockcomp import approxdeg
 from blockcomp.approxdeg import (DualWitness, approx_degree, degree_of,
-                                 dual_system_witness, dual_witness,
-                                 lp_feasible, monomials_up_to, verify_witness,
-                                 weight_degree)
+                                 dual_system_witness, dual_witness, monomials_up_to,
+                                 verify_witness, weight_degree)
 from blockcomp.boolcube import (BooleanFunction, from_profile, spectrum_of_values,
-                                symmetric_profile)
+                                symmetric_profile, walsh_transform)
 from blockcomp.errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
 from oracles import (SWEEP_FUNCTIONS, all_functions, and_function, constant_function,
-                     or_function, parity_function, paturi_check, primal_sweep_result,
-                     projection, seeded_table, weight_primal_sweep)
+                     farkas_only, lp_feasible, or_function, parity_function,
+                     paturi_check, primal_sweep_result, projection, seeded_table,
+                     weight_primal_sweep)
 
 THIRD = Fraction(1, 3)
 
@@ -28,26 +28,27 @@ class TestSimplex:
             2,
             eq_rows=[([Fraction(1), Fraction(1)], Fraction(2))],
             ub_rows=[([Fraction(1), Fraction(-1)], Fraction(0))],
-        )
+        ).x
         assert x is not None
         assert x[0] + x[1] == 2 and x[0] <= x[1]
 
     def test_infeasible(self):
         # x1 <= 1 and x1 = 3
-        x = solve_feasibility(
+        x, certificate = solve_feasibility(
             1,
             eq_rows=[([Fraction(1)], Fraction(3))],
             ub_rows=[([Fraction(1)], Fraction(1))],
         )
         assert x is None
+        assert certificate is not None and min(certificate) >= 0
 
     def test_negative_rhs_normalization(self):
         # -x1 <= -2 means x1 >= 2
-        x = solve_feasibility(1, ub_rows=[([Fraction(-1)], Fraction(-2))])
+        x = solve_feasibility(1, ub_rows=[([Fraction(-1)], Fraction(-2))]).x
         assert x is not None and x[0] >= 2
 
     def test_trivial_empty(self):
-        assert solve_feasibility(3) == [0, 0, 0]
+        assert solve_feasibility(3) == ([0, 0, 0], None)
 
 
 class TestLpFeasible:
@@ -124,11 +125,17 @@ class TestFarkasDichotomy:
     @settings(max_examples=48, deadline=None)
     def test_exactly_one_side_wins(self, table_bits, degree_cap):
         """At every degree level either the primal approximation exists or
-        the alternative system produces a certificate, never both."""
+        the alternative system produces a certificate, never both; without
+        a certificate the infeasible solve yields an approximation itself."""
         f = BooleanFunction(2, tuple((table_bits >> i) & 1 for i in range(4)))
         primal = lp_feasible(f, THIRD, degree_cap)
-        alt = dual_system_witness(f, THIRD, degree_cap)
+        alt, poly = dual_system_witness(f, THIRD, degree_cap)
         assert (primal is None) != (alt is None)
+        assert (alt is None) != (poly is None)
+        if poly is not None:
+            assert all(abs(p - v) <= THIRD for p, v in zip(poly, f.table))
+            assert all(w.bit_count() <= degree_cap
+                       for w, c in enumerate(walsh_transform(poly)) if c)
         if alt is not None:
             l1 = sum(abs(v) for v in alt.values())
             dot = sum(v for x, v in alt.items() if f.table[x])
@@ -236,15 +243,12 @@ class TestFarkasSweep:
             else:
                 assert constant_on_weight_classes(f.n, w.q), f.table
                 continue
-            raw = dual_system_witness(f, epsilon, degree - 1)
+            raw, _ = dual_system_witness(f, epsilon, degree - 1)
             scale = sum(v for x, v in raw.items() if f.table[x])
             assert w.q == {x: v / scale for x, v in raw.items()}, f.table
 
     def test_no_primal_solve(self, monkeypatch):
-        def refuse_primal(*args, **kwargs):
-            raise AssertionError("the witness path solved the primal system")
-
-        monkeypatch.setattr(approxdeg, "lp_feasible", refuse_primal)
+        farkas_only(monkeypatch)
         for f in (or_function(4), from_profile([0, 0, 0, 1, 1, 1]),
                   parity_function(3), seeded_table(5, 0)):
             assert dual_witness(f, THIRD).report.all_pass
@@ -258,11 +262,11 @@ class TestFarkasSweep:
         # parity is symmetric: the sweep on its n+1 weights has a solution at
         # every D < n, so d = n, and it never solves D = n or a table system
         caps = record_caps(monkeypatch, "dual_system_witness")
-        solves = record_solves(monkeypatch)
+        solves = farkas_only(monkeypatch)
         w = dual_witness(parity_function(n), THIRD)
         assert w.degree == n
         assert caps == []
-        assert solves == weight_solves(n, n, primal=False)
+        assert solves == weight_solves(n, n)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_non_symmetric_full_degree_sweeps(self, monkeypatch, n):
@@ -297,7 +301,7 @@ def constant_on_weight_classes(n, q):
 def table_sweep_degree(f, epsilon):
     """The degree by sweeping the table Farkas system over D = 0..n-1."""
     for degree in range(f.n):
-        if dual_system_witness(f, epsilon, degree) is None:
+        if dual_system_witness(f, epsilon, degree)[0] is None:
             return degree
     return f.n
 
@@ -341,19 +345,23 @@ PRIMAL_REFERENCE = ([f for n in (1, 2, 3) for f in all_functions(n)]
 
 
 class TestPrimalSweepReference:
-    """approx_degree takes d from the Farkas sweep or the weight LP.  A table
-    that is not symmetric solves the primal once, so the primal sweep's first
-    feasible D and its vertex must be the same; a symmetric f prints its
-    weight polynomial instead, at the same D."""
+    """approx_degree takes d from the Farkas sweep, on the weights for a
+    symmetric f and on the table for any other, and its coefficients from
+    the certificate of the sweep's infeasible solve at d.  It solves exactly
+    the sweep's systems (d + 1 below d = n, n at d = n) and no primal, its
+    degree is the primal sweep's first feasible D, and its coefficients
+    re-sum to within eps of f at every input."""
 
-    def test_matches_primal_sweep(self):
+    def test_matches_primal_sweep(self, monkeypatch):
+        solves = farkas_only(monkeypatch)
         for f in PRIMAL_REFERENCE:
-            got, want = approx_degree(f, THIRD), primal_sweep_result(f, THIRD)
-            try:
-                symmetric_profile(f)
-            except NotSymmetric:
-                assert got.coefficients == want.coefficients, f.table
-            assert got.degree == want.degree, f.table
+            solves.clear()
+            got = approx_degree(f, THIRD)
+            assert len(solves) == min(got.degree + 1, f.n), f.table
+            assert got.degree == primal_sweep_result(f, THIRD).degree, f.table
+            assert sorted(got.coefficients) == monomials_up_to(f.n, got.degree)
+            for x, value in enumerate(realized(f.n, got.coefficients)):
+                assert abs(value - f.table[x]) <= THIRD, (f.table, x)
 
 
 def realized(n, coefficients):
@@ -365,35 +373,19 @@ def realized(n, coefficients):
             for x in range(1 << n)]
 
 
-def record_solves(monkeypatch):
-    """Patch approxdeg's ``solve_feasibility`` to record the (columns, rows)
-    of each system it solves."""
-    solves = []
-
-    def recording(n_vars, eq_rows=(), ub_rows=()):
-        solves.append((n_vars, len(eq_rows) + len(ub_rows)))
-        return solve_feasibility(n_vars, eq_rows=eq_rows, ub_rows=ub_rows)
-
-    monkeypatch.setattr(approxdeg, "solve_feasibility", recording)
-    return solves
-
-
-def weight_solves(n, degree, primal):
-    """The (columns, rows) of the solves on the n+1 weights up to degree d:
-    the Farkas system at D = 0..min(d, n-1), two columns per weight and D+1
-    binomial rows plus the certificate row, then, when ``primal`` and d < n,
-    the weight primal at d, two rows per weight."""
-    solves = [(2 * (n + 1), cap + 2) for cap in range(min(degree + 1, n))]
-    if primal and degree < n:
-        solves.append((2 * (degree + 1), 2 * (n + 1)))
-    return solves
+def weight_solves(n, degree):
+    """The (columns, rows) of the Farkas solves on the n+1 weights up to
+    degree d: D = 0..min(d, n-1), two columns per weight and D+1 binomial
+    rows plus the certificate row."""
+    return [(2 * (n + 1), cap + 2) for cap in range(min(degree + 1, n))]
 
 
 class TestSymmetricApproximation:
-    """approx_degree on a symmetric f expands the weight primal's polynomial
-    P at d into the characters: an exact degree-d eps-approximation of the
-    table, equal to P(|x|) at every x, whose coefficients depend only on
-    |w|.  P is the vertex the weight primal sweep ends on."""
+    """approx_degree on a symmetric f reads P on the weights off the
+    certificate of the weight sweep's infeasible solve at d (P = f at
+    d = n) and expands x -> P(|x|) into the characters: an exact degree-d
+    eps-approximation of the table whose values and coefficients depend
+    only on the weight."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_profile_realizes_exactly(self, n):
@@ -406,13 +398,11 @@ class TestSymmetricApproximation:
             by_weight = {}
             for w, c in result.coefficients.items():
                 assert by_weight.setdefault(w.bit_count(), c) == c, (values, w)
-            coeffs = weight_primal_sweep(values, THIRD)
-            poly = [sum(c * math.comb(k, j) for j, c in enumerate(coeffs))
-                    for k in range(n + 1)]
+            poly = {}
             for x, value in enumerate(realized(n, result.coefficients)):
-                assert value == poly[x.bit_count()], (values, x)
+                assert poly.setdefault(x.bit_count(), value) == value, (values, x)
                 assert abs(value - f.table[x]) <= THIRD, (values, x)
-            assert result.degree == len(coeffs) - 1
+            assert result.degree == len(weight_primal_sweep(values, THIRD)) - 1
             # the table sweep takes about 0.25 s a profile at n = 6; four of
             # them are checked in TestWeightDegree
             if n <= 5:
@@ -424,58 +414,55 @@ class TestSymmetricApproximation:
     def test_solves_no_table_system(self, monkeypatch, f):
         degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
         refuse_table_systems(monkeypatch)
-        solves = record_solves(monkeypatch)
+        solves = farkas_only(monkeypatch)
         assert approx_degree(f, THIRD).degree == degree
-        assert solves == weight_solves(f.n, degree, primal=True)
+        assert solves == weight_solves(f.n, degree)
 
     def test_profiles_at_the_arity_cap_stay_on_the_weights(self, monkeypatch):
         n = approxdeg.LP_ARITY_CAP
-        solves = record_solves(monkeypatch)
+        solves = farkas_only(monkeypatch)
         for values in profiles(n):
             approx_degree(from_profile(values), THIRD)
         assert max(max(solve) for solve in solves) == 2 * (n + 1)
 
     def test_full_degree_interpolates(self, monkeypatch):
         # parity has degree n at eps = 1/3: the sweep has a solution at every
-        # D < n, no primal is solved, and the polynomial is the profile's
-        # forward differences, the weight primal's one solution at D = n
+        # D < n, so no solve is infeasible, and the polynomial is the profile
+        # itself, the one the weight primal sweep ends on at D = n
         values = (0, 1, 0, 1, 0)
         assert weight_primal_sweep(values, THIRD) == [0, 1, -2, 4, -8]
-        solves = record_solves(monkeypatch)
+        solves = farkas_only(monkeypatch)
         result = approx_degree(from_profile(values), THIRD)
-        assert solves == weight_solves(4, 4, primal=False)
+        assert solves == weight_solves(4, 4)
         assert realized(4, result.coefficients) == [values[x.bit_count()] for x in range(16)]
 
 
 class TestSymmetricRoute:
     """A symmetric f solves no table system: approx_degree, degree_of and
-    dual_witness sweep the Farkas system on its n+1 weights, and
-    approx_degree adds the weight primal at d.  Any other table sweeps the
-    table Farkas system and adds one table primal solve, at D = d, for
-    approx_degree."""
+    dual_witness sweep the Farkas system on its n+1 weights alone.  Any
+    other table sweeps the table Farkas system, and approx_degree solves
+    nothing more.  No route solves a primal."""
 
     @pytest.mark.parametrize("f", SYMMETRIC, ids=("OR_4", "MAJ_5", "PAR_3", "AND_3",
                                                   "THR2_6"))
     def test_no_table_solve(self, monkeypatch, f):
         degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
         refuse_table_systems(monkeypatch)
-        solves = record_solves(monkeypatch)
-        assert dual_witness(f, THIRD).degree == degree
-        assert solves == weight_solves(f.n, degree, primal=False)
-        solves.clear()
-        assert approx_degree(f, THIRD).degree == degree
-        assert solves == weight_solves(f.n, degree, primal=True)
-        solves.clear()
+        solves = farkas_only(monkeypatch)
+        for operation in (dual_witness, approx_degree):
+            assert operation(f, THIRD).degree == degree
+            assert solves == weight_solves(f.n, degree)
+            solves.clear()
         assert degree_of(f, THIRD) == degree
-        assert solves == weight_solves(f.n, degree, primal=False)
+        assert solves == weight_solves(f.n, degree)
 
     def test_constant_solves_no_table_system(self, monkeypatch):
         farkas = record_caps(monkeypatch, "dual_system_witness")
-        primal = record_caps(monkeypatch, "lp_feasible")
+        solves = farkas_only(monkeypatch)
         f = constant_function(3, 1)
         assert degree_of(f, THIRD) == 0
         assert approx_degree(f, THIRD).degree == 0
-        assert (farkas, primal) == ([], [])
+        assert (farkas, solves) == ([], weight_solves(3, 0) * 2)
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0)])
     def test_seeded_table_keeps_sweeps(self, monkeypatch, n, seed):
@@ -484,26 +471,27 @@ class TestSymmetricRoute:
             symmetric_profile(f)
         degree = table_sweep_degree(f, THIRD)
         sweep = list(range(min(degree + 1, n)))
+        farkas_only(monkeypatch)
         farkas = record_caps(monkeypatch, "dual_system_witness")
-        primal = record_caps(monkeypatch, "lp_feasible")
-        assert approx_degree(f, THIRD).degree == degree
-        assert (farkas, primal) == (sweep, [degree])
-        farkas.clear()
-        primal.clear()
-        assert dual_witness(f, THIRD).degree == degree
-        assert (farkas, primal) == (sweep, [])
-        farkas.clear()
+        for operation in (approx_degree, dual_witness):
+            assert operation(f, THIRD).degree == degree
+            assert farkas == sweep
+            farkas.clear()
         assert degree_of(f, THIRD) == degree
-        assert (farkas, primal) == (sweep, [])
+        assert farkas == sweep
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_contradiction_raises(self, monkeypatch, shift):
-        # a weight polynomial whose constant term is off by one, either way,
-        # misses f at every weight: the exact self-check refuses it
-        real = approxdeg._split_feasible
-        monkeypatch.setattr(approxdeg, "_split_feasible", lambda m, points, epsilon: [
-            c + shift * (j == 0) for j, c in enumerate(real(m, points, epsilon))])
-        with pytest.raises(RuntimeError, match="weight LP polynomial of degree 2"):
+        # a certificate off by one at every weight, either way, gives a
+        # polynomial that misses f at every weight: the exact self-check
+        # refuses it
+        def shifted(*args, **kwargs):
+            x, certificate = solve_feasibility(*args, **kwargs)
+            return x, certificate and [r + shift for r in certificate]
+
+        monkeypatch.setattr(approxdeg, "solve_feasibility", shifted)
+        with pytest.raises(RuntimeError, match="degree-2 polynomial read off the Farkas "
+                                               "certificate is"):
             approx_degree(or_function(4), THIRD)
 
     def test_high_character_raises(self, monkeypatch):
@@ -523,11 +511,10 @@ class TestSymmetricRoute:
 
 
 def refuse_table_systems(monkeypatch):
-    """Patch approxdeg's two table solves to fail the test if called."""
+    """Patch approxdeg's table solve to fail the test if called."""
     def refuse(*args, **kwargs):
         raise AssertionError("a table system was solved")
 
-    monkeypatch.setattr(approxdeg, "lp_feasible", refuse)
     monkeypatch.setattr(approxdeg, "dual_system_witness", refuse)
 
 

@@ -14,9 +14,9 @@ import pytest
 from blockcomp import applications, approxdeg, boolcube, cli, mainlemma, protocols, specdisc
 from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
-from oracles import (dict_simulate_text, domain, inner_of_rows, inner_to_dict,
-                     list_sampled_inputs, primal_sweep_result, restrict_rows,
-                     seeded_table)
+from oracles import (dict_simulate_text, domain, farkas_only, inner_of_rows,
+                     inner_to_dict, list_sampled_inputs, primal_sweep_result,
+                     restrict_rows, seeded_table)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -354,17 +354,20 @@ class TestLowerBoundDigests:
         # weight LP's polynomial expanded into the characters instead of a
         # vertex of the table primal: the degree and the keys are those the
         # table primal printed, and a symmetric table still prints what its
-        # profile prints
+        # profile prints.  Re-recorded again (all but par4, whose d = n
+        # polynomial is f itself) when the polynomial began to be read off
+        # the Farkas certificate of the sweep's infeasible solve at d
+        # instead of the weight primal's vertex: degree and keys unchanged
         ("or5", ["approxdeg"],
-         "c7352e95c95bcc3e7bbbadc5b4fd5345c3f52e9d5c44815f054822e1c7661b69"),
+         "04fc193c4e5d3f147f092219226c63056e9f55fd510e95c1cba2bbbc5e34a6e3"),
         ("par4", ["approxdeg"],
          "6724ad3edff9e046dfb3b1cc98f69bcb53584b9d0e705db0b8ae1573f75d8e33"),
         ("thr2_6", ["approxdeg"],
-         "dba03ce44c0d43d7ea762e5bab967a0029daaf54bd4119fcf3726b94a778f4ef"),
+         "e0bccaa1acd8234472cef485825847ddf32e50344cd17de63eda74c802a321e4"),
         ("thr2_6_bits", ["approxdeg"],
-         "dba03ce44c0d43d7ea762e5bab967a0029daaf54bd4119fcf3726b94a778f4ef"),
+         "e0bccaa1acd8234472cef485825847ddf32e50344cd17de63eda74c802a321e4"),
         ("maj7", ["approxdeg"],
-         "9ae41ca4eeb238670ffc0f71f73568cd103396eab1929ccb5ca8402602488d45"),
+         "cbba14c615a51ba10376923de7e2b1755df9765537c559ceea315d14b820b1f4"),
     ], ids=("witness-or4", "witness-table6", "mainlemma-or4-disj6", "mainlemma-or4-ip9",
             "mainlemma-or4-ip9-eps3/10", "mainlemma-table6-ip9", "witness-maj5",
             "witness-maj5-bits", "witness-maj7", "mainlemma-or3-ip3", "approxdeg-or5",
@@ -914,7 +917,7 @@ class TestDegreeFromFarkasSweep:
         grid = write_json(tmp_path, "grid.json", {"f": list(paths.values()),
                                                   "family": ["ip"], "k": [2]})
         with monkeypatch.context() as m:
-            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            farkas_only(m)
             code, out, _ = run(capsys, ["batch", "--grid", grid])
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
@@ -929,7 +932,7 @@ class TestDegreeFromFarkasSweep:
         values = [int(b) for b in bits]
         path = write_json(tmp_path, "p.json", {"profile": values})
         with monkeypatch.context() as m:
-            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            farkas_only(m)
             code, out, _ = run(capsys, ["reduce", "--f", path, "--c", str(c)])
         assert code == 0
         plan = json.loads(out)
@@ -951,7 +954,7 @@ class TestDegreeWithoutTableSystem:
         grid = write_json(tmp_path, "grid.json", {"f": paths, "family": ["ip"],
                                                   "k": [2]})
         with monkeypatch.context() as m:
-            m.setattr(approxdeg, "lp_feasible", refuse_primal)
+            farkas_only(m)
             m.setattr(approxdeg, "dual_system_witness", refuse_primal)
             code, out, _ = run(capsys, ["batch", "--grid", grid])
         assert code == 0
@@ -961,8 +964,8 @@ class TestDegreeWithoutTableSystem:
 
     def test_reduce_profiles(self, capsys, monkeypatch, tmp_path):
         with monkeypatch.context() as m:
-            for name in ("lp_feasible", "dual_system_witness"):
-                m.setattr(approxdeg, name, refuse_primal)
+            farkas_only(m)
+            m.setattr(approxdeg, "dual_system_witness", refuse_primal)
             m.setattr(boolcube, "from_profile", refuse_primal)
             for bits, c in REDUCE_PROFILES:
                 path = write_json(tmp_path, "p.json", {"profile": [int(b) for b in bits]})
@@ -1120,55 +1123,71 @@ class TestInternalErrors:
     def test_weight_contradiction_exits_3(self, capsys, monkeypatch, or4, command,
                                           shift):
         """Each output on the weights is checked exactly before it is
-        printed.  approxdeg expands the weight polynomial: one whose constant
-        term is off by one misses f and fails that check.  witness expands
-        the weight masses psi: one whose mass at weight 0 is off by one is no
-        longer orthogonal to the constants and fails verify_witness.  OR_4's
-        table is symmetric, so no table system is solved on the way."""
-        name = "_split_feasible" if command == "approxdeg" else "_farkas"
-        real = getattr(approxdeg, name)
+        printed.  approxdeg expands the weight polynomial P read off the
+        certificate: one off by one at weight 0 misses f and fails that
+        check.  witness expands the weight masses psi: one whose mass at
+        weight 0 is off by one is no longer orthogonal to the constants and
+        fails verify_witness.  OR_4's table is symmetric, so no table system
+        is solved on the way."""
+        real = approxdeg._farkas
 
         def shifted(*args):
             solution = real(*args)
-            if solution is None:
-                return None
-            return [c + shift * (j == 0) for j, c in enumerate(solution)]
+            side = 1 if command == "approxdeg" else 0
+            if solution[side] is None:
+                return solution
+            moved = [c + shift * (j == 0) for j, c in enumerate(solution[side])]
+            return (solution[0], moved) if side else (moved, solution[1])
 
-        monkeypatch.setattr(approxdeg, name, shifted)
-        for table_solve in ("lp_feasible", "dual_system_witness"):
-            monkeypatch.setattr(approxdeg, table_solve, refuse_primal)
+        monkeypatch.setattr(approxdeg, "_farkas", shifted)
+        monkeypatch.setattr(approxdeg, "dual_system_witness", refuse_primal)
         code, out, err = run(capsys, [command, "--f", or4])
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: the weight LP polynomial of degree 2"
-                              if command == "approxdeg" else
+        assert err.startswith("internal error: the degree-2 polynomial read off the Farkas "
+                              "certificate is -2/3 at 0" if command == "approxdeg" else
                               "internal error: extracted witness failed verification")
         assert "Traceback" not in err
 
     def test_missing_primal_exits_3(self, capsys, monkeypatch, tmp_path):
-        """approxdeg solves the primal once, at the degree the Farkas sweep
-        gives, on the same points: the n+1 weights of a profile, the 2^n
-        inputs of a table.  A primal with no solution there fails both alike."""
-        monkeypatch.setattr(approxdeg, "_split_feasible", lambda *args: None)
+        """approxdeg reads its polynomial off the certificate of the Farkas
+        sweep's infeasible solve at the degree, on the sweep's points: the
+        n+1 weights of a profile, the 2^n inputs of a table.  A certificate
+        off by one at the first point puts P more than eps from f there,
+        and the exact check fails both alike."""
+        real = approxdeg.solve_feasibility
+
+        def shifted(*args, **kwargs):
+            x, certificate = real(*args, **kwargs)
+            if certificate is not None:
+                certificate = [certificate[0] + 1, *certificate[1:]]
+            return x, certificate
+
+        monkeypatch.setattr(approxdeg, "solve_feasibility", shifted)
         bits = "".join(map(str, seeded_table(4, 0).table))
-        for payload, degree, route in (({"profile": [0, 1, 1, 1, 1]}, 2, "weight"),
-                                       ({"n": 4, "bits": bits}, 3, "table")):
+        for payload, degree, value in (({"profile": [0, 1, 1, 1, 1]}, 2, 0),
+                                       ({"n": 4, "bits": bits}, 3, bits[0])):
             code, out, err = run(capsys, ["approxdeg", "--f",
                                           write_json(tmp_path, "f.json", payload)])
             assert (code, out) == (3, "")
-            assert err == (f"internal error: the Farkas sweep gives degree {degree} but "
-                           f"the {route} primal has no solution where it must\n")
+            assert err.startswith(f"internal error: the degree-{degree} polynomial read "
+                                  f"off the Farkas certificate is ")
+            assert err.endswith(f" at 0, more than 1/3 from {value}\n")
 
     def test_table_contradiction_exits_3(self, capsys, monkeypatch, tmp_path):
-        """A table takes its degree from the Farkas sweep; a primal with no
-        solution at that degree is an internal failure."""
+        """A table takes its polynomial from the certificate at the degree the
+        Farkas sweep gives; one off its span at x = 0 carries mass on
+        characters above the degree, an internal failure."""
         f = seeded_table(4, 0)
         path = write_json(tmp_path, "t.json", {"n": 4, "bits": "".join(map(str, f.table))})
-        monkeypatch.setattr(approxdeg, "lp_feasible", lambda *args: None)
+        real = approxdeg.walsh_transform
+        monkeypatch.setattr(approxdeg, "walsh_transform",
+                            lambda values: real([values[0] + 1] + list(values[1:])))
         code, out, err = run(capsys, ["approxdeg", "--f", path])
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: the Farkas sweep gives degree")
+        assert err.startswith("internal error: the degree-3 polynomial read off the Farkas "
+                              "certificate expands onto character")
         assert "Traceback" not in err
 
     def test_failed_witness_check_exits_3(self, capsys, monkeypatch, or4):

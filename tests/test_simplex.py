@@ -1,5 +1,6 @@
 """The integer-row simplex against a Fraction tableau running the same
-Bland's rule: same verdict, same pivots, same x, same CLI bytes."""
+Bland's rule: same verdict, same pivots, same x or Farkas certificate,
+same CLI bytes."""
 
 from fractions import Fraction
 from unittest.mock import patch
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from blockcomp import approxdeg, simplex
 from blockcomp.boolcube import BooleanFunction
 from blockcomp.cli import main
@@ -20,8 +22,10 @@ ONE = Fraction(1)
 def fraction_simplex(n_vars, eq_rows=(), ub_rows=(), pivots=None):
     """Phase-1 simplex with a dense Fraction tableau and Bland's rule.
 
-    The reference for solve_feasibility; appends each (row, column) pivot
-    to `pivots` when given.
+    The reference for solve_feasibility, with its (x, certificate) result:
+    the certificate is the final phase-1 row over the variable columns
+    divided by the artificial mass mu = -obj[-1].  Appends each (row,
+    column) pivot to `pivots` when given.
     """
     prepared = []
     n_slack = len(ub_rows)
@@ -88,13 +92,14 @@ def fraction_simplex(n_vars, eq_rows=(), ub_rows=(), pivots=None):
             pivots.append((leave, enter))
         _fraction_pivot(rows, obj, basis, leave, enter)
 
-    if -obj[-1] != 0:
-        return None
+    mu = -obj[-1]
+    if mu != 0:
+        return None, [v / mu for v in obj[:n_vars]]
     x = [ZERO] * n_vars
     for i, b in enumerate(basis):
         if b < n_vars:
             x[b] = rows[i][-1]
-    return x
+    return x, None
 
 
 def _fraction_pivot(rows, obj, basis, r, c):
@@ -159,26 +164,38 @@ class TestAgainstFractionTableau:
         got, pivots = recorded_solve(n_vars, eq_rows, ub_rows)
         assert pivots == oracle_pivots
         assert got == want
-        if got is not None:
-            assert all(type(v) is Fraction for v in got)
+        x, certificate = got
+        assert (x is None) != (certificate is None)
+        assert all(type(v) is Fraction for v in x or certificate)
+        if certificate is not None:
+            assert len(certificate) == n_vars
+            assert all(r >= 0 for r in certificate)
 
     def test_examples_exercise_tie_and_infeasibility(self):
-        assert fraction_simplex(*INFEASIBLE) is None
-        x, pivots = recorded_solve(*TIED)
-        assert x == [1]
+        # INFEASIBLE stops at x1 = 1/2 with mu = 1/2 left: the multipliers
+        # y = (-1, 1) on its rows x1 + x2 <= 1/2 and x1 >= 1 give y.b = mu
+        # and -y.A / mu = (0, 2)
+        assert fraction_simplex(*INFEASIBLE) == (None, [0, 2])
+        result, pivots = recorded_solve(*TIED)
+        assert result.x == [1]
         assert pivots[0] == (1, 0)
 
     @pytest.mark.parametrize("epsilon", [Fraction(1, 3), Fraction(1, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_small_function(self, n, epsilon):
-        """lp_feasible and dual_system_witness agree with the oracle on every
-        function of arity n: at every degree cap for n <= 2, and at the two
-        caps the CLI reads for n = 3 (the primal at the degree, the Farkas
-        system one below it)."""
+        """The table primal and dual_system_witness, which returns the
+        Farkas certificate's approximation when the system is infeasible,
+        agree with the oracle on every function of arity n at every degree
+        cap for n <= 2.  For n = 3, dual_system_witness agrees at the two
+        caps the CLI reads (the degree, whose certificate gives approxdeg
+        its polynomial, and one below it, where witness takes its q), and
+        the primal, which the library no longer solves, is feasible at the
+        degree."""
 
         def both(fn, f, cap):
             got = fn(f, epsilon, cap)
-            with patch.object(approxdeg, "solve_feasibility", fraction_simplex):
+            with patch.object(approxdeg, "solve_feasibility", fraction_simplex), \
+                    patch.object(oracles, "solve_feasibility", fraction_simplex):
                 assert fn(f, epsilon, cap) == got
             return got
 
@@ -186,13 +203,15 @@ class TestAgainstFractionTableau:
             f = BooleanFunction(n, tuple((bits >> x) & 1 for x in range(1 << n)))
             if n <= 2:
                 for cap in range(n + 1):
-                    both(approxdeg.lp_feasible, f, cap)
+                    both(oracles.lp_feasible, f, cap)
                     both(approxdeg.dual_system_witness, f, cap)
                 continue
             degree = approxdeg.approx_degree(f, epsilon).degree
-            assert both(approxdeg.lp_feasible, f, degree) is not None
+            assert oracles.lp_feasible(f, epsilon, degree) is not None
+            if degree < n:
+                assert both(approxdeg.dual_system_witness, f, degree)[1] is not None
             if degree:
-                assert both(approxdeg.dual_system_witness, f, degree - 1) is not None
+                assert both(approxdeg.dual_system_witness, f, degree - 1)[0] is not None
 
 
 def write_profile(tmp_path, name, profile):
@@ -229,11 +248,11 @@ class TestPivotCap:
 
     def test_no_pivot_needed_under_cap_0(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
-        assert solve_feasibility(3) == [ZERO, ZERO, ZERO]
+        assert solve_feasibility(3).x == [ZERO, ZERO, ZERO]
 
     def test_cap_allows_exactly_cap_pivots(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-        assert solve_feasibility(1, ub_rows=[([-1], -1)]) == [ONE]
+        assert solve_feasibility(1, ub_rows=[([-1], -1)]).x == [ONE]
 
     def test_cli_exits_3(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
