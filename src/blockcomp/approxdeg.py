@@ -11,38 +11,39 @@ measure q on the cube with
 which this module extracts and verifies in exact rational arithmetic.
 
 Every input takes one route: a sweep of the Farkas alternative over
-D = 0, 1, ... on a set of points, each a basis row and a value of f.  d is
-the first D without a solution, and the solution at D = d-1 is the raw
-witness.  A table's points are its 2^n inputs x with the characters
-chi_w(x), |w| <= D.  A symmetric f (a profile file, or a table whose
-weight classes agree) has an epsilon-approximation of degree D exactly
-when a univariate polynomial of degree D has one on its n+1 weights
-(Minsky-Papert symmetrization), and a symmetric q is orthogonal to every
-chi_w, |w| <= D, exactly when its weight masses psi_k are orthogonal to
-the binomials C(k, j), j <= D.  So its points are its n+1 weights k with
-those binomials, its witness is q(x) = psi_|x| / C(n, |x|), and no
-subcommand solves a 2^n-row system for it.  The solve at D = d is
-infeasible, and its Farkas certificate is a degree-d approximation P on
-the same points (see ``_farkas``).  `approx_degree` reads it from there and
-solves no primal: a table's P, or x -> P(|x|) for a symmetric f, is
-Walsh-transformed into alpha_w, |w| <= d, and checked exactly.  Callers
-that read only d (`batch`, `reduce`) take `degree_of` or `weight_degree`.
+D = 0, 1, ... on the orbits of the cube under f's symmetries, one point per
+orbit, each a basis row and f's value there.  d is the first D without a
+solution, and the solution at D = d-1 is the raw witness.  The solve at
+D = d is infeasible, and its Farkas certificate is a degree-d approximation
+P on the same points (see ``_farkas``).  A table's orbits are its 2^n
+inputs x, with the characters chi_w(x), |w| <= D.  A symmetric f (a profile
+file, or a table whose weight classes agree) has an epsilon-approximation
+of degree D exactly when a univariate polynomial of degree D has one on its
+n+1 weights (Minsky-Papert symmetrization), and a symmetric q is orthogonal
+to every chi_w, |w| <= D, exactly when its weight masses are orthogonal to
+the binomials C(k, j), j <= D.  So its orbits are its n+1 weight classes,
+with those binomials, and no subcommand solves a 2^n-row system for it.
+``_route`` maps both results back onto the table, whatever the orbits: q(x)
+is the mass of x's orbit over the orbit's size, and P(x) is P on x's orbit.
+`approx_degree` Walsh-transforms P into alpha_w, |w| <= d, checks it
+exactly and solves no primal.  Callers that read only d (`batch`,
+`reduce`) take `degree_of` or `weight_degree`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Sequence
 
 from .boolcube import (BooleanFunction, FourierSpectrum, spectrum_of_values,
                        symmetric_profile, walsh_transform)
 from .errors import (ArityMismatch, EpsilonOutOfRange, NotSymmetric,
                      WitnessNotApplicable)
 from .simplex import solve_feasibility
-
-T = TypeVar("T")
 
 # Seconds of one `cli.main` call at eps = 1/3, interpreter start excluded, one
 # process on a shared 2-vCPU Xeon guest (n = 8 with the cap raised to 8).
@@ -155,8 +156,9 @@ def _farkas(points: Sequence[tuple[list[int], int]], epsilon: Fraction
     return [x[size + p] - x[p] for p in range(size)], None
 
 
-def _table_points(f: BooleanFunction, monos: list[int]) -> list[tuple[list[int], int]]:
-    """The 2^n inputs x with their characters chi_w(x), w in monos."""
+def _table_points(f: BooleanFunction, degree: int) -> list[tuple[list[int], int]]:
+    """The 2^n inputs x with their characters chi_w(x), |w| <= degree."""
+    monos = monomials_up_to(f.n, degree)
     return [([_chi(w, x) for w in monos], f.table[x]) for x in range(1 << f.n)]
 
 
@@ -166,78 +168,61 @@ def _weight_points(values: Sequence[int], degree: int) -> list[tuple[list[int], 
             for k, fk in enumerate(values)]
 
 
-def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
-                        ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
-    """``_farkas`` on the table against support |w| <= degree_cap: an
-    unnormalized q orthogonal to all chi_w, |w| <= degree_cap, with
-    q.f >= 1 + eps*||q||_1, as (q, None), or, when there is none, (None, P)
-    with P(x) within eps of f(x) at every input x and spanned by the chi_w.
-    """
-    epsilon = _check_epsilon(epsilon)
-    _check_arity(f.n)
-    raw, poly = _farkas(_table_points(f, monomials_up_to(f.n, degree_cap)), epsilon)
-    return (None if raw is None else {x: v for x, v in enumerate(raw) if v}), poly
-
-
-def _sweep(n: int, farkas: Callable[[int], tuple[T | None, list[Fraction] | None]]
-           ) -> tuple[int, T | None, list[Fraction] | None]:
-    """d, the first D = 0, 1, ... at which ``farkas(D)`` has no solution,
-    its solution at D = d-1 (None when d = 0), and the approximation P read
-    off the infeasible solve at D = d (None when d = n).  By the theorem of
-    alternatives (Farkas' lemma) it has one exactly when no degree-D
-    approximation exists.  At D = n the basis spans every function on the
-    points, so the equality rows force q = 0 and the certificate row reads
-    0 <= -1: the sweep ends at D = n-1, and a solution there means d = n."""
+def _sweep(n: int, points: Callable[[int], list[tuple[list[int], int]]],
+           epsilon: Fraction) -> tuple[int, list[Fraction] | None, list[Fraction] | None]:
+    """d, the first D = 0, 1, ... at which ``_farkas`` on ``points(D)`` has
+    no solution, its solution at D = d-1 (None when d = 0), and the
+    approximation P read off the infeasible solve at D = d (None when
+    d = n).  By the theorem of alternatives (Farkas' lemma) it has one
+    exactly when no degree-D approximation exists.  At D = n the basis
+    spans every function on the points, so the equality rows force q = 0
+    and the certificate row reads 0 <= -1: the sweep ends at D = n-1, and a
+    solution there means d = n."""
     degree, raw, poly = 0, None, None
     while degree < n:
-        witness, poly = farkas(degree)
+        witness, poly = _farkas(points(degree), epsilon)
         if witness is None:
             break
         degree, raw = degree + 1, witness
     return degree, raw, poly
 
 
-def _weight_sweep(values: Sequence[int], epsilon: Fraction
-                  ) -> tuple[int, list[Fraction] | None, list[Fraction] | None]:
-    """The sweep on the n+1 weights: d, the raw weight masses psi and P."""
-    return _sweep(len(values) - 1,
-                  lambda degree: _farkas(_weight_points(values, degree), epsilon))
-
-
 def weight_degree(values: Sequence[int], epsilon: Fraction) -> int:
     """deg~_eps of the symmetric function whose value at weight k is
     values[k], k = 0..n, from the sweep on its weights alone."""
-    return _weight_sweep(values, _check_epsilon(epsilon))[0]
+    return _sweep(len(values) - 1, partial(_weight_points, values),
+                  _check_epsilon(epsilon))[0]
 
 
 def _route(f: BooleanFunction, epsilon: Fraction) -> tuple[
-        Fraction, tuple[int, ...] | None, int, list[Fraction] | dict[int, Fraction] | None,
-        list[Fraction] | None]:
-    """The checked epsilon, f's weight profile (None if f is not symmetric),
-    deg~_eps(f) = d, the raw witness at D = d-1 and the approximation P at
-    d (None when d = n): psi and P on the weights for a symmetric f, q and P
-    on the table for any other.  n past LP_ARITY_CAP is refused before any
-    solve."""
+        Fraction, int, dict[int, Fraction] | None, Sequence[Fraction | int]]:
+    """The checked epsilon, deg~_eps(f) = d, the raw witness q at D = d-1
+    (None when d = 0) and the approximation P at d (f's table when d = n),
+    both on the table.  The sweep runs on one point per orbit: each input
+    is its own orbit for a table, and the inputs of weight k form one for a
+    symmetric f.  q(x) is the mass of x's orbit over its size, and P(x) is
+    P on x's orbit.  n past LP_ARITY_CAP is refused before any solve."""
     epsilon = _check_epsilon(epsilon)
     _check_arity(f.n)
+    cube = range(1 << f.n)
     try:
-        values = symmetric_profile(f).values
+        points = partial(_weight_points, symmetric_profile(f).values)
+        orbit = [x.bit_count() for x in cube]
     except NotSymmetric:
-        return (epsilon, None,
-                *_sweep(f.n, lambda degree: dual_system_witness(f, epsilon, degree)))
-    return epsilon, values, *_weight_sweep(values, epsilon)
+        points, orbit = partial(_table_points, f), list(cube)
+    degree, mass, poly = _sweep(f.n, points, epsilon)
+    size = Counter(orbit)
+    raw = None if mass is None else {x: mass[a] / size[a]
+                                     for x, a in enumerate(orbit) if mass[a]}
+    return epsilon, degree, raw, f.table if poly is None else [poly[a] for a in orbit]
 
 
 def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
     """d from the Farkas sweep and, from the certificate of its infeasible
-    solve at d, a degree-d eps-approximation P on the sweep's points (f
-    itself at d = n).  A symmetric f's P on the weights is spread to
-    x -> P(|x|).  alpha_w is the table's Walsh coefficient; |P(x) - f(x)|
-    <= eps at every x and no mass on |w| > d are both checked exactly."""
-    epsilon, values, degree, _, poly = _route(f, epsilon)
-    if poly is None:  # d = n: f is its own approximation
-        poly = f.table if values is None else values
-    table = poly if values is None else [poly[x.bit_count()] for x in range(1 << f.n)]
+    solve at d, a degree-d eps-approximation P on the table (f itself at
+    d = n).  alpha_w is P's Walsh coefficient; |P(x) - f(x)| <= eps at
+    every x and no mass on |w| > d are both checked exactly."""
+    epsilon, degree, _, table = _route(f, epsilon)
     for x, (px, fx) in enumerate(zip(table, f.table)):
         if abs(px - fx) > epsilon:
             raise RuntimeError(f"the degree-{degree} polynomial read off the Farkas "
@@ -255,20 +240,16 @@ def approx_degree(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
 def degree_of(f: BooleanFunction, epsilon: Fraction) -> int:
     """deg~_eps(f) alone, for callers that need no coefficients and no
     witness: the Farkas sweep and no primal."""
-    return _route(f, epsilon)[2]
+    return _route(f, epsilon)[1]
 
 
 def dual_witness(f: BooleanFunction, epsilon: Fraction) -> DualWitness:
-    """Find deg~_eps(f) = d and the sweep's raw witness at D = d-1, expand
-    weight masses psi to q(x) = psi_|x| / C(n, |x|) for a symmetric f, then
-    normalize (q.f = 1) and verify."""
-    epsilon, values, degree, raw, _ = _route(f, epsilon)
-    if degree == 0:
+    """Find deg~_eps(f) = d and the sweep's raw witness q at D = d-1, then
+    normalize it (q.f = 1) and verify."""
+    epsilon, degree, raw, _ = _route(f, epsilon)
+    if raw is None:
         raise WitnessNotApplicable(
             f"f is epsilon-approximable by a constant (degree 0 at eps={epsilon})")
-    if values is not None:
-        raw = {x: raw[x.bit_count()] / math.comb(f.n, x.bit_count())
-               for x in range(1 << f.n) if raw[x.bit_count()]}
     scale = sum((v for x, v in raw.items() if f.table[x]), Fraction(0))
     if scale <= 0:
         # cannot occur: the certificate row forces q.f >= 1 + eps*||q||_1

@@ -39,9 +39,6 @@ class BooleanFunction:
         if any(b not in (0, 1) for b in self.table):
             raise ValueError("table entries must be 0/1")
 
-    def value(self, index: int) -> int:
-        return self.table[index]
-
 
 def from_predicate(n: int, pred) -> BooleanFunction:
     """Build a function from a predicate on the integer index."""
@@ -188,10 +185,6 @@ class InnerFunction:
         if len(self.values) != side * side:
             raise ValueError(f"value table must hold {side}x{side} cells")
 
-    def value(self, x: int, y: int) -> int | None:
-        v = self.values[(x << self.k) | y]
-        return None if v == UNDEF else v
-
     def defined_cells(self) -> Sequence[int]:
         """Indices x * 2^k + y of the domain, in row-major order: a range
         when g is total, else an index array built from the rows that hold
@@ -273,8 +266,17 @@ def disj_le1_inner(k: int) -> InnerFunction:
 # JSON wire formats
 
 
+def _int_field(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON int; a bool, a float or a string is
+    not one."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    return value
+
+
 def function_from_dict(obj: dict) -> BooleanFunction:
-    n = int(obj["n"])
+    n = _int_field(obj, "n")
     bits = obj["bits"]
     # n is compared with the length's exponent before 2^n is formed
     if not isinstance(bits, str) or n != len(bits).bit_length() - 1 \
@@ -284,7 +286,7 @@ def function_from_dict(obj: dict) -> BooleanFunction:
 
 
 def inner_from_dict(obj: dict) -> InnerFunction:
-    k = int(obj["k"])
+    k = _int_field(obj, "k")
     _check_table_side(k)
     side = 1 << k
     rows = obj["rows"]

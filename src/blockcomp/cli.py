@@ -49,7 +49,10 @@ def _emit(payload, out_path: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests deeper than the JSON reader allows") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return data

@@ -53,19 +53,18 @@ def _restrict(n: int, table: tuple[int, ...], i: int, b: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def _min_depth(n: int, table: tuple[int, ...], memo: dict) -> int:
+def _min_depth(n: int, table: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """The least query depth of a tree for table, and the first variable
+    (1-based) that a tree of that depth can query at its root; (0, 0) for a
+    constant table."""
     if all(v == table[0] for v in table):
-        return 0
+        return 0, 0
     key = (n, table)
-    if key in memo:
-        return memo[key]
-    best = n
-    for i in range(1, n + 1):
-        d = 1 + max(_min_depth(n - 1, _restrict(n, table, i, 0), memo),
-                    _min_depth(n - 1, _restrict(n, table, i, 1), memo))
-        best = min(best, d)
-    memo[key] = best
-    return best
+    if key not in memo:
+        memo[key] = min((1 + max(_min_depth(n - 1, _restrict(n, table, i, b), memo)[0]
+                                 for b in (0, 1)), i)
+                        for i in range(1, n + 1))
+    return memo[key]
 
 
 def optimal_decision_tree(f: BooleanFunction) -> DecisionTree:
@@ -77,15 +76,12 @@ def optimal_decision_tree(f: BooleanFunction) -> DecisionTree:
     memo: dict = {}
 
     def build(n: int, table: tuple[int, ...], labels: tuple[int, ...]) -> Node | Leaf:
-        if all(v == table[0] for v in table):
+        _, i = _min_depth(n, table, memo)
+        if i == 0:
             return Leaf(table[0])
-        target = _min_depth(n, table, memo)
-        for i in range(1, n + 1):
-            t0, t1 = _restrict(n, table, i, 0), _restrict(n, table, i, 1)
-            if 1 + max(_min_depth(n - 1, t0, memo), _min_depth(n - 1, t1, memo)) == target:
-                sub = labels[:i - 1] + labels[i:]
-                return Node(labels[i - 1], build(n - 1, t0, sub), build(n - 1, t1, sub))
-        raise AssertionError("depth search inconsistent")
+        sub = labels[:i - 1] + labels[i:]
+        return Node(labels[i - 1], build(n - 1, _restrict(n, table, i, 0), sub),
+                    build(n - 1, _restrict(n, table, i, 1), sub))
 
     return DecisionTree(f.n, build(f.n, f.table, tuple(range(1, f.n + 1))))
 

@@ -12,8 +12,9 @@ masses, dense SVD norms of a pair and of its witness matrix h, ||h||^2
 contracted over Fractions, the restricted composition and an
 explicit-approximation trace-norm bound, dense intersection matrices and
 closed-form spectra, the approximate degree and its coefficients by the
-primal sweeps on the table and on the weights (with a guard that lets
-``approxdeg`` solve Farkas systems only), the Paturi ratio of a
+primal sweeps on the table and on the weights, the table Farkas system
+at one degree cap, a guard that lets ``approxdeg`` solve Farkas systems
+only and the sizes of the systems each sweep solves, the Paturi ratio of a
 symmetric function, the padding identity point by point, a decision
 tree's depth and value, the protocol simulations one subprotocol call at
 a time, the dense symand input draw, and ``simulate``'s output with one
@@ -37,8 +38,8 @@ import numpy as np
 from blockcomp import approxdeg, boolcube, cli
 from blockcomp.applications import ReductionPlan
 from blockcomp.approxdeg import (ApproxDegreeResult, DualWitness, _check_arity,
-                                _check_epsilon, _table_points, _weight_points,
-                                approx_degree, monomials_up_to)
+                                _check_epsilon, _farkas, _table_points,
+                                _weight_points, approx_degree, monomials_up_to)
 from blockcomp.boolcube import (UNDEF, BooleanFunction, InnerFunction,
                                 SymmetricProfile, disj_le1_inner, from_predicate,
                                 ip_inner, weight_subsets)
@@ -366,12 +367,12 @@ def fraction_opnorm_sq(q: dict[int, Fraction], n: int,
 
 def pair_matches(pair: DistributionPair | BlockPair, g: InnerFunction) -> bool:
     """Whether pair is the uniform pair of g on its rectangle, cell by cell
-    through ``g.value``: every cell of the pair's block equals g there
+    through ``value_matrix``: every cell of the pair's block equals g there
     (UNDEF where g is undefined), and dense(b) is 1/#g^{-1}(b) on the
     b-cells and 0 elsewhere."""
     pair = block_pair(pair)
-    cells = [[g.value(x, y) for y in pair.i_b] for x in pair.i_a]
-    if pair.block.tolist() != [[UNDEF if v is None else v for v in row] for row in cells]:
+    cells = value_matrix(g)[np.ix_(pair.i_a, pair.i_b)].tolist()
+    if pair.block.tolist() != cells:
         return False
     for b in (0, 1):
         mass = float(Fraction(1, sum(row.count(b) for row in cells)))
@@ -398,19 +399,20 @@ def restricted_composition(f: BooleanFunction, g: InnerFunction,
     pair = block_pair(pair)
     values = np.zeros((pair.k_a ** n, pair.k_b ** n))
     defined = np.zeros_like(values, dtype=bool)
+    cells = value_matrix(g).tolist()
     for r, xs in enumerate(itertools.product(pair.i_a, repeat=n)):
         for c, ys in enumerate(itertools.product(pair.i_b, repeat=n)):
             z = 0
             ok = True
             for i in range(n):
-                b = g.value(xs[i], ys[i])
-                if b is None:
+                b = cells[xs[i]][ys[i]]
+                if b == UNDEF:
                     ok = False
                     break
                 z |= b << i
             if ok:
                 defined[r, c] = True
-                values[r, c] = f.value(z)
+                values[r, c] = f.table[z]
     return values, defined
 
 
@@ -489,7 +491,8 @@ def disj_lambda_diff_closed(k: int, t: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the approximate degree by the primal sweeps, on the table and on the weights
+# the approximate degree by the primal sweeps, on the table and on the weights,
+# and the table Farkas system at one degree cap
 
 
 def split_feasible(m: int, points: Sequence[tuple[list[int], int]],
@@ -517,8 +520,21 @@ def lp_feasible(f: BooleanFunction, epsilon: Fraction, degree_cap: int
     if not 0 <= degree_cap <= f.n:
         raise ValueError(f"degree cap must lie in [0, {f.n}]")
     monos = monomials_up_to(f.n, degree_cap)
-    coeffs = split_feasible(len(monos), _table_points(f, monos), epsilon)
+    coeffs = split_feasible(len(monos), _table_points(f, degree_cap), epsilon)
     return None if coeffs is None else dict(zip(monos, coeffs))
+
+
+def dual_system_witness(f: BooleanFunction, epsilon: Fraction, degree_cap: int
+                        ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
+    """``approxdeg._farkas`` on the table against support |w| <= degree_cap:
+    an unnormalized q orthogonal to all chi_w, |w| <= degree_cap, with
+    q.f >= 1 + eps*||q||_1, as (q, None), or, when there is none, (None, P)
+    with P(x) within eps of f(x) at every input x and spanned by the chi_w.
+    """
+    epsilon = _check_epsilon(epsilon)
+    _check_arity(f.n)
+    raw, poly = _farkas(_table_points(f, degree_cap), epsilon)
+    return (None if raw is None else {x: v for x, v in enumerate(raw) if v}), poly
 
 
 def farkas_only(monkeypatch) -> list[tuple[int, int]]:
@@ -535,6 +551,22 @@ def farkas_only(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(approxdeg, "solve_feasibility", farkas)
     return solves
+
+
+def table_solves(n: int, degree: int) -> list[tuple[int, int]]:
+    """The (columns, rows) ``farkas_only`` records for the Farkas sweep on
+    the 2^n inputs up to degree d: D = 0..min(d, n-1), two columns per
+    input and one row per character of degree at most D plus the
+    certificate row.  From n = 2 on, 2^(n+1) columns tell a table system
+    from a weight system's 2(n+1)."""
+    return [(2 << n, len(monomials_up_to(n, cap)) + 1) for cap in range(min(degree + 1, n))]
+
+
+def weight_solves(n: int, degree: int) -> list[tuple[int, int]]:
+    """The (columns, rows) ``farkas_only`` records for the Farkas sweep on
+    the n+1 weights up to degree d: D = 0..min(d, n-1), two columns per
+    weight and D+1 binomial rows plus the certificate row."""
+    return [(2 * (n + 1), cap + 2) for cap in range(min(degree + 1, n))]
 
 
 def primal_sweep_result(f: BooleanFunction, epsilon: Fraction) -> ApproxDegreeResult:
@@ -677,16 +709,16 @@ class PerCallLedger:
 def per_call_bcw(tree: DecisionTree, g: InnerFunction, g_protocol_cost: int,
                  repetitions: int, x: int, y: int, inject_error: float = 0.0,
                  seed: int | None = None) -> tuple[int, PerCallLedger]:
-    """``compile_bcw(...).run`` on the blocks of x and y, read through
-    ``g.value``, voting call by call."""
-    k = g.k
+    """``compile_bcw(...).run`` on the blocks of x and y, read off
+    ``value_matrix(g)``, voting call by call."""
+    k, cells = g.k, value_matrix(g).tolist()
     mask = (1 << k) - 1
     rng = random.Random(seed)
     ledger = PerCallLedger()
     node = tree.root
     while isinstance(node, Node):
         i = node.var
-        true_bit = g.value((x >> ((i - 1) * k)) & mask, (y >> ((i - 1) * k)) & mask)
+        true_bit = cells[(x >> ((i - 1) * k)) & mask][(y >> ((i - 1) * k)) & mask]
         votes = 0
         for _ in range(repetitions):
             bit = true_bit
@@ -755,14 +787,14 @@ def list_sampled_inputs(g: InnerFunction, n: int, trials: int,
     """The ``(x, y, z)`` inputs ``simulate --protocol bcw`` draws for n blocks,
     choosing each block from a list of g's defined cells."""
     rng = random.Random(seed)
-    side = 1 << g.k
+    side, table = 1 << g.k, value_matrix(g).tolist()
     cells = [a * side + b for a, b in domain(g)]
     inputs = []
     for _ in range(trials):
         x = y = z = 0
         for i in range(n):
             a, b = divmod(rng.choice(cells), side)
-            bit = g.value(a, b)
+            bit = table[a][b]
             x |= a << (i * g.k)
             y |= b << (i * g.k)
             z |= bit << i
@@ -816,7 +848,7 @@ def dict_simulate_text(argv: list[str]) -> str:
             out, ledger = per_call_bcw(
                 tree, g, args.g_cost, args.repetitions, x, y,
                 inject_error=args.inject_error, seed=args.seed * 1_000_003 + t)
-            trials.append((t, x, y, out, f.value(z), ledger))
+            trials.append((t, x, y, out, f.table[z], ledger))
     else:
         profile = cli.load_profile(args.f)
         cfg = HamOracleConfig(c_ham=args.c_ham, error_prob=args.inject_error)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blockcomp import cli
-from blockcomp.approxdeg import approx_degree, dual_system_witness, dual_witness
+from blockcomp.approxdeg import approx_degree, dual_witness
 from blockcomp.applications import padding_identity_check, reduction_plan
 from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
                                 from_profile, ip_inner, spectrum_of_values,
@@ -27,9 +27,9 @@ from blockcomp.specdisc import (disj_lambda, disj_pair, disj_weights,
                                 ip_pair, knuth_eigenvalue,
                                 eigenspace_dimension, spectral_certificate)
 from oracles import (and_function, block_compose, dense, disj_lambda_diff_closed,
-                     johnson_matrix, lp_feasible, operator_norm, or_function,
-                     parity_function, require_materialized, restricted_composition,
-                     tree_depth)
+                     dual_system_witness, johnson_matrix, lp_feasible,
+                     operator_norm, or_function, parity_function,
+                     require_materialized, restricted_composition, tree_depth)
 
 THIRD = Fraction(1, 3)
 
@@ -209,14 +209,14 @@ def test_criterion_7_protocol_suite():
         for t in range(40_000):
             x, y = rng.randrange(16), rng.randrange(16)
             out, _ = step4_symand.run(x, y, seed=1_000_003 * t)
-            assert out == step4.value(x & y)
+            assert out == step4.table[x & y]
             total += 1
         f16 = n16[4]
         for t in range(40_000):
             x = dense_input(rng, 16, 4)
             y = dense_input(rng, 16, 4)
             out, _ = n16_symand[4].run(x, y, seed=1_000_003 * t)
-            assert out == f16.value(x & y)
+            assert out == f16.table[x & y]
             total += 1
         assert total == 100_000
 
@@ -235,7 +235,7 @@ def test_criterion_7_protocol_suite():
             x = dense_input(rng, 4, 2)
             y = dense_input(rng, 4, 2)
             out, _ = noisy_step4.run(x, y, seed=13 * t + 5)
-            errors += out != step4.value(x & y)
+            errors += out != step4.table[x & y]
         assert errors / 10_000 <= 1 / 3 + 0.02
 
         # --- ledgers never exceed the closed-form budgets
@@ -256,7 +256,7 @@ def test_criterion_7_protocol_suite():
                 x = dense_input(rng, 16, l1)
                 y = dense_input(rng, 16, l1)
                 out, ledger = n16_symand[l1].run(x, y, seed=31 * t + l1)
-                assert out == f.value(x & y)
+                assert out == f.table[x & y]
                 assert ledger.total <= budget_bits, (l1, ledger.total)
                 worst = max(worst, ledger.total)
             worst_bits[l1] = worst

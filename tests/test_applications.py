@@ -39,7 +39,7 @@ def table_identity_check(plan, f):
                 z |= 1 << i
             x |= a << (i * k)
             y |= b << (i * k)
-        if source.value(z) != f.value(x & y):
+        if source.table[z] != f.table[x & y]:
             return False
     return True
 

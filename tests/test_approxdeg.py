@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcomp import approxdeg
-from blockcomp.approxdeg import (DualWitness, approx_degree, degree_of,
-                                 dual_system_witness, dual_witness, monomials_up_to,
-                                 verify_witness, weight_degree)
+from blockcomp.approxdeg import (DualWitness, approx_degree, degree_of, dual_witness,
+                                 monomials_up_to, verify_witness, weight_degree)
 from blockcomp.boolcube import (BooleanFunction, from_profile, spectrum_of_values,
                                 symmetric_profile, walsh_transform)
 from blockcomp.errors import EpsilonOutOfRange, NotSymmetric, WitnessNotApplicable
 from blockcomp.simplex import solve_feasibility
 from oracles import (SWEEP_FUNCTIONS, all_functions, and_function, constant_function,
-                     farkas_only, lp_feasible, or_function, parity_function,
-                     paturi_check, primal_sweep_result, projection, seeded_table,
-                     weight_primal_sweep)
+                     dual_system_witness, farkas_only, lp_feasible, or_function,
+                     parity_function, paturi_check, primal_sweep_result, projection,
+                     seeded_table, table_solves, weight_primal_sweep, weight_solves)
 
 THIRD = Fraction(1, 3)
 
@@ -261,11 +260,9 @@ class TestFarkasSweep:
     def test_parity_skips_full_degree_solve(self, monkeypatch, n):
         # parity is symmetric: the sweep on its n+1 weights has a solution at
         # every D < n, so d = n, and it never solves D = n or a table system
-        caps = record_caps(monkeypatch, "dual_system_witness")
         solves = farkas_only(monkeypatch)
         w = dual_witness(parity_function(n), THIRD)
         assert w.degree == n
-        assert caps == []
         assert solves == weight_solves(n, n)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -273,24 +270,10 @@ class TestFarkasSweep:
         # a table that is not symmetric keeps the sweep D = 0..n-1 and skips
         # D = n; padding (1,0,0,1,0,1,0,0) with a dummy top bit keeps d = 3
         table = (1, 0, 0, 1, 0, 1, 0, 0) * (1 << (n - 3))
-        caps = record_caps(monkeypatch, "dual_system_witness")
+        solves = farkas_only(monkeypatch)
         w = dual_witness(BooleanFunction(n, table), THIRD)
         assert w.degree == 3
-        assert caps == list(range(min(4, n)))
-
-
-def record_caps(monkeypatch, name):
-    """Patch approxdeg's ``name`` (a table solve taking f, epsilon and a
-    degree cap) to record each cap it is called with."""
-    caps = []
-    real = getattr(approxdeg, name)
-
-    def recording(f, epsilon, degree_cap):
-        caps.append(degree_cap)
-        return real(f, epsilon, degree_cap)
-
-    monkeypatch.setattr(approxdeg, name, recording)
-    return caps
+        assert solves == table_solves(n, 3)
 
 
 def constant_on_weight_classes(n, q):
@@ -373,13 +356,6 @@ def realized(n, coefficients):
             for x in range(1 << n)]
 
 
-def weight_solves(n, degree):
-    """The (columns, rows) of the Farkas solves on the n+1 weights up to
-    degree d: D = 0..min(d, n-1), two columns per weight and D+1 binomial
-    rows plus the certificate row."""
-    return [(2 * (n + 1), cap + 2) for cap in range(min(degree + 1, n))]
-
-
 class TestSymmetricApproximation:
     """approx_degree on a symmetric f reads P on the weights off the
     certificate of the weight sweep's infeasible solve at d (P = f at
@@ -413,7 +389,6 @@ class TestSymmetricApproximation:
                                   "PAR_5"))
     def test_solves_no_table_system(self, monkeypatch, f):
         degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
-        refuse_table_systems(monkeypatch)
         solves = farkas_only(monkeypatch)
         assert approx_degree(f, THIRD).degree == degree
         assert solves == weight_solves(f.n, degree)
@@ -447,7 +422,6 @@ class TestSymmetricRoute:
                                                   "THR2_6"))
     def test_no_table_solve(self, monkeypatch, f):
         degree = len(weight_primal_sweep(symmetric_profile(f).values, THIRD)) - 1
-        refuse_table_systems(monkeypatch)
         solves = farkas_only(monkeypatch)
         for operation in (dual_witness, approx_degree):
             assert operation(f, THIRD).degree == degree
@@ -457,12 +431,11 @@ class TestSymmetricRoute:
         assert solves == weight_solves(f.n, degree)
 
     def test_constant_solves_no_table_system(self, monkeypatch):
-        farkas = record_caps(monkeypatch, "dual_system_witness")
         solves = farkas_only(monkeypatch)
         f = constant_function(3, 1)
         assert degree_of(f, THIRD) == 0
         assert approx_degree(f, THIRD).degree == 0
-        assert (farkas, solves) == ([], weight_solves(3, 0) * 2)
+        assert solves == weight_solves(3, 0) * 2
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0)])
     def test_seeded_table_keeps_sweeps(self, monkeypatch, n, seed):
@@ -470,15 +443,13 @@ class TestSymmetricRoute:
         with pytest.raises(NotSymmetric):
             symmetric_profile(f)
         degree = table_sweep_degree(f, THIRD)
-        sweep = list(range(min(degree + 1, n)))
-        farkas_only(monkeypatch)
-        farkas = record_caps(monkeypatch, "dual_system_witness")
+        solves = farkas_only(monkeypatch)
         for operation in (approx_degree, dual_witness):
             assert operation(f, THIRD).degree == degree
-            assert farkas == sweep
-            farkas.clear()
+            assert solves == table_solves(n, degree)
+            solves.clear()
         assert degree_of(f, THIRD) == degree
-        assert farkas == sweep
+        assert solves == table_solves(n, degree)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_contradiction_raises(self, monkeypatch, shift):
@@ -508,14 +479,6 @@ class TestSymmetricRoute:
         for operation in (approx_degree, dual_witness, degree_of):
             with pytest.raises(ValueError, match="LP operations support"):
                 operation(f, THIRD)
-
-
-def refuse_table_systems(monkeypatch):
-    """Patch approxdeg's table solve to fail the test if called."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a table system was solved")
-
-    monkeypatch.setattr(approxdeg, "dual_system_witness", refuse)
 
 
 WITNESS_PROFILES = ([(n, THIRD) for n in range(1, 8)]

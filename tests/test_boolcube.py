@@ -19,7 +19,8 @@ from blockcomp.specdisc import disj_pair
 from oracles import (ComposedFunction, and_function, block_compose, block_pair,
                      constant_function, domain, inner_of_rows, inner_to_dict, is_total,
                      loop_disj_le1_inner, negate, or_function, pad_restrict,
-                     parity_function, projection, random_inner, restrict_rows)
+                     parity_function, projection, random_inner, restrict_rows,
+                     value_matrix)
 
 
 # a k = 2 table with undefined cells in the middle of rows
@@ -38,19 +39,19 @@ class TestBooleanFunction:
             BooleanFunction(2, (0, 1, 0))
 
     def test_evaluate_examples(self):
-        assert or_function(2).value(0b00) == 0
-        assert or_function(2).value(0b01) == 1
-        assert parity_function(3).value(0b111) == 1
+        assert or_function(2).table[0b00] == 0
+        assert or_function(2).table[0b01] == 1
+        assert parity_function(3).table[0b111] == 1
 
     def test_bit_convention(self):
         # x_1 is the least-significant bit of the index
         f = projection(2, 1)
-        assert f.value(0b01) == 1
-        assert f.value(0b10) == 0
+        assert f.table[0b01] == 1
+        assert f.table[0b10] == 0
 
     def test_negate(self):
         f = or_function(3)
-        assert all(negate(f).value(x) == 1 - f.value(x) for x in range(8))
+        assert all(negate(f).table[x] == 1 - f.table[x] for x in range(8))
 
 
 class TestFourier:
@@ -175,18 +176,17 @@ class TestInnerFunctions:
     def test_and_inner(self):
         g = and_inner()
         assert g.k == 1
-        assert [[g.value(x, y) for y in (0, 1)] for x in (0, 1)] == [[0, 0], [0, 1]]
+        assert value_matrix(g).tolist() == [[0, 0], [0, 1]]
 
     def test_ip_rows_balanced(self):
         g = ip_inner(3)
         for x in range(1, 8):
-            ones = sum(g.value(x, y) for y in range(8))
-            assert ones == 4
+            assert value_matrix(g)[x].sum() == 4
 
     def test_restrict_rows(self):
         g = restrict_rows(ip_inner(2), tuple(range(1, 4)))
-        assert g.value(0, 1) is None
-        assert g.value(1, 1) == 1
+        assert value_matrix(g)[0, 1] == UNDEF
+        assert value_matrix(g)[1, 1] == 1
         assert not is_total(g)
         assert is_total(ip_inner(2))
 
@@ -199,15 +199,16 @@ class TestInnerFunctions:
     def test_disj_le1(self):
         g = disj_le1_inner(6)
         subs = set(weight_subsets(6, 2))
+        table = value_matrix(g)
         for x in range(64):
             for y in range(64):
-                v = g.value(x, y)
+                v = table[x, y]
                 if x not in subs or y not in subs:
-                    assert v is None
+                    assert v == UNDEF
                 else:
                     inter = (x & y).bit_count()
                     if inter > 1:
-                        assert v is None
+                        assert v == UNDEF
                     else:
                         assert v == (1 if inter == 1 else 0)
 
@@ -235,8 +236,8 @@ class TestInnerFunctions:
 
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_ip_is_parity_of_meet(self, k):
-        g = ip_inner(k)
-        assert all(g.value(x, y) == (x & y).bit_count() & 1
+        table = value_matrix(ip_inner(k))
+        assert all(table[x, y] == (x & y).bit_count() & 1
                    for x in range(1 << k) for y in range(1 << k))
 
     def test_table_size_guard(self, monkeypatch):
@@ -267,10 +268,10 @@ class TestInnerFunctions:
             side = 1 << g.k
             assert isinstance(g.values, array) and g.values.typecode == "b"
             assert len(g.values) == side * side
+            table = value_matrix(g)
             for x in range(side):
                 for y in range(side):
-                    v = g.values[x * side + y]
-                    assert g.value(x, y) == (None if v == UNDEF else v)
+                    assert table[x, y] == g.values[x * side + y]
             assert inner_from_dict(inner_to_dict(g)).values == g.values
 
     def test_wrong_cell_count_rejected(self):
@@ -292,7 +293,7 @@ class TestBlockCompose:
         big = block_compose(f, g)
         for x in range(4):
             for y in range(4):
-                assert big.value(x, y) == g.value(x, y)
+                assert big.value(x, y) == value_matrix(g)[x, y]
 
     def test_parity_and(self):
         big = block_compose(parity_function(2), and_inner())
@@ -319,7 +320,7 @@ class TestBlockCompose:
         negation, or a constant, and the non-constant cases occur."""
         seen_g = seen_neg = False
         for g in (and_inner(), ip_inner(2)):
-            k = g.k
+            k, cells = g.k, value_matrix(g).tolist()
             for f in (parity_function(2), or_function(2), and_function(3)):
                 n = f.n
                 context = [(1, 1)] * n  # (1,1) is in dom for both inners
@@ -333,9 +334,9 @@ class TestBlockCompose:
                             y = sum(yb << (j * k) for j, (_, yb) in enumerate(blocks))
                             z = 0
                             for j, (xa, yb) in enumerate(blocks):
-                                z |= (g.value(xa, yb) or 0) << j
-                            maps[(a, b)] = f.value(z)
-                    ref = {(a, b): g.value(a, b)
+                                z |= cells[xa][yb] << j
+                            maps[(a, b)] = f.table[z]
+                    ref = {(a, b): cells[a][b]
                            for a in range(1 << k) for b in range(1 << k)}
                     if maps == ref:
                         seen_g = True

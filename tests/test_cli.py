@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from blockcomp.approxdeg import LP_ARITY_CAP
 from blockcomp.cli import main
 from oracles import (dict_simulate_text, domain, farkas_only, inner_of_rows,
                      inner_to_dict, list_sampled_inputs, primal_sweep_result,
-                     restrict_rows, seeded_table)
+                     restrict_rows, seeded_table, value_matrix, weight_solves)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -448,11 +449,19 @@ class TestProfileInputs:
         assert out == ""
         assert err.startswith("error:")
 
+    # n must be a JSON int: a float, a bool or a string is refused, not
+    # coerced, and an infinite one raises no OverflowError; a str payload is
+    # the file's raw text, here a file nested past the JSON reader's limit
     @pytest.mark.parametrize("command", list(PROFILE_COMMANDS))
-    @pytest.mark.parametrize("payload", [[0, 1], 5, {"n": 2, "bits": 6}], ids=repr)
+    @pytest.mark.parametrize("payload", [
+        [0, 1], 5, {"n": 2, "bits": 6}, {"n": math.inf, "bits": "01"},
+        {"n": 2.5, "bits": "0110"}, {"n": True, "bits": "01"}, {"n": "2", "bits": "0110"},
+        pytest.param('{"n": 1e400, "bits": "01"}', id="n_1e400"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested")], ids=repr)
     def test_malformed_function_file_exits_2(self, capsys, tmp_path, command, payload):
-        path = write_json(tmp_path, "bad.json", payload)
-        code, out, err = run(capsys, PROFILE_COMMANDS[command] + ["--f", path])
+        path = tmp_path / "bad.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        code, out, err = run(capsys, PROFILE_COMMANDS[command] + ["--f", str(path)])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -532,8 +541,8 @@ class TestBcwSampler:
                                      "--k", str(k), "--trials", "200"])
         for t in trials:
             cells = zip(blocks_of(t["x"], 2, k), blocks_of(t["y"], 2, k))
-            bits = [g.value(a, b) for a, b in cells]
-            assert None not in bits
+            bits = [int(value_matrix(g)[a, b]) for a, b in cells]
+            assert boolcube.UNDEF not in bits
             assert t["expected"] == bits[0] ^ bits[1]
 
     def test_inner_from_file(self, capsys, tmp_path, parity2):
@@ -902,8 +911,8 @@ REDUCE_PROFILES = [
 ]
 
 
-def refuse_primal(*args, **kwargs):
-    raise AssertionError("the primal system was solved")
+def refuse_call(*args, **kwargs):
+    raise AssertionError("a refused function was called")
 
 
 class TestDegreeFromFarkasSweep:
@@ -944,8 +953,8 @@ class TestDegreeFromFarkasSweep:
 
 class TestDegreeWithoutTableSystem:
     """A symmetric f's degree in batch and reduce comes from the sweep on
-    its weights alone: no table system is solved, and reduce builds no truth
-    table."""
+    its weights alone: every solve has the weight system's 2(n+1) columns,
+    never a table's 2^(n+1), and reduce builds no truth table."""
 
     def test_batch_symmetric_rows(self, capsys, monkeypatch, tmp_path):
         paths = [write_json(tmp_path, f"{name}.json", payload)
@@ -954,23 +963,26 @@ class TestDegreeWithoutTableSystem:
         grid = write_json(tmp_path, "grid.json", {"f": paths, "family": ["ip"],
                                                   "k": [2]})
         with monkeypatch.context() as m:
-            farkas_only(m)
-            m.setattr(approxdeg, "dual_system_witness", refuse_primal)
+            solves = farkas_only(m)
             code, out, _ = run(capsys, ["batch", "--grid", grid])
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [row[4] for row in rows] == ["1", "2", "2", "1", "3", "0"]
         assert all(row[-1] == "" for row in rows)
+        assert solves == [solve for row in rows
+                          for solve in weight_solves(int(row[3]), int(row[4]))]
 
     def test_reduce_profiles(self, capsys, monkeypatch, tmp_path):
         with monkeypatch.context() as m:
-            farkas_only(m)
-            m.setattr(approxdeg, "dual_system_witness", refuse_primal)
-            m.setattr(boolcube, "from_profile", refuse_primal)
+            solves = farkas_only(m)
+            m.setattr(boolcube, "from_profile", refuse_call)
             for bits, c in REDUCE_PROFILES:
+                solves.clear()
                 path = write_json(tmp_path, "p.json", {"profile": [int(b) for b in bits]})
                 code, out, _ = run(capsys, ["reduce", "--f", path, "--c", str(c)])
-                assert code == 0 and json.loads(out)["degree"] >= 1, bits
+                plan = json.loads(out)
+                assert code == 0 and plan["degree"] >= 1, bits
+                assert solves == weight_solves(plan["source_arity"], plan["degree"]), bits
 
 
 def parser_state(parser):
@@ -1075,14 +1087,19 @@ class TestStdlibOnly:
 
 
 class TestExponentGuards:
-    """An exponent past a guard exits 2 with a message naming it, and
-    negative shift counts never surface."""
+    """An exponent past a guard, or one that is not a JSON int, exits 2
+    with a message naming it, and negative shift counts never surface."""
 
     HUGE = 1 << 28
 
     @pytest.mark.parametrize("k,message", [
         (HUGE, f"error: inner table side 2^{HUGE} exceeds the guard"),
-        (-1, "error: inner k must be >= 0, got k = -1")], ids=("huge", "negative"))
+        (-1, "error: inner k must be >= 0, got k = -1"),
+        (math.inf, "error: k must be an int, got inf"),
+        (1.0, "error: k must be an int, got 1.0"),
+        (True, "error: k must be an int, got True"),
+        ("1", "error: k must be an int, got '1'")],
+        ids=("huge", "negative", "inf", "float", "bool", "str"))
     def test_inner_file(self, capsys, tmp_path, parity2, k, message):
         path = write_json(tmp_path, "g.json", {"k": k, "rows": []})
         code, out, err = run(capsys, ["simulate", "--protocol", "bcw", "--f", parity2,
@@ -1127,8 +1144,8 @@ class TestInternalErrors:
         certificate: one off by one at weight 0 misses f and fails that
         check.  witness expands the weight masses psi: one whose mass at
         weight 0 is off by one is no longer orthogonal to the constants and
-        fails verify_witness.  OR_4's table is symmetric, so no table system
-        is solved on the way."""
+        fails verify_witness.  OR_4's table is symmetric, so every solve on
+        the way has its weight system's 10 columns, not a table's 32."""
         real = approxdeg._farkas
 
         def shifted(*args):
@@ -1140,8 +1157,9 @@ class TestInternalErrors:
             return (solution[0], moved) if side else (moved, solution[1])
 
         monkeypatch.setattr(approxdeg, "_farkas", shifted)
-        monkeypatch.setattr(approxdeg, "dual_system_witness", refuse_primal)
+        solves = farkas_only(monkeypatch)
         code, out, err = run(capsys, [command, "--f", or4])
+        assert {columns for columns, _ in solves} == {10}
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: the degree-2 polynomial read off the Farkas "

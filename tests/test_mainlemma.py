@@ -18,7 +18,7 @@ from oracles import (SWEEP_FUNCTIONS, and_function, block_pair, constant_functio
                      dense, fraction_opnorm_sq, operator_norm, or_function,
                      parity_function, require_materialized, restrict_rows,
                      restricted_composition, trace_norm_certificate, uniform_pair,
-                     witness_shape)
+                     value_matrix, witness_shape)
 
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
@@ -136,11 +136,11 @@ class TestRestrictedComposition:
         f = and_function(2)
         values, defined = restricted_composition(f, g, pair)
         assert defined.all()
-        labels = block_pair(pair)
+        labels, cells = block_pair(pair), value_matrix(g).tolist()
         for r, xs in enumerate(itertools.product(labels.i_a, repeat=2)):
             for c, ys in enumerate(itertools.product(labels.i_b, repeat=2)):
-                z = (g.value(xs[0], ys[0]) << 0) | (g.value(xs[1], ys[1]) << 1)
-                assert values[r, c] == f.value(z)
+                z = (cells[xs[0]][ys[0]] << 0) | (cells[xs[1]][ys[1]] << 1)
+                assert values[r, c] == f.table[z]
 
     def test_undefined_cells_propagate(self):
         g = restrict_rows(ip_inner(2), (1, 2))

@@ -10,7 +10,7 @@ from blockcomp.boolcube import (BooleanFunction, and_inner, disj_le1_inner,
 from blockcomp.errors import ArityMismatch, NotSymmetric
 from oracles import (and_function, block_compose, constant_function, domain,
                      or_function, parity_function, per_call_bcw, per_call_symand,
-                     projection, tree_depth, tree_evaluate)
+                     projection, tree_depth, tree_evaluate, value_matrix)
 from blockcomp.protocols import (CostLedger, DecisionTree, HamOracleConfig,
                                  Leaf, Node, compile_bcw, compile_symand,
                                  optimal_decision_tree, repetition_schedule,
@@ -25,8 +25,8 @@ STEP4_NEG_PROFILE = symmetric_profile(STEP4_NEG)
 
 def block_values(g, n, x, y):
     """z whose bit i - 1 is g on block i of x and y."""
-    mask = (1 << g.k) - 1
-    return sum(g.value((x >> (i * g.k)) & mask, (y >> (i * g.k)) & mask) << i
+    mask, cells = (1 << g.k) - 1, value_matrix(g).tolist()
+    return sum(cells[(x >> (i * g.k)) & mask][(y >> (i * g.k)) & mask] << i
                for i in range(n))
 
 
@@ -50,7 +50,7 @@ class TestDecisionTrees:
         tree = optimal_decision_tree(f)
         assert tree_depth(tree) == depth
         for x in range(1 << f.n):
-            assert tree_evaluate(tree, x) == f.value(x)
+            assert tree_evaluate(tree, x) == f.table[x]
 
     def test_manual_tree(self):
         tree = DecisionTree(2, Node(1, Leaf(0), Node(2, Leaf(0), Leaf(1))))
@@ -212,7 +212,7 @@ class TestSymmetricAndProtocol:
         for x in range(16):
             for y in range(16):
                 out, ledger = protocol.run(x, y)
-                assert out == f.value(x & y)
+                assert out == f.table[x & y]
                 assert ledger.total <= 4  # threshold, maybe header+answer
 
     def test_step4_exhaustive(self):
@@ -220,7 +220,7 @@ class TestSymmetricAndProtocol:
         for x in range(16):
             for y in range(16):
                 out, ledger = protocol.run(x, y, seed=x * 16 + y)
-                assert out == STEP4.value(x & y), (x, y)
+                assert out == STEP4.table[x & y], (x, y)
 
     def test_negated_profile_exhaustive(self):
         protocol = compile_symand(STEP4_NEG_PROFILE)
@@ -228,7 +228,7 @@ class TestSymmetricAndProtocol:
         for x in range(16):
             for y in range(16):
                 out, ledger = protocol.run(x, y)
-                assert out == STEP4_NEG.value(x & y), (x, y)
+                assert out == STEP4_NEG.table[x & y], (x, y)
                 seen_note = seen_note or any("negated" in n for n in ledger.notes)
         assert seen_note
 
@@ -249,7 +249,7 @@ class TestSymmetricAndProtocol:
         # x = y with one zero each: search must land at delta = 0
         x = y = 0b1110
         out, ledger = compile_symand(STEP4_PROFILE).run(x, y, seed=1)
-        assert out == STEP4.value(x & y) == 1
+        assert out == STEP4.table[x & y] == 1
         reps = repetition_schedule(2)
         # single probe decides delta >= 1 is false
         assert ledger.subprotocol_invocations == (("ham_1", HamOracleConfig().cost(1), reps),)
@@ -274,7 +274,7 @@ class TestSymmetricAndProtocol:
         f = from_profile([0, 0, 0, 0, 0, 1, 1, 1, 1])
         x = y = 0b11111110
         out, ledger = compile_symand(symmetric_profile(f)).run(x, y, seed=0)
-        assert out == f.value(x & y)
+        assert out == f.table[x & y]
         assert any("header charged" in n for n in ledger.notes)
 
     def test_deterministic_given_seed(self):
@@ -299,7 +299,7 @@ class TestSymmetricAndProtocol:
         target = 1.0 / (3.0 * (math.floor(math.log2(cap)) + 1))
         protocol = compile_symand(STEP4_PROFILE, HamOracleConfig(error_prob=target))
         x, y = 0b1110, 0b1101
-        want = STEP4.value(x & y)
+        want = STEP4.table[x & y]
         errors = sum(protocol.run(x, y, seed=t)[0] != want for t in range(800))
         assert errors / 800 <= 1.0 / 3.0 + 0.02
 
@@ -313,7 +313,7 @@ class TestSymmetricAndProtocol:
             x = rng.randrange(64)
             y = rng.randrange(64)
             out, _ = protocol.run(x, y, seed=t)
-            assert out == f.value(x & y), (x, y)
+            assert out == f.table[x & y], (x, y)
 
 
 ERROR_PROBS = (0.0, 0.1, 1.0 / 3.0)
@@ -349,7 +349,7 @@ class TestRunLengthLedger:
             a, b = data.draw(st.sampled_from(cells))
             x |= a << (i * g.k)
             y |= b << (i * g.k)
-            z |= g.value(a, b) << i
+            z |= int(value_matrix(g)[a, b]) << i
         assert_matches_per_call(
             compile_bcw(tree, cost, reps, inject_error=p).run(z, seed),
             per_call_bcw(tree, g, cost, reps, x, y, inject_error=p, seed=seed))

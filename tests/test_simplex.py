@@ -183,10 +183,10 @@ class TestAgainstFractionTableau:
     @pytest.mark.parametrize("epsilon", [Fraction(1, 3), Fraction(1, 5)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_small_function(self, n, epsilon):
-        """The table primal and dual_system_witness, which returns the
-        Farkas certificate's approximation when the system is infeasible,
+        """The table primal and the table Farkas system, which returns the
+        certificate's approximation when the system is infeasible,
         agree with the oracle on every function of arity n at every degree
-        cap for n <= 2.  For n = 3, dual_system_witness agrees at the two
+        cap for n <= 2.  For n = 3, the Farkas system agrees at the two
         caps the CLI reads (the degree, whose certificate gives approxdeg
         its polynomial, and one below it, where witness takes its q), and
         the primal, which the library no longer solves, is feasible at the
@@ -204,14 +204,14 @@ class TestAgainstFractionTableau:
             if n <= 2:
                 for cap in range(n + 1):
                     both(oracles.lp_feasible, f, cap)
-                    both(approxdeg.dual_system_witness, f, cap)
+                    both(oracles.dual_system_witness, f, cap)
                 continue
             degree = approxdeg.approx_degree(f, epsilon).degree
             assert oracles.lp_feasible(f, epsilon, degree) is not None
             if degree < n:
-                assert both(approxdeg.dual_system_witness, f, degree)[1] is not None
+                assert both(oracles.dual_system_witness, f, degree)[1] is not None
             if degree:
-                assert both(approxdeg.dual_system_witness, f, degree - 1)[0] is not None
+                assert both(oracles.dual_system_witness, f, degree - 1)[0] is not None
 
 
 def write_profile(tmp_path, name, profile):

@@ -14,7 +14,8 @@ from blockcomp.specdisc import (DISJ_K_CAP, IP_K_CAP, PAIR_SIDE_CAP, disj_lambda
                                 spectral_certificate)
 from oracles import (block_pair, dense, dense_certificate, disj_lambda_diff_closed,
                      inner_of_rows, ip_closed_forms, johnson_matrix, operator_norm,
-                     pair_matches, random_inner, restrict_rows, uniform_pair)
+                     pair_matches, random_inner, restrict_rows, uniform_pair,
+                     value_matrix)
 
 
 def assert_same_block(got, want):
@@ -38,8 +39,8 @@ def rectangle_discrepancy(pair, g: InnerFunction) -> float:
     for b in (0, 1):
         mu = dense(pair, b)
         for i, j in zip(*np.nonzero(mu)):
-            v = g.value(pair.i_a[i], pair.i_b[j])
-            if v is None:
+            v = value_matrix(g)[pair.i_a[i], pair.i_b[j]]
+            if v == UNDEF:
                 raise ValueError(f"mass on undefined point ({pair.i_a[i]},{pair.i_b[j]})")
             signed[i, j] += mu[i, j] / 2.0 * (1 if v == 0 else -1)
     if pair.k_b <= pair.k_a:
@@ -406,12 +407,13 @@ class TestRectangleDiscrepancy:
     def test_literal_double_loop_oracle(self):
         g = random_inner(2, 5)
         pair = uniform_pair(g, rows=(0, 1, 2))
-        counts = {b: sum(g.value(x, y) == b for x in pair.i_a for y in pair.i_b)
+        table = value_matrix(g)
+        counts = {b: sum(table[x, y] == b for x in pair.i_a for y in pair.i_b)
                   for b in (0, 1)}
         signed = np.zeros((3, 4))
         for i, x in enumerate(pair.i_a):
             for j, y in enumerate(pair.i_b):
-                b = g.value(x, y)
+                b = int(table[x, y])
                 signed[i, j] = (1 if b == 0 else -1) / (2 * counts[b])
         best = 0.0
         for rmask in range(1, 8):
